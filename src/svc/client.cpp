@@ -70,11 +70,11 @@ bool TelemetryClient::subscribe(const SubscriptionFilter& filter) {
   std::string record;
   if (!encode_subscribe_record(filter, record)) return false;
   if (ring_.mapped()) {
-    // A filtered stream cannot ride the (unfiltered) ring, so drop it —
-    // and the VIEW with it: the ring may have advanced the view past
-    // anything the server ever sent this socket, and the coming subset
-    // deltas must not land on an unfiltered table. The re-basing
-    // filtered full rebuilds from scratch.
+    // The ring carries the old group's stream, so drop it — and the VIEW
+    // with it: the ring may have advanced the view past anything the
+    // server ever sent this socket, and the new group's deltas must not
+    // land on the old table. The re-basing full rebuilds from scratch;
+    // request_shm() again to ride the new group's ring.
     ring_.close();
     view_ = MaterializedView{};
   }
@@ -274,14 +274,19 @@ bool TelemetryClient::poll_frame(std::chrono::milliseconds timeout) {
       const std::string_view payload(buf_.data() + kFramePrefixBytes,
                                      static_cast<std::size_t>(payload_len));
       const std::size_t wire_bytes = kFramePrefixBytes + payload.size();
-      if (shm_requested_) {
-        // The awaited SHM_OFFER rides the data channel; it must be
-        // intercepted here (the view rejects v3 frames as corrupt).
-        // decode_shm_offer is strict — anything else falls through to
-        // the view untouched.
-        ShmOffer offer;
-        if (decode_shm_offer(payload, offer)) {
-          buf_.erase(0, wire_bytes);
+      // An SHM_OFFER rides the data channel; it must be intercepted here
+      // (the view rejects v3 frames as corrupt). decode_shm_offer is
+      // strict — anything else falls through to the view untouched. The
+      // server offers a ring only to a subscriber it has sent its
+      // group's full, so an offer arriving while the rebase guard is
+      // armed may name the ring of a group a SUBSCRIBE just left: skip
+      // it and ask again — the answer follows the re-basing full.
+      ShmOffer offer;
+      if (decode_shm_offer(payload, offer)) {
+        buf_.erase(0, wire_bytes);
+        if (shm_requested_ && rebase_guard_armed_) {
+          request_shm();
+        } else if (shm_requested_) {
           shm_requested_ = false;
           if (ring_.open(offer.name, offer.generation)) {
             // Adopt from the head: older slots predate what TCP
@@ -299,8 +304,8 @@ bool TelemetryClient::poll_frame(std::chrono::milliseconds timeout) {
             ring_idle_strikes_ = 0;
           }
           // Open failure (stale offer, restarted server): stay on TCP.
-          continue;
         }
+        continue;
       }
       const std::uint64_t frames_before = view_.frames_applied();
       const std::uint64_t fulls_before = view_.full_frames();

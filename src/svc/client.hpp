@@ -43,8 +43,8 @@
 // client re-ACCEPTs and the data path moves back off the socket —
 // mirroring the initial adoption handoff. A dead ring (server
 // restart, broken segment) drops the client back to plain TCP frames.
-// subscribe() always detaches the ring first: a filtered stream
-// cannot ride the unfiltered ring.
+// Every filter group has its own ring, so subscribe() always detaches
+// the ring first; request_shm() after it asks for the new group's.
 #pragma once
 
 #include <chrono>

@@ -5,6 +5,14 @@
 // and "list entries changed since" — that the thin SnapshotServerT
 // template binds to its AggregatorT / RegistryT pair. Everything
 // socket-ish therefore compiles exactly once.
+//
+// One serving path: every subscriber is a member of exactly one filter
+// group. A client that never subscribes sits in the pass-all group,
+// which is an ordinary group except that it lives as long as the server
+// does (so a new client's first full never waits for a tick). Each
+// group gets at most one delta encode per tick, at most one full encode
+// per tick (lazily, when a member or its ring needs one) and, once a
+// same-host member asks, its own shm ring.
 #include "svc/server.hpp"
 
 #include <arpa/inet.h>
@@ -26,6 +34,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -67,23 +76,19 @@ class ServerCore {
     /// Runs one sequenced aggregator pass into the reused frame.
     std::function<void(shard::TelemetryFrame&)> collect;
     /// Appends (index, value) for entries changed in passes > `since`,
-    /// valid against the name table of `expected_version`. Returns the
-    /// sequence the reported values are complete up to — the delta's
-    /// label — or nullopt when the registry's version moved on (indices
-    /// shifted: the caller must fall back to a full frame).
-    std::function<std::optional<std::uint64_t>(std::uint64_t since,
-                                               std::uint64_t expected_version,
-                                               std::vector<DeltaEntry>& out)>
-        changed_since;
-    /// Filtered form for subscription groups: visits only the flat
-    /// indices in `selection`, appending (subset index, value) pairs —
-    /// the index space of that group's filtered name table. Same
-    /// version guard and label contract as changed_since.
+    /// valid against the name table of `expected_version`. A null
+    /// `selection` visits every flat-table entry (index = flat index);
+    /// otherwise only the flat indices in `selection` are visited and
+    /// index = position within it — the index space of that group's
+    /// filtered name table. Returns the sequence the reported values are
+    /// complete up to — the delta's label — or nullopt when the
+    /// registry's version moved on (indices shifted: the caller must
+    /// fall back to a full frame).
     std::function<std::optional<std::uint64_t>(
         std::uint64_t since, std::uint64_t expected_version,
-        const std::vector<std::uint64_t>& selection,
+        const std::vector<std::uint64_t>* selection,
         std::vector<DeltaEntry>& out)>
-        changed_since_filtered;
+        changed_since;
   };
 
   ServerCore(const ServerOptions& options, Hooks hooks)
@@ -97,7 +102,7 @@ class ServerCore {
     }
     if (options_.shm_slots == 0) options_.shm_slots = 1;
     if (options_.shm_slot_bytes == 0) options_.shm_slot_bytes = 4096;
-    group_table_.store(new GroupTable, std::memory_order_relaxed);
+    group_table_.store(new_table(), std::memory_order_relaxed);
   }
 
   ~ServerCore() {
@@ -135,33 +140,11 @@ class ServerCore {
     }
     port_ = ntohs(addr.sin_port);
 
-    // The shm ring (wire v3). Creation failure (no /dev/shm, rlimits)
-    // is not an error — the server just never offers and everyone
-    // stays on TCP.
-    ring_broken_.store(false, std::memory_order_relaxed);
-    shm_offer_frame_.reset();
-    if (options_.shm_enable &&
-        shm_.create(options_.shm_slots, options_.shm_slot_bytes)) {
-      ShmOffer offer;
-      offer.name = shm_.name();
-      offer.generation = shm_.generation();
-      offer.slot_count = shm_.slot_count();
-      offer.slot_payload_bytes = shm_.slot_payload_bytes();
-      auto frame = std::make_shared<std::string>();
-      if (encode_shm_offer_frame(offer, *frame)) {
-        shm_offer_frame_ = std::move(frame);  // shared by every offer
-      } else {
-        shm_.destroy();
-      }
-    }
-
     workers_.clear();
     for (unsigned i = 0; i < options_.io_threads; ++i) {
       auto worker = std::make_unique<Worker>();
       if (::pipe2(worker->wake_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
         close_pipes_and_listener();
-        shm_.destroy();
-        shm_offer_frame_.reset();
         return false;
       }
       workers_.push_back(std::move(worker));
@@ -186,21 +169,21 @@ class ServerCore {
     }
     close_pipes_and_listener();
     workers_.clear();
-    // After the joins: no thread can touch the ring now. Unlinking only
-    // removes the name — a still-attached reader keeps its mapping (and
-    // will see no new frames, then EOF on its TCP side).
-    shm_.destroy();
-    shm_offer_frame_.reset();
     {
-      // Swap in a fresh empty table; post-join there are no readers, so
-      // the old table (and through it every group and its last tick)
-      // dies immediately, and the epoch backlog drains unsafely.
+      // Swap in a fresh table; post-join there are no readers, so the
+      // old table — and through it every group, its last tick and its
+      // shm ring (unlinked; a still-attached reader keeps its mapping and
+      // sees EOF on its TCP side) — dies immediately, and the epoch
+      // backlog drains unsafely.
       std::lock_guard wlock(groups_writer_mutex_);
       const GroupTable* old =
-          group_table_.exchange(new GroupTable, std::memory_order_acq_rel);
+          group_table_.exchange(new_table(), std::memory_order_acq_rel);
       delete old;  // worker-held group refs died with workers_
     }
     epochs_.drain_unsafe();
+    std::lock_guard metricsz_lock(metricsz_mutex_);
+    metricsz_page_.reset();
+    metricsz_seq_ = 0;
   }
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
@@ -228,9 +211,9 @@ class ServerCore {
         subscribes_received_.load(std::memory_order_relaxed);
     out.resyncs_received = resyncs_received_.load(std::memory_order_relaxed);
     out.filtered_full_encodes =
-        filtered_full_encodes_.load(std::memory_order_relaxed);
+        group_full_encodes_.load(std::memory_order_relaxed);
     out.filtered_delta_encodes =
-        filtered_delta_encodes_.load(std::memory_order_relaxed);
+        group_delta_encodes_.load(std::memory_order_relaxed);
     out.group_deltas_suppressed =
         group_deltas_suppressed_.load(std::memory_order_relaxed);
     out.shm_requests_received =
@@ -271,60 +254,92 @@ class ServerCore {
              std::uint64_t b = 0) noexcept {
     if (trace_ != nullptr) trace_->record(kind, a, b);
   }
+
+  /// One vector entry's reading in a TickValues (histogram buckets or
+  /// top-k rows).
+  struct VectorReading {
+    std::size_t index = 0;
+    std::vector<std::uint64_t> counts;
+    std::vector<std::string> labels;
+  };
+
+  /// One collector pass's readings, shared by every group's tick — the
+  /// input lazy fulls encode from. Names, models and bounds change only
+  /// with the registry version, so they live in `names`, an immutable
+  /// table built once per version; a tick copies values alone.
+  struct TickValues {
+    std::shared_ptr<const shard::TelemetryFrame> names;  // values unset
+    std::vector<std::uint64_t> values;                   // per entry
+    std::vector<VectorReading> vectors;  // vector entries, ascending index
+  };
+
   /// One group's published per-tick state: an immutable record the
   /// collector builds each pass and swings into FilterGroup::tick by
   /// RCU pointer swap, retiring the superseded one through the epoch
-  /// domain. Workers snapshot it under an epoch guard (the shared_ptr
+  /// domain. Workers copy it under an epoch guard (the shared_ptr
   /// payloads extend every buffer past the guard) and then serve
   /// entirely lock-free.
   struct GroupTick {
     std::uint64_t pass_seq = 0;     // collector pass that built it
     std::uint64_t collect_ns = 0;   // that pass's collect stamp
-    /// The registry version the group's WIRE STREAM is labeled with
+    /// The registry version the group's wire stream is labeled with
     /// (see FilterGroup::wire_regver for the pinning rationale).
     std::uint64_t wire_regver = 0;
     /// The group's delta basis AFTER this pass: sequence of the last
     /// frame shipped to the group (deltas cover (sent_seq, label]).
     std::uint64_t sent_seq = 0;
-    // This tick's shared group delta (null: suppressed or re-based).
+    /// This tick's shared group delta, covering (delta_base, pass_seq];
+    /// null when suppressed, re-based or memberless.
     std::shared_ptr<const std::string> delta;
-    std::uint64_t delta_seq = 0;
     std::uint64_t delta_base = 0;
-    std::uint64_t delta_regver = 0;
-    /// The pass's collected frame (one copy per tick, shared by every
-    /// group's tick) and the selection it was filtered with — the
-    /// coherent (snapshot, selection, sel_regver, wire) tuple lazy
-    /// filtered fulls encode from.
-    std::shared_ptr<const shard::TelemetryFrame> snapshot;
+    /// The pass's readings and the group's selection of them (null: every
+    /// entry) — the coherent pair a lazy full encodes from.
+    std::shared_ptr<const TickValues> values;
     std::shared_ptr<const std::vector<std::uint64_t>> selection;
-    std::uint64_t sel_regver = 0;
+  };
+
+  /// A group's shared-memory snapshot ring (wire v3): created by the
+  /// worker serving the group's first SHM_REQUEST, published into by the
+  /// collector only, destroyed (unlinked) with the group.
+  struct GroupRing {
+    ShmRingWriter writer;
+    std::shared_ptr<const std::string> offer;  // shared by every offer
+    /// Latched when a frame outgrows its slot: a ring reader could never
+    /// decode past the gap, so the ring is done — offers stop and its
+    /// consumers are demoted back to TCP.
+    std::atomic<bool> broken{false};
   };
 
   /// One subscription filter's server-side state: every client that
-  /// SUBSCRIBEd with the same canonical filter shares one of these, and
-  /// with it this tick's single delta encode and the lazily-built full.
-  /// Ownership: `refs` is guarded by groups_writer_mutex_; the
+  /// SUBSCRIBEd with the same canonical filter (or never subscribed: the
+  /// pass-all group) shares one of these, and with it this tick's single
+  /// delta encode, the lazily-built full and the group's ring.
+  /// Ownership: `refs` changes only under groups_writer_mutex_; the
   /// selection/basis fields are collector-private pass scratch (workers
   /// only ever see the immutable copies published in GroupTicks); the
-  /// full cache has its own mutex (rare re-base path only).
+  /// full cache and ring creation have their own mutexes (rare paths).
   struct FilterGroup {
     std::string key;  // canonical filter key (the table map key)
     SubscriptionFilter filter;
-    std::size_t refs = 0;  // clients in the group; erased at zero
+    /// Members; a group other than pass-all is erased at zero. Read
+    /// relaxed by the collector (a memberless group encodes nothing).
+    std::atomic<std::size_t> refs{0};
     /// Flat-table indices matching the filter, ascending — valid for
     /// sel_regver's name table; rebuilt (as a fresh immutable vector)
-    /// when the registry version moves. Collector-private.
+    /// when the registry version moves. Null for the pass-all group:
+    /// every entry, so subset positions are flat indices.
     std::shared_ptr<const std::vector<std::uint64_t>> selection;
+    std::size_t subset_size = 0;
     std::uint64_t sel_regver = 0;
     /// The registry version the group's WIRE STREAM is labeled with.
     /// The registry is append-only and the name table name-sorted, so a
     /// fixed filter's subset can only grow — a version bump that leaves
-    /// the selection SIZE unchanged left the subset (names and order)
+    /// the subset SIZE unchanged left the subset (names and order)
     /// unchanged too, merely shifting its flat indices. The group then
     /// keeps streaming deltas under this pinned older label (its
-    /// subscribers' tables are untouched) instead of re-encoding a full
-    /// per group on every disjoint create; only a create that actually
-    /// lands in the subset bumps wire_regver and re-bases everyone.
+    /// members' tables are untouched) instead of re-encoding a full per
+    /// group on every disjoint create; only a create that actually lands
+    /// in the subset bumps wire_regver and re-bases everyone.
     std::uint64_t wire_regver = 0;
     /// The group's delta basis (see GroupTick::sent_seq). Suppressed
     /// ticks do not advance it, so the next delta still covers them.
@@ -336,14 +351,20 @@ class ServerCore {
     /// holding a tick pointer always also holds the group shared_ptr
     /// that keeps this destructor from running).
     std::atomic<const GroupTick*> tick{nullptr};
-    // Lazily-encoded filtered full, cached per (group, pass). Its own
-    // tiny mutex: only re-basing subscribers (RESYNC, wire bump,
-    // first frame) ever take it — never the steady delta stream.
+    // Lazily-encoded full, cached per (group, pass). Its own tiny mutex:
+    // only re-basing members and ring re-bases ever take it — never the
+    // steady delta stream.
     std::mutex full_mutex;
     std::shared_ptr<const std::string> full;  // guarded by full_mutex
     std::uint64_t full_seq = 0;
+    std::mutex ring_mutex;     // serializes ring creation
+    bool ring_failed = false;  // guarded by ring_mutex: no shm here
+    std::atomic<GroupRing*> ring{nullptr};
 
-    ~FilterGroup() { delete tick.load(std::memory_order_acquire); }
+    ~FilterGroup() {
+      delete tick.load(std::memory_order_acquire);
+      delete ring.load(std::memory_order_acquire);
+    }
   };
 
   /// The RCU-published group table: immutable once the writer swaps it
@@ -354,22 +375,6 @@ class ServerCore {
     std::unordered_map<std::string, std::shared_ptr<FilterGroup>> by_key;
   };
 
-  /// Everything the collector publishes per tick; workers copy it under
-  /// published_mutex_ (shared_ptr payloads make the copy O(1)).
-  struct PublishedFrame {
-    std::uint64_t seq = 0;
-    std::uint64_t base_seq = 0;  // shared delta's basis (previous tick)
-    std::uint64_t registry_version = 0;
-    std::uint64_t collect_ns = 0;
-    std::shared_ptr<const std::string> full;
-    std::shared_ptr<const std::string> delta;  // null: no shared delta
-    /// Newest rendered metricsz page (a full kMetricsz stream frame) and
-    /// the collect sequence it was rendered at. Carried forward across
-    /// ticks (rendering is on demand); null until first requested.
-    std::shared_ptr<const std::string> metricsz;
-    std::uint64_t metricsz_seq = 0;
-  };
-
   struct Client {
     int fd = -1;
     std::shared_ptr<const std::string> out;  // the ONE in-flight frame
@@ -378,17 +383,16 @@ class ServerCore {
     std::uint64_t sent_regver = 0;
     std::uint64_t acked_seq = 0;
     std::string inbuf;  // partial ack/control bytes
-    std::shared_ptr<FilterGroup> group;  // null: unfiltered (v1)
+    std::shared_ptr<FilterGroup> group;  // set at adoption; null once closed
     bool force_full = false;  // RESYNC or filter change pending
     bool shm_offer_pending = false;  // SHM_REQUEST seen; offer next
-    /// SHM_ACCEPT seen: the ring carries this client's data frames; we
-    /// send nothing per tick (force_full still goes over TCP — that is
-    /// the overrun-recovery path).
+    /// SHM_ACCEPT seen: the group's ring carries this client's data
+    /// frames; we send nothing per tick.
     bool shm_consuming = false;
     /// Ack-deadline eviction clock (ServerOptions::ack_deadline_ticks).
-    /// Armed (at the then-current pub.seq) when the client is owed
-    /// frames; re-armed on any progress (ack advance, partial-write
-    /// drain); disarmed when nothing is owed. 0 = disarmed.
+    /// Armed (at the then-current tick) when the client is owed frames;
+    /// re-armed on any progress (ack advance, partial-write drain);
+    /// disarmed when nothing is owed. 0 = disarmed.
     std::uint64_t ack_wait_since = 0;
     std::uint64_t ack_wait_acked = 0;  // acked_seq when armed
     std::size_t ack_wait_off = 0;      // in-flight drain offset when armed
@@ -399,7 +403,8 @@ class ServerCore {
     std::uint64_t bytes_flushed = 0;
     /// kMetricszRequest pending: set when the control record is read,
     /// served once a metricsz page rendered at or after the request
-    /// (req_seq = pub.seq at the first service round that saw it).
+    /// (req_seq = the newest tick at the first service round that saw
+    /// it).
     bool metricsz_pending = false;
     std::uint64_t metricsz_req_seq = 0;
   };
@@ -414,6 +419,17 @@ class ServerCore {
         std::numeric_limits<std::uint64_t>::max()};
     std::atomic<std::uint64_t> cpu_ns{0};  // this thread's CPU so far
   };
+
+  /// A table holding only the pass-all group — the one group that is
+  /// never erased, so a new client's first full is served from the last
+  /// tick instead of waiting for the next.
+  static GroupTable* new_table() {
+    auto group = std::make_shared<FilterGroup>();
+    group->key = SubscriptionFilter{}.canonical_key();
+    auto* table = new GroupTable;
+    table->by_key.emplace(group->key, std::move(group));
+    return table;
+  }
 
   void close_pipes_and_listener() {
     for (auto& worker : workers_) {
@@ -434,144 +450,102 @@ class ServerCore {
     [[maybe_unused]] const ssize_t n = ::write(worker.wake_fds[1], &byte, 1);
   }
 
+  /// This pass's readings over the name table of its registry version;
+  /// `names` is the collector's table cache, rebuilt only when the
+  /// version moved.
+  static std::shared_ptr<const TickValues> tick_values(
+      const shard::TelemetryFrame& frame,
+      std::shared_ptr<const shard::TelemetryFrame>& names) {
+    if (!names || names->registry_version != frame.registry_version) {
+      auto table = std::make_shared<shard::TelemetryFrame>(frame);
+      for (shard::Sample& sample : table->samples) {
+        sample.value = 0;
+        sample.bucket_counts.clear();
+        sample.top_labels.clear();
+      }
+      names = std::move(table);
+    }
+    auto values = std::make_shared<TickValues>();
+    values->names = names;
+    values->values.reserve(frame.samples.size());
+    for (std::size_t i = 0; i < frame.samples.size(); ++i) {
+      const shard::Sample& sample = frame.samples[i];
+      values->values.push_back(sample.value);
+      if (!sample.bucket_counts.empty() || !sample.top_labels.empty()) {
+        values->vectors.push_back(
+            {i, sample.bucket_counts, sample.top_labels});
+      }
+    }
+    return values;
+  }
+
   void collector_loop() {
     t_wpid = 0;  // the collector's slot in the obs wpid space
     shard::TelemetryFrame frame;  // reused; zero-alloc at steady state
+    std::shared_ptr<const shard::TelemetryFrame> names;  // per version
     std::vector<DeltaEntry> changed;
     std::vector<DeltaEntry> group_subset;  // per-group intersect scratch
     std::uint64_t prev_seq = 0;
-    std::uint64_t prev_regver = 0;
-    // Metricsz page carried forward tick to tick (rendered on demand).
-    std::shared_ptr<const std::string> metricsz_cache;
-    std::uint64_t metricsz_cache_seq = 0;
     std::string metricsz_text;  // render scratch
     while (running_.load(std::memory_order_acquire)) {
       const auto tick_start = std::chrono::steady_clock::now();
       hooks_.collect(frame);
       const auto collect_done = std::chrono::steady_clock::now();
       const std::uint64_t collect_ns = steady_now_ns();
-      PublishedFrame pub;
-      pub.seq = frame.sequence;
-      pub.registry_version = frame.registry_version;
-      pub.collect_ns = collect_ns;
-      // Encode buffers are freshly allocated per tick and retired by
-      // refcount once the last subscriber drains them: a slow reader
-      // holding tick N's bytes never blocks (or races with) tick N+1's
-      // encode. Deliberately NOT a use_count()==1 reuse scheme — the
-      // relaxed use_count load would not order a subscriber's last read
-      // of the buffer before our overwrite. Two buffers (≈ one wire
-      // frame each) per tick at tens of milliseconds is noise next to
-      // the collect pass itself.
-      {
-        auto full = std::make_shared<std::string>();
-        encode_full_frame(frame, collect_ns, *full);
-        pub.full = std::move(full);
-      }
-      bool groups_changed_valid = false;  // changed list usable for groups
+      // A create racing in since our pass shifts flat-table indices; the
+      // walk then reports nullopt and no group ships a delta this tick
+      // (members heal via fulls). The collector is the registry's only
+      // sequencer, so on success the walk's label is exactly this
+      // frame's sequence.
+      bool changed_valid = false;
       if (prev_seq != 0) {
         changed.clear();
-        // A create racing in since our pass shifts flat-table indices;
-        // the walk then reports nullopt and this tick ships no deltas
-        // at all — subscribers get the (old-table) full frame, and the
-        // next tick re-collects under the new version. The collector is
-        // the registry's only sequencer, so on success the walk's label
-        // is exactly this frame's sequence.
-        if (hooks_.changed_since(prev_seq, frame.registry_version, changed)
-                .has_value()) {
-          groups_changed_valid = true;
-          if (prev_regver == frame.registry_version) {
-            auto delta = std::make_shared<std::string>();
-            encode_delta_frame(frame.sequence, frame.registry_version,
-                               collect_ns, prev_seq, changed, *delta);
-            pub.base_seq = prev_seq;
-            pub.delta = std::move(delta);
-          }
-          // else: the table changed cleanly between ticks. Unfiltered
-          // clients re-base via fulls (their indices shifted), but the
-          // changed list indexes the NEW table — exactly what the group
-          // pass consumes, so filter groups whose subset the create did
-          // not touch keep their delta stream flowing under a pinned
-          // wire label instead of re-encoding a full each (see
-          // FilterGroup::wire_regver).
-        }
+        changed_valid =
+            hooks_.changed_since(prev_seq, frame.registry_version, nullptr,
+                                 changed)
+                .has_value();
       }
-      // Filter-group pass, BEFORE publication — and fully lock-free for
-      // the workers: the collector reads the RCU-published group table
-      // under an epoch guard and publishes ONE immutable GroupTick per
-      // group (pointer swap; the superseded tick retires through the
-      // epoch domain). One delta encode per group per tick, shared by
-      // all its subscribers; a group whose subset did not change ships
-      // a null delta (its basis stays put, so the next delta still
-      // covers the quiet ticks) until a heartbeat is due. A group
-      // created by a worker during this pass is simply absent from the
-      // table we pinned — the NEXT pass seeds its basis, and its
-      // subscribers' first filtered full lands at that pass or later,
-      // so no delta ever skips a tick they saw.
-      //
-      // version_raced ticks (the changed walk was unusable) publish a
-      // delta-less tick and keep the basis — subscribers heal via full
-      // frames against the new version next tick.
+      const std::shared_ptr<const TickValues> values =
+          tick_values(frame, names);
+      // The group pass, BEFORE the wake — and fully lock-free for the
+      // workers: the collector reads the RCU-published group table under
+      // an epoch guard and publishes ONE immutable GroupTick per group
+      // (pointer swap; the superseded tick retires through the epoch
+      // domain). A group created by a worker during this pass is simply
+      // absent from the table we pinned — the NEXT pass seeds its basis,
+      // and its members' first full lands at that pass or later, so no
+      // delta ever skips a tick they saw.
       {
         const base::EpochDomain::Guard eguard(epochs_);
         const GroupTable* table =
             group_table_.load(std::memory_order_acquire);
-        if (!table->by_key.empty()) {
-          // One frame copy per tick (O(fleet)), shared by every
-          // group's tick; built from the collector-private frame with
-          // no lock anywhere near it.
-          const std::shared_ptr<const shard::TelemetryFrame> snapshot =
-              std::make_shared<shard::TelemetryFrame>(frame);
-          for (const auto& [key, group] : table->by_key) {
-            collector_group_pass(*group, frame, snapshot, collect_ns,
-                                 groups_changed_valid, changed,
-                                 group_subset);
-          }
+        for (const auto& [key, group] : table->by_key) {
+          collector_group_pass(*group, frame, collect_ns, values,
+                               changed_valid, changed, group_subset);
         }
       }
       // Reap tables/ticks whose grace period has passed — outside the
       // guard (our own pin would hold the horizon back).
       epochs_.reclaim();
-      // The shm ring gets the same bytes the unfiltered TCP stream
-      // carries this tick (the shared delta when one exists, else the
-      // full), minus the u32le stream prefix — ring slots carry their
-      // own length, and readers hand the payload straight to the view.
-      if (shm_.active() && !ring_broken_.load(std::memory_order_relaxed)) {
-        const std::string& bytes = pub.delta ? *pub.delta : *pub.full;
-        if (shm_.publish(
-                std::string_view(bytes).substr(kFramePrefixBytes))) {
-          shm_frames_published_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
-          ring_broken_.store(true, std::memory_order_relaxed);
-          trace(obs::TraceKind::kShmDemote, shm_.generation());
-        }
-      }
       const auto encode_done = std::chrono::steady_clock::now();
       // Metricsz exposition: rendered only when a kMetricszRequest came
       // in since the last render (on-demand; an idle server pays one
-      // relaxed exchange per tick) — then carried forward in every
-      // published frame until superseded.
+      // relaxed exchange per tick) — then kept until superseded.
       if (metricsz_wanted_.exchange(false, std::memory_order_relaxed)) {
         (void)obs::render_metricsz(frame.samples, trace_, metricsz_text);
         auto page = std::make_shared<std::string>();
         encode_metricsz_frame(frame.sequence, frame.registry_version,
                               collect_ns, metricsz_text, *page);
-        metricsz_cache = std::move(page);
-        metricsz_cache_seq = frame.sequence;
+        std::lock_guard lock(metricsz_mutex_);
+        metricsz_page_ = std::move(page);
+        metricsz_seq_ = frame.sequence;
       }
-      pub.metricsz = metricsz_cache;
-      pub.metricsz_seq = metricsz_cache_seq;
-      {
-        std::lock_guard lock(published_mutex_);
-        published_ = pub;
-      }
-      last_pub_seq_.store(pub.seq, std::memory_order_relaxed);
+      last_pub_seq_.store(frame.sequence, std::memory_order_relaxed);
       last_pub_collect_ns_.store(collect_ns, std::memory_order_relaxed);
       frames_collected_.fetch_add(1, std::memory_order_relaxed);
       for (auto& worker : workers_) wake(*worker);
       const auto flush_done = std::chrono::steady_clock::now();
       prev_seq = frame.sequence;
-      prev_regver = frame.registry_version;
       collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
       // Self-metrics: per-stage timings into the `__sys/` histograms and
       // the tick's gauge refresh (next tick's collect pass picks both
@@ -650,10 +624,6 @@ class ServerCore {
       // this round: they sit beyond the pfds snapshot and are serviced
       // by the tail loop below.
       adopt_inbox(worker);
-      const PublishedFrame pub = [&] {
-        std::lock_guard lock(published_mutex_);
-        return published_;
-      }();
       for (std::size_t i = 0; i < worker.clients.size() &&
                               base + i < pfds.size();
            ++i) {
@@ -667,13 +637,13 @@ class ServerCore {
           close_client(client);
           continue;
         }
-        service_client(client, pub, changed_scratch);
+        service_client(client, changed_scratch);
       }
       // Clients adopted this round (beyond the pfds snapshot) get their
       // first frame immediately rather than next tick.
       for (std::size_t i = pfds.size() - base; i < worker.clients.size();
            ++i) {
-        service_client(worker.clients[i], pub, changed_scratch);
+        service_client(worker.clients[i], changed_scratch);
       }
       std::erase_if(worker.clients,
                     [](const Client& client) { return client.fd < 0; });
@@ -692,12 +662,17 @@ class ServerCore {
     retired_io_cpu_ns_.fetch_add(thread_cpu_ns(), std::memory_order_relaxed);
   }
 
+  /// New connections join the pass-all group: until a SUBSCRIBE says
+  /// otherwise, a client is served everything.
   void adopt_inbox(Worker& worker) {
     std::lock_guard lock(worker.inbox_mutex);
+    if (worker.inbox.empty()) return;
+    std::lock_guard wlock(groups_writer_mutex_);
     for (int fd : worker.inbox) {
       Client client;
       client.fd = fd;
       client.peer = peer_label(fd);
+      join_group_writer_locked(client, SubscriptionFilter{});
       worker.clients.push_back(std::move(client));
     }
     worker.inbox.clear();
@@ -778,18 +753,18 @@ class ServerCore {
   }
 
   /// The ack-deadline eviction check (ServerOptions::ack_deadline_ticks;
-  /// runs per client per service round, after the flush attempt). True
-  /// when the client was evicted (and closed). The predicate is "owed
-  /// AND stalled": a peer holding an undrained in-flight buffer or
-  /// unacked fully-sent frames, with neither its acked_seq nor its
-  /// partial-write offset moving for the deadline's worth of ticks, is
-  /// half-open or frozen — close it so its socket and pinned
-  /// shared-encode refcount come back. A slow-but-live reader resets
-  /// the clock on every ack or drained byte; an shm consumer never
-  /// acks by design and is exempt; a caught-up subscriber of a quiet
-  /// group owes nothing and is disarmed.
-  bool evict_if_ack_stalled(Client& client, const PublishedFrame& pub) {
-    if (options_.ack_deadline_ticks == 0 || pub.seq == 0) return false;
+  /// runs per client per service round, after the flush attempt, against
+  /// the newest collected tick `head`). True when the client was evicted
+  /// (and closed). The predicate is "owed AND stalled": a peer holding an
+  /// undrained in-flight buffer or unacked fully-sent frames, with
+  /// neither its acked_seq nor its partial-write offset moving for the
+  /// deadline's worth of ticks, is half-open or frozen — close it so its
+  /// socket and pinned shared-encode refcount come back. A
+  /// slow-but-live reader resets the clock on every ack or drained byte;
+  /// an shm consumer never acks by design and is exempt; a caught-up
+  /// subscriber of a quiet group owes nothing and is disarmed.
+  bool evict_if_ack_stalled(Client& client, std::uint64_t head) {
+    if (options_.ack_deadline_ticks == 0 || head == 0) return false;
     if (client.shm_consuming) {
       client.ack_wait_since = 0;
       return false;
@@ -804,19 +779,19 @@ class ServerCore {
         client.acked_seq > client.ack_wait_acked ||
         (client.out != nullptr && client.off > client.ack_wait_off);
     if (client.ack_wait_since == 0 || progressed) {
-      client.ack_wait_since = pub.seq;
+      client.ack_wait_since = head;
       client.ack_wait_acked = client.acked_seq;
       client.ack_wait_off = client.out ? client.off : 0;
       return false;
     }
-    if (pub.seq - client.ack_wait_since < options_.ack_deadline_ticks) {
+    if (head - client.ack_wait_since < options_.ack_deadline_ticks) {
       return false;
     }
     clients_evicted_idle_.fetch_add(1, std::memory_order_relaxed);
     if (sys_on_) sys_.clients_evicted->inc(t_wpid);
     trace(obs::TraceKind::kClientEvict,
           static_cast<std::uint64_t>(client.fd),
-          (pub.seq - client.ack_wait_since) *
+          (head - client.ack_wait_since) *
               static_cast<std::uint64_t>(
                   std::chrono::duration_cast<std::chrono::nanoseconds>(
                       options_.period)
@@ -831,7 +806,7 @@ class ServerCore {
     ::close(client.fd);
     client.fd = -1;
     drop_inflight(client);
-    if (client.group) {
+    {
       std::lock_guard wlock(groups_writer_mutex_);
       release_group_writer_locked(client);
     }
@@ -841,10 +816,12 @@ class ServerCore {
   }
 
   /// Caller holds groups_writer_mutex_. Drops the client's group ref;
-  /// the last ref republishes the table without the group.
+  /// the last ref of any group but pass-all republishes the table
+  /// without it.
   void release_group_writer_locked(Client& client) {
     if (!client.group) return;
-    if (--client.group->refs == 0) {
+    if (client.group->refs.fetch_sub(1, std::memory_order_relaxed) == 1 &&
+        !client.group->filter.pass_all()) {
       const GroupTable* table =
           group_table_.load(std::memory_order_relaxed);
       auto next = std::make_unique<GroupTable>(*table);
@@ -852,6 +829,30 @@ class ServerCore {
       publish_table_writer_locked(std::move(next));
     }
     client.group.reset();
+  }
+
+  /// Caller holds groups_writer_mutex_. Makes the client a member of
+  /// `filter`'s group, creating the group if this is its first member.
+  /// A fresh group enters the table with no tick: the collector's next
+  /// pass seeds its basis at that pass's sequence, and its members'
+  /// first full lands at or after it — no delta ever skips a tick they
+  /// saw.
+  void join_group_writer_locked(Client& client, SubscriptionFilter filter) {
+    const GroupTable* table = group_table_.load(std::memory_order_relaxed);
+    std::string key = filter.canonical_key();
+    const auto it = table->by_key.find(key);
+    if (it != table->by_key.end()) {
+      client.group = it->second;
+    } else {
+      auto group = std::make_shared<FilterGroup>();
+      group->key = key;
+      group->filter = std::move(filter);
+      client.group = group;
+      auto next = std::make_unique<GroupTable>(*table);
+      next->by_key.emplace(std::move(key), std::move(group));
+      publish_table_writer_locked(std::move(next));
+    }
+    client.group->refs.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Caller holds groups_writer_mutex_. Swaps the published table in
@@ -863,41 +864,19 @@ class ServerCore {
     if (old != nullptr) epochs_.retire(old);
   }
 
-  /// Moves the client onto `filter`'s group (or back to the unfiltered
-  /// stream for a pass-all filter) and schedules the re-basing full.
-  /// Membership changes are the RARE writer path of the RCU scheme:
-  /// serialized on groups_writer_mutex_, they copy the current table
-  /// (shared_ptr values — O(groups) pointer copies), edit the copy off
-  /// to the side and publish it by pointer swap. Readers — the
-  /// collector's pass and workers snapshotting ticks — never wait here.
+  /// Moves the client onto `filter`'s group (the pass-all group for an
+  /// empty filter) and schedules the re-basing full. Membership changes
+  /// are the RARE writer path of the RCU scheme: serialized on
+  /// groups_writer_mutex_, they copy the current table (shared_ptr
+  /// values — O(groups) pointer copies), edit the copy off to the side
+  /// and publish it by pointer swap. Readers — the collector's pass and
+  /// workers snapshotting ticks — never wait here.
   void apply_subscription(Client& client, SubscriptionFilter filter) {
     std::lock_guard wlock(groups_writer_mutex_);
     release_group_writer_locked(client);
-    if (!filter.pass_all()) {
-      const GroupTable* table =
-          group_table_.load(std::memory_order_relaxed);
-      std::string key = filter.canonical_key();
-      auto it = table->by_key.find(key);
-      if (it != table->by_key.end()) {
-        ++it->second->refs;
-        client.group = it->second;
-      } else {
-        // A fresh group enters the table with no tick: the collector's
-        // next pass seeds its basis at that pass's sequence, and its
-        // subscribers' first filtered full lands at or after it — no
-        // delta ever skips a tick they saw.
-        auto group = std::make_shared<FilterGroup>();
-        group->key = key;
-        group->filter = std::move(filter);
-        group->refs = 1;
-        client.group = group;
-        auto next = std::make_unique<GroupTable>(*table);
-        next->by_key.emplace(std::move(key), std::move(group));
-        publish_table_writer_locked(std::move(next));
-      }
-    }
+    join_group_writer_locked(client, std::move(filter));
     trace(obs::TraceKind::kSubscribe, static_cast<std::uint64_t>(client.fd),
-          client.group ? client.group->refs : 0);
+          client.group->refs.load(std::memory_order_relaxed));
     client.force_full = true;
   }
 
@@ -964,10 +943,12 @@ class ServerCore {
         }
         if (control.kind == FrameKind::kSubscribe) {
           apply_subscription(client, std::move(control.filter));
-          // A subscription moves the client's data path back to TCP
-          // entirely: filtered frames cannot come off the (unfiltered)
-          // ring, and the client detached before sending SUBSCRIBE.
+          // A subscription moves the client's data path back to TCP: the
+          // ring it rode (or was about to be offered) carries the old
+          // group's stream, and the client detached before sending
+          // SUBSCRIBE. It may request the new group's ring afterwards.
           client.shm_consuming = false;
+          client.shm_offer_pending = false;
           subscribes_received_.fetch_add(1, std::memory_order_relaxed);
           if (sys_on_) sys_.subscribes_received->inc(t_wpid);
         } else if (control.kind == FrameKind::kMetricszRequest) {
@@ -978,24 +959,19 @@ class ServerCore {
           metricsz_wanted_.store(true, std::memory_order_relaxed);
         } else if (control.kind == FrameKind::kShmRequest) {
           shm_requests_received_.fetch_add(1, std::memory_order_relaxed);
-          // No ring (disabled, create failed, broken): silently ignore
-          // — the requester simply stays on TCP. A FILTERED subscriber
-          // is likewise never offered the ring: the ring carries only
-          // unfiltered frames, whose indices would misdecode against
-          // the client's subset name table (see README's transport
-          // section for the per-group-ring upgrade path).
-          if (shm_offer_frame_ && client.group == nullptr &&
-              !ring_broken_.load(std::memory_order_relaxed)) {
-            client.shm_offer_pending = true;
-          }
+          // Answered by service_client with the client's group ring —
+          // unless shm is disabled or the ring cannot be made, in which
+          // case the requester silently stays on TCP.
+          client.shm_offer_pending = options_.shm_enable;
         } else if (control.kind == FrameKind::kShmAccept) {
-          // Generation must match OUR ring: a stale accept (e.g. raced
-          // with a ring break) keeps the client on TCP. Same filtered-
-          // subscriber guard as the offer: an accept that raced with a
-          // SUBSCRIBE must not move a filtered client onto the ring.
-          if (shm_.active() && client.group == nullptr &&
-              !ring_broken_.load(std::memory_order_relaxed) &&
-              control.shm_generation == shm_.generation()) {
+          // Generation must match the client's group ring: a stale
+          // accept (raced with a ring break, or with a SUBSCRIBE to
+          // another group) keeps the client on TCP.
+          const GroupRing* ring =
+              client.group->ring.load(std::memory_order_acquire);
+          if (ring != nullptr &&
+              !ring->broken.load(std::memory_order_relaxed) &&
+              control.shm_generation == ring->writer.generation()) {
             client.shm_consuming = true;
             shm_accepts_received_.fetch_add(1, std::memory_order_relaxed);
             if (sys_on_) sys_.shm_accepts_received->inc(t_wpid);
@@ -1057,261 +1033,230 @@ class ServerCore {
     return true;
   }
 
-  /// The backpressure policy (see server.hpp): finish the in-flight
-  /// frame; once drained, hand the client the NEWEST frame in the
-  /// cheapest applicable encoding.
-  void service_client(Client& client, const PublishedFrame& pub,
+  /// The group's ring, creating it on first use (worker thread, under
+  /// the group's ring mutex). Null when the segment cannot be made (no
+  /// /dev/shm, rlimits) — then never retried for this group.
+  GroupRing* ring_for(FilterGroup& group) {
+    if (GroupRing* ring = group.ring.load(std::memory_order_acquire)) {
+      return ring;
+    }
+    std::lock_guard lock(group.ring_mutex);
+    if (GroupRing* ring = group.ring.load(std::memory_order_relaxed)) {
+      return ring;
+    }
+    if (group.ring_failed) return nullptr;
+    auto ring = std::make_unique<GroupRing>();
+    ShmRingWriter& writer = ring->writer;
+    auto frame = std::make_shared<std::string>();
+    if (!writer.create(options_.shm_slots, options_.shm_slot_bytes) ||
+        !encode_shm_offer_frame({.name = writer.name(),
+                                 .generation = writer.generation(),
+                                 .slot_count = writer.slot_count(),
+                                 .slot_payload_bytes =
+                                     writer.slot_payload_bytes()},
+                                *frame)) {
+      group.ring_failed = true;
+      return nullptr;  // the unique_ptr unlinks a half-made segment
+    }
+    ring->offer = std::move(frame);
+    GroupRing* raw = ring.release();
+    group.ring.store(raw, std::memory_order_release);
+    return raw;
+  }
+
+  /// The backpressure policy (see server.hpp), one path for every
+  /// client: finish the in-flight frame; once drained, hand the client
+  /// the NEWEST state of its group in the cheapest applicable encoding.
+  /// The group's current GroupTick is copied under an epoch guard (the
+  /// shared_ptr copies extend every payload past the guard), then served
+  /// without a lock: a re-basing full when needed (the one rare path,
+  /// with a per-group cache mutex), the group's shared tick delta when
+  /// in step, a per-client catch-up delta when lagged, and nothing at
+  /// all while the group is quiet.
+  void service_client(Client& client,
                       std::vector<DeltaEntry>& changed_scratch) {
     if (client.fd < 0) return;
     const bool drained = flush(client);
     if (client.fd < 0) return;
     // The eviction clock runs whether or not the flush is blocked — a
     // half-open peer IS a permanently blocked flush.
-    if (evict_if_ack_stalled(client, pub)) return;
+    const std::uint64_t head = last_pub_seq_.load(std::memory_order_relaxed);
+    if (evict_if_ack_stalled(client, head)) return;
     if (!drained) return;  // blocked mid-frame
-    if (client.shm_offer_pending) {
+    FilterGroup& group = *client.group;
+    // The offer waits until the client has been handed a frame of its
+    // current group's stream (after a SUBSCRIBE: the re-basing full). TCP
+    // order then guarantees its view holds the table the ring's frames
+    // index before it ever reads one — and an offer overtaken by a
+    // SUBSCRIBE always reaches the client ahead of the new group's full.
+    if (client.shm_offer_pending && !client.force_full &&
+        client.sent_seq != 0) {
       // The offer rides the data channel — framed like a data frame, it
       // lands between frames, never splitting one.
       client.shm_offer_pending = false;
-      if (shm_offer_frame_ && client.group == nullptr &&
-          !ring_broken_.load(std::memory_order_relaxed)) {
-        set_inflight(client, shm_offer_frame_);
+      const GroupRing* ring = ring_for(group);
+      if (ring != nullptr && !ring->broken.load(std::memory_order_relaxed)) {
+        set_inflight(client, ring->offer);
         shm_offers_sent_.fetch_add(1, std::memory_order_relaxed);
         if (sys_on_) sys_.shm_offers_sent->inc(t_wpid);
         trace(obs::TraceKind::kShmOffer,
-              static_cast<std::uint64_t>(client.fd), shm_.generation());
+              static_cast<std::uint64_t>(client.fd),
+              ring->writer.generation());
         flush(client);
         return;
       }
     }
     // A pending metricsz page rides the data channel between frames,
     // exactly like an shm offer — and is served to every client state
-    // (shm consumers and filtered subscribers keep their control TCP).
+    // (shm consumers keep their control TCP).
     if (client.metricsz_pending) {
       if (client.metricsz_req_seq == 0) {
-        client.metricsz_req_seq = pub.seq == 0 ? 1 : pub.seq;
+        client.metricsz_req_seq = head == 0 ? 1 : head;
       }
-      if (pub.metricsz && pub.metricsz_seq >= client.metricsz_req_seq) {
+      std::shared_ptr<const std::string> page;
+      {
+        std::lock_guard lock(metricsz_mutex_);
+        if (metricsz_seq_ >= client.metricsz_req_seq) page = metricsz_page_;
+      }
+      if (page) {
         client.metricsz_pending = false;
         client.metricsz_req_seq = 0;
-        set_inflight(client, pub.metricsz);
+        set_inflight(client, std::move(page));
         flush(client);
         return;
       }
     }
-    if (pub.seq == 0) return;
     if (client.shm_consuming) {
-      if (ring_broken_.load(std::memory_order_relaxed)) {
-        // Demote back to TCP. Safe mid-stream: sent_seq was frozen at
-        // the last TCP-sent frame (stale-low), so the catch-up below
-        // re-covers ticks the ring already delivered — deltas carry
-        // absolute values and apply idempotently. (An overrun RESYNC
-        // demotes in read_inbound for the same reason; by the time
-        // force_full is set this flag is already down.)
-        client.shm_consuming = false;
-      } else {
+      const GroupRing* ring = group.ring.load(std::memory_order_acquire);
+      if (ring != nullptr && !ring->broken.load(std::memory_order_relaxed)) {
         return;  // data rides the ring: zero per-tick work here
       }
+      // Demote back to TCP. Safe mid-stream: sent_seq was frozen at the
+      // last TCP-sent frame (stale-low), so the catch-up below re-covers
+      // ticks the ring already delivered — deltas carry absolute values
+      // and apply idempotently. (An overrun RESYNC demotes in
+      // read_inbound for the same reason.)
+      client.shm_consuming = false;
     }
-    if (client.group) {
-      service_filtered(client, changed_scratch);
-      return;
-    }
-    if (client.sent_seq >= pub.seq) return;
-    if (client.sent_seq != 0 && pub.seq > client.sent_seq + 1) {
-      frames_coalesced_.fetch_add(pub.seq - client.sent_seq - 1,
-                                  std::memory_order_relaxed);
-    }
-    std::uint64_t sent_seq = pub.seq;
-    if (client.force_full) {
-      // RESYNC (or a pass-all re-subscribe): the next frame is a fresh
-      // full — no waiting for a table change. Always a strictly newer
-      // sequence (the pub.seq guard above), so the view applies it.
-      client.out = pub.full;
-      client.force_full = false;
-      full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-    } else if (client.sent_seq == pub.base_seq && pub.delta &&
-               client.sent_regver == pub.registry_version) {
-      client.out = pub.delta;  // in step: the shared tick delta
-      delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
-    } else if (client.sent_seq != 0 &&
-               client.sent_regver == pub.registry_version) {
-      // Lagged but (as of publication) same name table: try a
-      // per-client catch-up delta of exactly what moved since its last
-      // fully-sent frame. The version-guarded walk fails if a create
-      // has shifted the flat-table indices meanwhile — fall back to the
-      // full frame rather than ship a delta the client would misapply.
-      // On success the walk's label may run ahead of pub.seq (the
-      // collector finished another pass since publication); the delta
-      // is complete up to that label, so the client's view — and our
-      // sent_seq tracking — jump there.
-      changed_scratch.clear();
-      const std::optional<std::uint64_t> upto = hooks_.changed_since(
-          client.sent_seq, pub.registry_version, changed_scratch);
-      if (upto.has_value()) {
-        auto buf = std::make_shared<std::string>();
-        // pub.collect_ns belongs to pass pub.seq; when the walk ran
-        // ahead to a newer completed pass, stamping it would date newer
-        // values with an older clock (inflating consumer latency), so
-        // that rare race stamps the encode-time clock instead — the
-        // values are at least that fresh, so the consumer's latency
-        // reads a tight upper bound rather than losing the sample.
-        const std::uint64_t stamp_ns =
-            *upto == pub.seq ? pub.collect_ns : steady_now_ns();
-        encode_delta_frame(*upto, pub.registry_version, stamp_ns,
-                           client.sent_seq, changed_scratch, *buf);
-        client.out = std::move(buf);
-        sent_seq = std::max(sent_seq, *upto);
-        catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
-      } else {
-        client.out = pub.full;
-        full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-      }
-    } else {
-      client.out = pub.full;  // new subscriber or the table changed
-      full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-    }
-    client.off = 0;
-    inflight_frames_.fetch_add(1, std::memory_order_relaxed);
-    client.sent_seq = sent_seq;
-    client.sent_regver = pub.registry_version;
-    flush(client);
-  }
-
-  /// Filtered-subscriber service: the same newest-frame/backpressure
-  /// policy, but against the client's filter group — and entirely
-  /// lock-free on the steady path. The group's current GroupTick is
-  /// snapshotted under an epoch guard (the shared_ptr copies extend
-  /// every payload past the guard), then served without ever touching a
-  /// mutex: re-basing filtered full when needed (the one rare path with
-  /// a per-group cache mutex), the group's shared tick delta when in
-  /// step, a per-client filtered catch-up delta when lagged, and
-  /// nothing at all while the subset is quiet.
-  void service_filtered(Client& client,
-                        std::vector<DeltaEntry>& changed_scratch) {
-    std::shared_ptr<const std::string> group_delta;
-    std::shared_ptr<const shard::TelemetryFrame> tick_snapshot;
-    std::shared_ptr<const std::vector<std::uint64_t>> tick_selection;
-    std::uint64_t delta_seq = 0;
-    std::uint64_t delta_base = 0;
-    std::uint64_t delta_regver = 0;
-    std::uint64_t group_sent = 0;
-    std::uint64_t group_wire = 0;
-    std::uint64_t tick_pass = 0;
-    std::uint64_t tick_collect_ns = 0;
-    std::uint64_t tick_selver = 0;
+    GroupTick tick;
     {
       const base::EpochDomain::Guard eguard(epochs_);
-      const GroupTick* tick =
-          client.group->tick.load(std::memory_order_acquire);
-      if (tick == nullptr) return;  // group born after the last pass
-      group_delta = tick->delta;
-      delta_seq = tick->delta_seq;
-      delta_base = tick->delta_base;
-      delta_regver = tick->delta_regver;
-      group_sent = tick->sent_seq;
-      group_wire = tick->wire_regver;
-      tick_snapshot = tick->snapshot;
-      tick_selection = tick->selection;
-      tick_pass = tick->pass_seq;
-      tick_collect_ns = tick->collect_ns;
-      tick_selver = tick->sel_regver;
+      const GroupTick* published = group.tick.load(std::memory_order_acquire);
+      if (published == nullptr) return;  // group born after the last pass
+      tick = *published;
     }
     // Re-base against the group's WIRE label, not the raw registry
     // version: a create outside the subset bumps the registry but not
-    // wire_regver, so in-step subscribers keep streaming deltas instead
-    // of all taking a filtered full (the satellite-1 pin).
-    if (client.force_full || client.sent_seq == 0 ||
-        client.sent_regver != group_wire) {
-      if (tick_pass <= client.sent_seq) return;  // re-base next tick
-      if (!tick_snapshot || !tick_selection) return;  // empty registry
-      std::shared_ptr<const std::string> full =
-          group_full(*client.group, tick_snapshot, tick_selection,
-                     group_wire, tick_pass, tick_collect_ns);
-      set_inflight(client, std::move(full));
-      client.sent_seq = tick_pass;
-      client.sent_regver = group_wire;
-      client.force_full = false;
-      full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-      flush(client);
-      return;
+    // wire_regver, so in-step members keep streaming deltas.
+    if (!client.force_full && client.sent_seq != 0 &&
+        client.sent_regver == tick.wire_regver) {
+      if (tick.sent_seq <= client.sent_seq) return;  // quiet: nothing
+      if (tick.delta && tick.delta_base <= client.sent_seq) {
+        // In step (or covered): the group's one shared encode this tick.
+        set_inflight(client, std::move(tick.delta));
+        client.sent_seq = tick.pass_seq;
+        delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+        if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
+        flush(client);
+        return;
+      }
+      if (send_catch_up(client, tick, changed_scratch)) return;
+      // The walk refused (a create shifted the indices since the tick):
+      // heal with the tick's full right away.
     }
-    if (group_sent <= client.sent_seq) return;  // subset quiet: nothing
-    if (group_delta && delta_regver == client.sent_regver &&
-        delta_base <= client.sent_seq && delta_seq > client.sent_seq) {
-      // In step (or covered): the group's one shared encode this tick.
-      set_inflight(client, std::move(group_delta));
-      client.sent_seq = delta_seq;
-      delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
-      flush(client);
-      return;
-    }
-    // Lagged below the shared delta's basis: per-client filtered
-    // catch-up of exactly what moved in its subset since its last
-    // fully-sent frame, walked against the tick's published selection —
-    // coherent with its sel_regver by construction. The walk's version
-    // guard rejects it if the registry has moved past that version; the
-    // full path heals the client next round.
-    if (!tick_selection) return;  // empty registry: nothing to walk
+    if (tick.pass_seq <= client.sent_seq) return;  // re-base next tick
+    set_inflight(client, group_full(group, tick));
+    client.sent_seq = tick.pass_seq;
+    client.sent_regver = tick.wire_regver;
+    client.force_full = false;
+    full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
+    flush(client);
+  }
+
+  /// A lagging client (below the shared delta's basis): a per-client
+  /// delta of exactly what moved in its group's subset since its last
+  /// fully-sent frame, walked against the tick's selection under the
+  /// tick's registry version. False when that version is gone (the
+  /// walk's guard) — the caller falls back to a full. On success the
+  /// walk's label may run ahead of the tick (the collector finished
+  /// another pass since); the delta is complete up to that label, so
+  /// the client's view — and our sent_seq tracking — jump there.
+  bool send_catch_up(Client& client, const GroupTick& tick,
+                     std::vector<DeltaEntry>& changed_scratch) {
     changed_scratch.clear();
-    const std::optional<std::uint64_t> upto = hooks_.changed_since_filtered(
-        client.sent_seq, tick_selver, *tick_selection, changed_scratch);
-    if (!upto.has_value()) {
-      client.force_full = true;
-      return;
+    const std::optional<std::uint64_t> upto = hooks_.changed_since(
+        client.sent_seq, tick.values->names->registry_version,
+        tick.selection.get(), changed_scratch);
+    if (!upto.has_value()) return false;
+    if (tick.pass_seq > client.sent_seq + 1) {
+      frames_coalesced_.fetch_add(tick.pass_seq - client.sent_seq - 1,
+                                  std::memory_order_relaxed);
     }
-    auto buf = std::make_shared<std::string>();
-    // Same stamp rule as the unfiltered catch-up: tick_collect_ns dates
-    // pass tick_pass only; a walk that ran ahead stamps the encode-time
-    // clock. Labeled with the group's pinned wire version — the index
-    // space of the client's filtered table.
+    // tick.collect_ns dates pass tick.pass_seq only; when the walk ran
+    // ahead, stamping it would date newer values with an older clock
+    // (inflating consumer latency), so that rare race stamps the
+    // encode-time clock instead — the values are at least that fresh,
+    // so the consumer's latency reads a tight upper bound rather than
+    // losing the sample. Labeled with the group's pinned wire version —
+    // the index space of the client's table.
     const std::uint64_t stamp_ns =
-        *upto == tick_pass ? tick_collect_ns : steady_now_ns();
-    encode_delta_frame(*upto, group_wire, stamp_ns,
-                       client.sent_seq, changed_scratch, *buf);
+        *upto == tick.pass_seq ? tick.collect_ns : steady_now_ns();
+    auto buf = std::make_shared<std::string>();
+    encode_delta_frame(*upto, tick.wire_regver, stamp_ns, client.sent_seq,
+                       changed_scratch, *buf);
     set_inflight(client, std::move(buf));
     client.sent_seq = std::max(client.sent_seq, *upto);
     catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
     if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
     flush(client);
+    return true;
   }
 
-  /// The group's filtered full for the given published tick, encoding
-  /// it at most once (lazily, cached per group+pass) no matter how many
-  /// subscribers need it. The inputs all come from ONE GroupTick, so
-  /// the (snapshot, selection, wire label, stamp) tuple is coherent by
-  /// construction. The per-group cache mutex guards only this re-base
-  /// path — the steady delta stream never takes it.
-  std::shared_ptr<const std::string> group_full(
-      FilterGroup& group,
-      const std::shared_ptr<const shard::TelemetryFrame>& snapshot,
-      const std::shared_ptr<const std::vector<std::uint64_t>>& selection,
-      std::uint64_t wire_regver, std::uint64_t pass_seq,
-      std::uint64_t collect_ns) {
+  /// The group's full for `tick`, encoding it at most once (lazily,
+  /// cached per group+pass) no matter how many members — or the group's
+  /// ring — need it. The inputs all come from ONE GroupTick, so the
+  /// (values, selection, wire label, stamp) tuple is coherent by
+  /// construction; the rows are materialized from the tick's name table
+  /// plus its values, O(subset) — names are never copied per tick.
+  std::shared_ptr<const std::string> group_full(FilterGroup& group,
+                                                const GroupTick& tick) {
     std::lock_guard lock(group.full_mutex);
-    if (group.full && group.full_seq == pass_seq) return group.full;
+    if (group.full && group.full_seq == tick.pass_seq) return group.full;
+    const TickValues& values = *tick.values;
+    const std::vector<shard::Sample>& table = values.names->samples;
+    shard::TelemetryFrame rows;
+    rows.sequence = tick.pass_seq;
+    rows.registry_version = tick.wire_regver;
+    rows.samples.resize(tick.selection ? tick.selection->size()
+                                       : table.size());
+    auto vector = values.vectors.begin();
+    for (std::size_t j = 0; j < rows.samples.size(); ++j) {
+      const std::size_t i =
+          tick.selection ? static_cast<std::size_t>((*tick.selection)[j]) : j;
+      shard::Sample& row = rows.samples[j];
+      row = table[i];
+      row.value = values.values[i];
+      while (vector != values.vectors.end() && vector->index < i) ++vector;
+      if (vector != values.vectors.end() && vector->index == i) {
+        row.bucket_counts = vector->counts;
+        row.top_labels = vector->labels;
+      }
+    }
     auto buf = std::make_shared<std::string>();
-    encode_full_frame_filtered(*snapshot, *selection, collect_ns,
-                               wire_regver, *buf);
+    encode_full_frame(rows, tick.collect_ns, *buf);
     group.full = std::move(buf);
-    group.full_seq = pass_seq;
-    filtered_full_encodes_.fetch_add(1, std::memory_order_relaxed);
+    group.full_seq = tick.pass_seq;
+    group_full_encodes_.fetch_add(1, std::memory_order_relaxed);
     return group.full;
   }
 
-  /// Rebuilds the group's flat-index selection when the registry's
-  /// name table moved. Returns true when the SUBSET itself changed —
-  /// and then bumps the group's pinned wire_regver, which re-bases its
-  /// subscribers. The registry is append-only and its name table
-  /// name-sorted, so a fixed filter's subset can only grow: an
-  /// unchanged selection SIZE across a version bump means an unchanged
+  /// Refreshes the group's selection when the registry's name table
+  /// moved. Returns true when the SUBSET itself changed — and then bumps
+  /// the group's pinned wire_regver, which re-bases its members (the
+  /// first pass always does). The registry is append-only and its name
+  /// table name-sorted, so a fixed filter's subset can only grow: an
+  /// unchanged subset SIZE across a version bump means an unchanged
   /// subset (names and order), merely shifted flat indices — the pin
   /// that lets disjoint creates leave the group's stream untouched.
   /// Collector thread only (the fields are collector-private; workers
@@ -1320,17 +1265,21 @@ class ServerCore {
                         const shard::TelemetryFrame& frame) {
     if (group.sel_regver == frame.registry_version) return false;
     const bool had = group.sel_regver != 0;
-    const std::size_t prev_size =
-        group.selection ? group.selection->size() : 0;
-    auto selection = std::make_shared<std::vector<std::uint64_t>>();
-    for (std::size_t i = 0; i < frame.samples.size(); ++i) {
-      if (group.filter.matches(frame.samples[i].name)) {
-        selection->push_back(i);
+    const std::size_t prev_size = group.subset_size;
+    if (group.filter.pass_all()) {
+      group.subset_size = frame.samples.size();  // selection stays null
+    } else {
+      auto selection = std::make_shared<std::vector<std::uint64_t>>();
+      for (std::size_t i = 0; i < frame.samples.size(); ++i) {
+        if (group.filter.matches(frame.samples[i].name)) {
+          selection->push_back(i);
+        }
       }
+      group.subset_size = selection->size();
+      group.selection = std::move(selection);
     }
-    const bool subset_changed = !had || selection->size() != prev_size;
-    group.selection = std::move(selection);
     group.sel_regver = frame.registry_version;
+    const bool subset_changed = !had || group.subset_size != prev_size;
     if (subset_changed) group.wire_regver = frame.registry_version;
     return subset_changed;
   }
@@ -1338,96 +1287,115 @@ class ServerCore {
   /// The collector's per-tick, per-group pass: maintains the group's
   /// selection against the tick's registry version, intersects the
   /// tick's changed list with it and, when the subset moved (or a
-  /// heartbeat is due), encodes the ONE delta every in-step subscriber
-  /// of the group will share — then publishes it all as this pass's
-  /// immutable GroupTick (RCU pointer swap; the superseded tick retires
-  /// through the epoch domain). Collector thread only.
-  void collector_group_pass(
-      FilterGroup& group, const shard::TelemetryFrame& frame,
-      const std::shared_ptr<const shard::TelemetryFrame>& snapshot,
-      std::uint64_t collect_ns, bool changed_valid,
-      const std::vector<DeltaEntry>& changed,
-      std::vector<DeltaEntry>& subset) {
-    // Only the collector publishes ticks, so a relaxed read of our own
-    // last store is exact.
-    const bool first_pass =
-        group.tick.load(std::memory_order_relaxed) == nullptr;
+  /// heartbeat is due), encodes the ONE delta every in-step member of
+  /// the group will share; feeds the group's ring; then publishes it
+  /// all as this pass's immutable GroupTick (RCU pointer swap; the
+  /// superseded tick retires through the epoch domain). Collector
+  /// thread only.
+  void collector_group_pass(FilterGroup& group,
+                            const shard::TelemetryFrame& frame,
+                            std::uint64_t collect_ns,
+                            const std::shared_ptr<const TickValues>& values,
+                            bool changed_valid,
+                            const std::vector<DeltaEntry>& changed,
+                            std::vector<DeltaEntry>& subset) {
     const bool rebased = ensure_selection(group, frame);
+    const bool members = group.refs.load(std::memory_order_relaxed) > 0;
+    GroupRing* ring = group.ring.load(std::memory_order_acquire);
+    if (ring != nullptr && ring->broken.load(std::memory_order_relaxed)) {
+      ring = nullptr;
+    }
     std::shared_ptr<const std::string> delta;
     std::uint64_t delta_base = 0;
-    if (first_pass || rebased) {
-      // First pass establishes the basis; a re-base (a create landed IN
-      // the subset: wire_regver just bumped) resets it — every
-      // subscriber takes a filtered full from this tick.
+    if (rebased || !members) {
+      // The first pass establishes the basis; a re-base (a create landed
+      // IN the subset: wire_regver just bumped) resets it — every member
+      // takes a full from this tick. A memberless group (only pass-all
+      // outlives its members) is owed nothing: its basis just follows
+      // the ticks, and a newcomer starts from a full anyway.
       group.sent_seq = frame.sequence;
       group.ticks_suppressed = 0;
-    } else if (!changed_valid) {
-      // The changed walk was unusable this tick (registry version raced
-      // the collect): ship nothing and keep the basis — the next delta
-      // still covers this tick, and re-basing subscribers heal via the
-      // tick's full.
-    } else {
-      subset.clear();
-      // Both sides ascend by flat index: one two-pointer pass. Entries
-      // are emitted with SUBSET positions — the filtered table's index
-      // space.
-      static const std::vector<std::uint64_t> kNoSelection;
-      const std::vector<std::uint64_t>& selection =
-          group.selection ? *group.selection : kNoSelection;
-      std::size_t ci = 0;
-      std::size_t si = 0;
-      while (ci < changed.size() && si < selection.size()) {
-        if (changed[ci].index < selection[si]) {
-          ++ci;
-        } else if (changed[ci].index > selection[si]) {
-          ++si;
-        } else {
-          // Carry the vector payloads too: a histogram or top-k row in
-          // the subset must keep its buckets/labels, or the entry would
-          // re-encode as a scalar and the subscriber's view reject it.
-          subset.push_back({si, changed[ci].value, changed[ci].buckets,
-                            changed[ci].labels});
-          ++ci;
-          ++si;
+    } else if (changed_valid) {
+      // The pass-all group's subset IS the changed list (subset
+      // positions are flat indices); any other group intersects it with
+      // its selection — both ascend by flat index: one two-pointer pass,
+      // emitting SUBSET positions, the filtered table's index space.
+      const std::vector<DeltaEntry>* entries = &changed;
+      if (group.selection) {
+        subset.clear();
+        const std::vector<std::uint64_t>& selection = *group.selection;
+        std::size_t ci = 0;
+        std::size_t si = 0;
+        while (ci < changed.size() && si < selection.size()) {
+          if (changed[ci].index < selection[si]) {
+            ++ci;
+          } else if (changed[ci].index > selection[si]) {
+            ++si;
+          } else {
+            // Carry the vector payloads too: a histogram or top-k row in
+            // the subset must keep its buckets/labels, or the entry would
+            // re-encode as a scalar and the subscriber's view reject it.
+            subset.push_back({si, changed[ci].value, changed[ci].buckets,
+                              changed[ci].labels});
+            ++ci;
+            ++si;
+          }
         }
+        entries = &subset;
       }
-      if (subset.empty() &&
+      // A quiet subset ships nothing (basis stays put) until a heartbeat
+      // is due — except into a ring: ring readers detect a dead server
+      // by a head that stops moving, so a ring group ships every tick.
+      if (entries->empty() && ring == nullptr &&
           ++group.ticks_suppressed < options_.group_heartbeat_ticks) {
-        // Quiet subset: ship nothing this tick (basis stays put).
         group_deltas_suppressed_.fetch_add(1, std::memory_order_relaxed);
       } else {
         auto buf = std::make_shared<std::string>();
         // Labeled with the group's pinned wire version (== the registry
-        // version of its subscribers' tables), NOT the raw registry
+        // version of its members' tables), NOT the raw registry
         // version: across disjoint creates the stream keeps flowing
         // under the old label and nobody re-bases.
         encode_delta_frame(frame.sequence, group.wire_regver, collect_ns,
-                           group.sent_seq, subset, *buf);
+                           group.sent_seq, *entries, *buf);
         delta = std::move(buf);
         delta_base = group.sent_seq;
         group.sent_seq = frame.sequence;
         group.ticks_suppressed = 0;
-        filtered_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
+        group_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
       }
     }
+    // else: the changed walk was unusable this tick (registry version
+    // raced the collect): ship no delta and keep the basis — the next
+    // delta still covers this tick, and members heal via fulls.
     auto* tick = new GroupTick;
     tick->pass_seq = frame.sequence;
     tick->collect_ns = collect_ns;
     tick->wire_regver = group.wire_regver;
     tick->sent_seq = group.sent_seq;
-    if (delta) {
-      tick->delta = std::move(delta);
-      tick->delta_seq = frame.sequence;
-      tick->delta_base = delta_base;
-      tick->delta_regver = group.wire_regver;
-    }
-    tick->snapshot = snapshot;
+    tick->delta = delta;
+    tick->delta_base = delta_base;
+    tick->values = values;
     tick->selection = group.selection;
-    tick->sel_regver = group.sel_regver;
+    // The ring carries the bytes the group's TCP stream carries this
+    // tick — the delta, else the full (encoded here, eagerly: ring
+    // readers cannot ask for one) — minus the u32le stream prefix; ring
+    // slots carry their own length, and readers hand the payload
+    // straight to the view.
+    if (ring != nullptr && members) {
+      const std::shared_ptr<const std::string> bytes =
+          delta ? delta : group_full(group, *tick);
+      if (ring->writer.publish(
+              std::string_view(*bytes).substr(kFramePrefixBytes))) {
+        shm_frames_published_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
+        ring->broken.store(true, std::memory_order_relaxed);
+        trace(obs::TraceKind::kShmDemote, ring->writer.generation());
+      }
+    }
     // Publish the fully built tick, then retire the one it replaces —
     // a worker may still hold it pinned under an epoch guard.
-    const GroupTick* old =
-        group.tick.exchange(tick, std::memory_order_acq_rel);
+    const GroupTick* old = group.tick.exchange(tick, std::memory_order_acq_rel);
     if (old != nullptr) epochs_.retire(old);
   }
 
@@ -1448,17 +1416,16 @@ class ServerCore {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread collector_;
   std::atomic<unsigned> next_worker_{0};
-  std::mutex published_mutex_;
-  PublishedFrame published_;
-  /// Filter groups, keyed by canonical filter (wire v2), RCU-published:
-  /// the current immutable GroupTable hangs off this atomic pointer.
-  /// Readers — the collector's pass and (indirectly, via the per-group
-  /// tick pointers) the workers — pin with an epoch guard and never
-  /// block; membership changes are the rare writer path: serialized on
-  /// groups_writer_mutex_, they build the next table off to the side
-  /// and swap, retiring the old one through epochs_. Client::group
-  /// pointers are worker-thread-owned shared_ptrs that keep a group
-  /// alive independently of table turnover.
+  /// Filter groups, keyed by canonical filter, RCU-published: the
+  /// current immutable GroupTable hangs off this atomic pointer and
+  /// always holds the pass-all group. Readers — the collector's pass
+  /// and (indirectly, via the per-group tick pointers) the workers — pin
+  /// with an epoch guard and never block; membership changes are the
+  /// rare writer path: serialized on groups_writer_mutex_, they build
+  /// the next table off to the side and swap, retiring the old one
+  /// through epochs_. Client::group pointers are worker-thread-owned
+  /// shared_ptrs that keep a group alive independently of table
+  /// turnover.
   std::mutex groups_writer_mutex_;
   std::atomic<const GroupTable*> group_table_{nullptr};
   /// Epoch domain for everything RCU-published here (tables and group
@@ -1478,8 +1445,8 @@ class ServerCore {
   std::atomic<std::uint64_t> acks_received_{0};
   std::atomic<std::uint64_t> subscribes_received_{0};
   std::atomic<std::uint64_t> resyncs_received_{0};
-  std::atomic<std::uint64_t> filtered_full_encodes_{0};
-  std::atomic<std::uint64_t> filtered_delta_encodes_{0};
+  std::atomic<std::uint64_t> group_full_encodes_{0};
+  std::atomic<std::uint64_t> group_delta_encodes_{0};
   std::atomic<std::uint64_t> group_deltas_suppressed_{0};
   std::atomic<std::uint64_t> shm_requests_received_{0};
   std::atomic<std::uint64_t> shm_offers_sent_{0};
@@ -1488,16 +1455,6 @@ class ServerCore {
   std::atomic<std::uint64_t> shm_publish_failures_{0};
   std::atomic<std::uint64_t> collector_cpu_ns_{0};
   std::atomic<std::uint64_t> retired_io_cpu_ns_{0};  // exited workers' sum
-  /// The shm snapshot ring (wire v3). shm_ and shm_offer_frame_ are
-  /// (re)built in start() before any thread spawns and torn down in
-  /// stop() after every join, so the collector publishes through shm_
-  /// and workers read shm_offer_frame_ without locks.
-  ShmRingWriter shm_;
-  std::shared_ptr<const std::string> shm_offer_frame_;
-  /// Latched when a frame outgrows its slot: a ring reader could never
-  /// decode past the gap, so the ring is done for this run — offers
-  /// stop and accepted clients are demoted back to TCP.
-  std::atomic<bool> ring_broken_{false};
   // --- Self-observability (src/obs) ---------------------------------
   /// Privileged handles into the registry's `__sys/server.*` entries;
   /// sys_on_ iff the catalog is armed (set_instruments before start()).
@@ -1508,10 +1465,16 @@ class ServerCore {
   /// Set by any worker that read a kMetricszRequest; the collector
   /// exchanges it down and renders one page for every waiter.
   std::atomic<bool> metricsz_wanted_{false};
-  /// Newest published (seq, collect stamp) pair for the apply-lag
-  /// proxy: two relaxed loads per ack instead of published_mutex_. The
-  /// pair can be torn across a tick boundary — at worst one tick of
-  /// skew in a histogram sample, which the bucket width swallows.
+  /// Newest rendered metricsz page (a full kMetricsz stream frame) and
+  /// the collect sequence it was rendered at — taken only by the
+  /// collector when it renders and by workers holding a request.
+  std::mutex metricsz_mutex_;
+  std::shared_ptr<const std::string> metricsz_page_;
+  std::uint64_t metricsz_seq_ = 0;
+  /// Newest collected (seq, collect stamp) pair: the eviction clock and
+  /// the apply-lag proxy read it with relaxed loads. The pair can be
+  /// torn across a tick boundary — at worst one tick of skew in a
+  /// histogram sample, which the bucket width swallows.
   std::atomic<std::uint64_t> last_pub_seq_{0};
   std::atomic<std::uint64_t> last_pub_collect_ns_{0};
 };
@@ -1530,40 +1493,37 @@ SnapshotServerT<Backend>::SnapshotServerT(
   };
   hooks.changed_since = [this](std::uint64_t since,
                                std::uint64_t expected_version,
+                               const std::vector<std::uint64_t>* selection,
                                std::vector<DeltaEntry>& out) {
-    return registry_.for_each_changed_since(
-        since, expected_version,
-        [&](std::size_t index, const std::string& /*name*/,
-            std::uint64_t value, std::uint64_t /*changed_seq*/,
+    const auto append = [&out](std::size_t index, std::uint64_t value,
+                               const std::vector<std::uint64_t>* counts,
+                               const std::vector<std::string>* labels) {
+      out.push_back({index, value,
+                     counts != nullptr ? *counts
+                                       : std::vector<std::uint64_t>{},
+                     labels != nullptr ? *labels
+                                       : std::vector<std::string>{}});
+    };
+    if (selection == nullptr) {
+      return registry_.for_each_changed_since(
+          since, expected_version,
+          [&](std::size_t index, const std::string& /*name*/,
+              std::uint64_t value, std::uint64_t /*changed_seq*/,
+              const std::vector<std::uint64_t>* counts,
+              const std::vector<std::string>* labels) {
+            append(index, value, counts, labels);
+          });
+    }
+    return registry_.for_each_changed_since_filtered(
+        since, expected_version, *selection,
+        [&](std::size_t subset_index, std::size_t /*flat_index*/,
+            const std::string& /*name*/, std::uint64_t value,
+            std::uint64_t /*changed_seq*/,
             const std::vector<std::uint64_t>* counts,
             const std::vector<std::string>* labels) {
-          out.push_back({index, value,
-                         counts != nullptr ? *counts
-                                           : std::vector<std::uint64_t>{},
-                         labels != nullptr ? *labels
-                                           : std::vector<std::string>{}});
+          append(subset_index, value, counts, labels);
         });
   };
-  hooks.changed_since_filtered =
-      [this](std::uint64_t since, std::uint64_t expected_version,
-             const std::vector<std::uint64_t>& selection,
-             std::vector<DeltaEntry>& out) {
-        return registry_.for_each_changed_since_filtered(
-            since, expected_version, selection,
-            [&](std::size_t subset_index, std::size_t /*flat_index*/,
-                const std::string& /*name*/, std::uint64_t value,
-                std::uint64_t /*changed_seq*/,
-                const std::vector<std::uint64_t>* counts,
-                const std::vector<std::string>* labels) {
-              out.push_back({subset_index, value,
-                             counts != nullptr
-                                 ? *counts
-                                 : std::vector<std::uint64_t>{},
-                             labels != nullptr
-                                 ? *labels
-                                 : std::vector<std::string>{}});
-            });
-      };
   core_ = std::make_unique<detail::ServerCore>(options, std::move(hooks));
 }
 

@@ -4,30 +4,47 @@
 // aggregator over a counter registry and fans its frames out to TCP
 // subscribers on the loopback interface:
 //
+//   * filter groups — every subscriber is a member of exactly one
+//     group, keyed by the canonical form of its subscription filter. A
+//     client that never subscribes is in the pass-all group (the whole
+//     fleet: the v1 stream); a SUBSCRIBE (wire v2, see wire.hpp) moves
+//     it to its filter's group, and from the next tick it receives only
+//     the matching subset — a full re-bases its name table, then
+//     group-shared deltas. The pass-all group is an ordinary group that
+//     simply outlives its members, so there is one serving path.
+//
 //   * collector thread — every `period`, one sequenced collect_into
-//     pass into a reused double-buffered frame (the aggregator's
-//     scratch/latest pair: zero collect allocations at steady state,
-//     and the pass feeds the registry's changed-since tracking), then
-//     ONE full-frame encode and ONE delta-since-previous-tick encode
-//     shared by every up-to-date subscriber. Encoded byte buffers are
-//     freshly allocated per tick and retired by refcount when the last
-//     subscriber drains them, so a slow reader holding an old tick's
-//     bytes never blocks the next encode.
+//     pass into a reused frame (zero collect allocations at steady
+//     state; the pass feeds the registry's changed-since tracking), then
+//     one pass over the groups: per group at most ONE delta encode,
+//     shared by every in-step member (ServerStats::
+//     filtered_delta_encodes), and nothing at all on a tick where the
+//     group's subset did not change (ServerStats::
+//     group_deltas_suppressed) until a heartbeat is due
+//     (ServerOptions::group_heartbeat_ticks) — a subscriber's receive
+//     cost scales with its subset's activity, not the fleet's. Fulls
+//     are lazy: the pass keeps its values (names live in a table shared
+//     per registry version), and a group's full is encoded only when a
+//     member needs one, at most once per group and tick. Encoded
+//     buffers are retired by refcount when the last subscriber drains
+//     them, so a slow reader never blocks the next encode.
 //
 //   * N I/O worker threads — a non-blocking poll() loop each, over a
 //     share of the subscriber sockets plus a self-pipe the collector
 //     rings every tick. Worker 0 also polls the listening socket and
-//     deals accepted connections round-robin.
+//     deals accepted connections round-robin. Workers read the groups'
+//     published ticks lock-free (RCU under an epoch guard).
 //
 //   * per-client backpressure — each subscriber has AT MOST one
 //     in-flight encoded frame (partial writes keep an offset; POLLOUT
 //     resumes them) and no queue. A subscriber that drains slower than
 //     the tick rate simply skips frames: when its buffer drains the
-//     worker hands it the NEWEST frame — as the shared delta if it is
-//     exactly one tick behind, as a per-client catch-up delta
-//     (registry for_each_changed_since its last fully-sent sequence)
-//     if it lagged but the name table is unchanged, or as the full
-//     frame otherwise. Memory per client is O(one frame) regardless of
+//     worker hands it the NEWEST state of its group — as the group's
+//     shared delta if that covers it, as a per-client catch-up delta
+//     (the registry's changed-since walk over the group's subset) if it
+//     lagged but its name table is unchanged, or as the group's full
+//     otherwise. A RESYNC (wire v2) asks for that full at the next tick
+//     at the latest. Memory per client is O(one frame) regardless of
 //     how slow it reads; nobody is disconnected for being slow.
 //
 //   * acks — subscribers send { 0xAC, seq:uvarint } after applying a
@@ -36,47 +53,26 @@
 //     guaranteeing delivery of fully-written frames. Unknown inbound
 //     bytes are a protocol error and close that subscriber.
 //
-//   * control channel (wire v2) — subscribers may also send SUBSCRIBE /
-//     RESYNC control records (wire.hpp). A SUBSCRIBE installs a name
-//     filter: the client joins a *filter group* (keyed by the filter's
-//     canonical form) and from the next tick receives only the matching
-//     subset — a filtered full re-bases its name table, then
-//     group-shared filtered deltas. The collector builds at most ONE
-//     delta encode per filter group per tick (identically-filtered
-//     subscribers share it, exactly like the unfiltered pair; pinned by
-//     ServerStats::filtered_delta_encodes), and a tick on which a
-//     group's subset did not change ships nothing to that group
-//     (ServerStats::group_deltas_suppressed) until a heartbeat is due
-//     (ServerOptions::group_heartbeat_ticks) — a selective subscriber's
-//     receive cost scales with its subset's activity, not the fleet's.
-//     Filtered fulls are encoded lazily (first subscriber that needs
-//     one this tick) and cached per group+tick. A RESYNC short-circuits
-//     the "wait for the next table change" path: the client's next
-//     frame is a fresh full of its current subset, at the next tick at
-//     the latest. A v1 client simply never sends control records and
-//     sees the unchanged v1 stream.
-//
-//   * shared-memory ring (wire v3) — when ServerOptions::shm_enable,
-//     the collector also publishes each tick's unfiltered frame (the
-//     shared delta, else the full) into a seqlock shm ring
-//     (base/seqlock_ring.hpp via svc/shm.hpp). A same-host client
-//     sends SHM_REQUEST, receives SHM_OFFER (segment name, generation,
+//   * shared-memory rings (wire v3) — when ServerOptions::shm_enable, a
+//     group's first SHM_REQUEST creates a seqlock shm ring for it
+//     (base/seqlock_ring.hpp via svc/shm.hpp), into which the collector
+//     then publishes each tick's group frame (the delta, else the full).
+//     The requester receives SHM_OFFER (segment name, generation,
 //     geometry) on its data stream, maps the segment read-only and
 //     confirms with SHM_ACCEPT — from then on the server sends it no
 //     per-tick data frames (zero per-reader syscalls AND zero
-//     per-reader server work; the swarm's cost no longer scales with
-//     its size), while its TCP connection stays up for control,
-//     liveness and recovery: an overrun reader RESYNCs and the full
-//     goes over TCP; a SUBSCRIBE moves the client back to (filtered)
-//     TCP frames entirely. Remote and declining clients never notice.
+//     per-reader server work), while its TCP connection stays up for
+//     control, liveness and recovery: an overrun reader RESYNCs and the
+//     full goes over TCP; a SUBSCRIBE moves it to TCP frames of its new
+//     group (whose ring it may then request).
 //
 // Catch-up deltas are encoded from the registry's tracking columns via
-// the version-guarded for_each_changed_since walk: if a create shifted
-// the name-table indices since the frame was published, the walk
-// refuses and the subscriber gets a full frame instead (a delta against
-// the wrong table would silently misapply values). The walk labels the
-// delta with the last *completed* sequenced pass, which may run ahead
-// of the published frame — the delta is complete up to that label.
+// the version-guarded changed-since walk: if a create shifted the
+// name-table indices since the tick was published, the walk refuses and
+// the subscriber gets a full frame instead (a delta against the wrong
+// table would silently misapply values). The walk labels the delta with
+// the last *completed* sequenced pass, which may run ahead of the
+// published tick — the delta is complete up to that label.
 //
 // The server binds 127.0.0.1 only: the facade is an in-host scrape/
 // stream endpoint (sidecar, dashboard, load generator), not an
@@ -114,18 +110,21 @@ struct ServerOptions {
   /// ticks (liveness + sequence advance for its subscribers). Minimum 1
   /// (1 = heartbeat every tick, v1 cadence).
   unsigned group_heartbeat_ticks = 16;
-  /// Shared-memory snapshot ring (wire v3, see shm.hpp): when enabled
-  /// the collector also publishes each tick's unfiltered frame into a
-  /// POSIX shm ring, and same-host clients that SHM_REQUEST it consume
-  /// frames with zero syscalls and zero server-side per-reader work.
-  /// Disabling (or a host without /dev/shm — create failure is
-  /// tolerated) simply leaves everyone on TCP. The ring is
-  /// shm_slots × (shm_slot_bytes + 88) bytes of /dev/shm; a frame that
-  /// outgrows a slot permanently breaks the ring for this run (offers
-  /// stop, accepted clients are demoted to TCP) — size slots for the
-  /// fleet's full frame.
+  /// Shared-memory snapshot rings (wire v3, see shm.hpp): when enabled,
+  /// a filter group's first SHM_REQUEST creates a POSIX shm ring into
+  /// which the collector publishes the group's frame every tick, and
+  /// same-host members that SHM_REQUEST it consume frames with zero
+  /// syscalls and zero server-side per-reader work. Disabling (or a
+  /// host without /dev/shm — create failure is tolerated) simply leaves
+  /// everyone on TCP. Each ring is shm_slots × (shm_slot_bytes + 88)
+  /// bytes of /dev/shm; a frame that outgrows a slot permanently breaks
+  /// that ring (offers stop, accepted clients are demoted to TCP) —
+  /// size slots for the group's full frame. The slot count is how many
+  /// ticks a parked reader may lag before it overruns (and resyncs over
+  /// TCP): 32 is 640 ms at the default period, and keeps two riding
+  /// groups at one 64-slot ring's resident footprint.
   bool shm_enable = true;
-  std::uint32_t shm_slots = 64;
+  std::uint32_t shm_slots = 32;
   std::uint64_t shm_slot_bytes = 64 * 1024;
   /// Ack-deadline eviction: a subscriber that is OWED frames (an
   /// in-flight buffer it will not drain, or fully-sent frames it never
@@ -175,31 +174,35 @@ struct ServerStats {
   /// up or evicted; the eviction proof watches exactly this.
   std::uint64_t frames_in_flight = 0;
   std::uint64_t full_frames_sent = 0;    // full encodes handed to clients
-  std::uint64_t delta_frames_sent = 0;   // shared tick/group deltas
+  std::uint64_t delta_frames_sent = 0;   // shared group deltas
   std::uint64_t catchup_deltas_sent = 0; // per-client changed-since deltas
-  std::uint64_t frames_coalesced = 0;    // ticks skipped by slow readers
+  /// Ticks lagging readers jumped over: each catch-up delta replaces
+  /// the frames between the reader's last one and the tick it gets.
+  std::uint64_t frames_coalesced = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t acks_received = 0;
   std::uint64_t min_acked_seq = 0;  // slowest subscriber's acked frame
   // Wire v2 control channel + filter groups.
   std::uint64_t subscribes_received = 0;
   std::uint64_t resyncs_received = 0;
-  /// Distinct filtered encodes actually performed. The sharing pins:
-  /// K identically-filtered in-step subscribers over T ticks cost ~T
-  /// delta encodes (not K·T) and ≤ a handful of full encodes.
+  /// Distinct group encodes actually performed, over every group (the
+  /// pass-all group included; a memberless group encodes nothing). The
+  /// sharing pins: K identically-filtered in-step subscribers over T
+  /// ticks cost ~T delta encodes (not K·T) and ≤ a handful of full
+  /// encodes.
   std::uint64_t filtered_full_encodes = 0;
   std::uint64_t filtered_delta_encodes = 0;
-  /// Group-ticks on which a filter group's subset was unchanged and no
-  /// frame was shipped to it (not coalescing — there was nothing to
-  /// say; a heartbeat bounds the silence).
+  /// Group-ticks on which a group's subset was unchanged and no frame
+  /// was shipped to it (not coalescing — there was nothing to say; a
+  /// heartbeat bounds the silence).
   std::uint64_t group_deltas_suppressed = 0;
   // Shared-memory ring transport (wire v3).
   std::uint64_t shm_requests_received = 0;
   std::uint64_t shm_offers_sent = 0;
   std::uint64_t shm_accepts_received = 0;  // clients moved off TCP data
-  std::uint64_t shm_frames_published = 0;  // ring writes by the collector
-  /// Frames that did not fit a ring slot; any > 0 means the ring broke
-  /// and shm clients were demoted back to TCP.
+  std::uint64_t shm_frames_published = 0;  // ring writes, all groups
+  /// Frames that did not fit a ring slot; any > 0 means a ring broke
+  /// and its shm clients were demoted back to TCP.
   std::uint64_t shm_publish_failures = 0;
   /// CPU time (CLOCK_THREAD_CPUTIME_ID, ns) burned by the collector
   /// thread / summed over the I/O workers so far. The shm scaling

@@ -175,17 +175,8 @@ std::uint8_t sample_version(const shard::Sample& sample) {
 /// The data-frame version byte: the maximum any riding entry requires,
 /// so scalar-only frames stay byte-identical to a v1 server's (the
 /// compatibility contract).
-std::uint8_t full_frame_version(const shard::TelemetryFrame& frame,
-                                const std::vector<std::uint64_t>* selection) {
+std::uint8_t full_frame_version(const shard::TelemetryFrame& frame) {
   std::uint8_t version = kWireVersion;
-  if (selection != nullptr) {
-    for (const std::uint64_t index : *selection) {
-      version = std::max(
-          version,
-          sample_version(frame.samples[static_cast<std::size_t>(index)]));
-    }
-    return version;
-  }
   for (const shard::Sample& sample : frame.samples) {
     version = std::max(version, sample_version(sample));
   }
@@ -199,26 +190,10 @@ void encode_full_frame(const shard::TelemetryFrame& frame,
   out.clear();
   append_u32le(out, 0);  // length prefix, patched below
   append_header(out, FrameKind::kFull, frame.sequence, frame.registry_version,
-                collect_ns, full_frame_version(frame, nullptr));
+                collect_ns, full_frame_version(frame));
   append_uvarint(out, frame.samples.size());
   for (const shard::Sample& sample : frame.samples) {
     append_sample(out, sample);
-  }
-  patch_length_prefix(out);
-}
-
-void encode_full_frame_filtered(const shard::TelemetryFrame& frame,
-                                const std::vector<std::uint64_t>& selection,
-                                std::uint64_t collect_ns,
-                                std::uint64_t registry_version,
-                                std::string& out) {
-  out.clear();
-  append_u32le(out, 0);  // length prefix, patched below
-  append_header(out, FrameKind::kFull, frame.sequence, registry_version,
-                collect_ns, full_frame_version(frame, &selection));
-  append_uvarint(out, selection.size());
-  for (const std::uint64_t index : selection) {
-    append_sample(out, frame.samples[static_cast<std::size_t>(index)]);
   }
   patch_length_prefix(out);
 }

@@ -352,32 +352,12 @@ std::uint32_t read_u32le(const char* p);
 
 /// Encodes `frame` as a stream-ready FULL frame: out is cleared and
 /// filled with the u32le length prefix followed by the payload.
-/// `collect_ns` stamps the header (0 = unknown).
+/// `collect_ns` stamps the header (0 = unknown). A filter group's full
+/// is the same frame over the group's rows: a subset of the name-sorted
+/// table keeps its order, so it is the receiving view's complete name
+/// table and later deltas index into it positionally.
 void encode_full_frame(const shard::TelemetryFrame& frame,
                        std::uint64_t collect_ns, std::string& out);
-
-/// Filtered form: encodes only frame.samples[i] for i in `selection`
-/// (ascending flat-table indices). The emitted subset keeps the
-/// name-sorted order, so it is the receiving view's complete name table
-/// and later delta frames for this subset index into it positionally
-/// (index j = selection[j]). `registry_version` labels the header: a
-/// filter group whose SUBSET survived a registry create unchanged keeps
-/// streaming under its pinned older label (see server.hpp), so the
-/// label is the group's wire version, not necessarily the frame's.
-void encode_full_frame_filtered(const shard::TelemetryFrame& frame,
-                                const std::vector<std::uint64_t>& selection,
-                                std::uint64_t collect_ns,
-                                std::uint64_t registry_version,
-                                std::string& out);
-
-/// Convenience form labeling with the frame's own registry version.
-inline void encode_full_frame_filtered(
-    const shard::TelemetryFrame& frame,
-    const std::vector<std::uint64_t>& selection, std::uint64_t collect_ns,
-    std::string& out) {
-  encode_full_frame_filtered(frame, selection, collect_ns,
-                             frame.registry_version, out);
-}
 
 /// Encodes a stream-ready DELTA frame carrying `entries` (flat-table
 /// index + value, any order) relative to `base_seq`: a view at sequence

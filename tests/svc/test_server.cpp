@@ -846,17 +846,31 @@ TEST(SnapshotServer, IdleSubsetHeartbeatsCarryClockAndStalenessSplit) {
   server.stop();
 }
 
-TEST(SnapshotServer, FilteredSubscriberIsNeverOfferedTheShmRing) {
-  // Satellite regression: the shm ring carries only UNFILTERED frames,
-  // whose delta indices would misdecode against a filtered subscriber's
-  // subset name table. A filtered subscriber must therefore never be
-  // offered the ring — and never end up consuming it — no matter when
-  // it asks (per-group rings are the documented upgrade path; see the
-  // README transport section).
+/// Pumps until the client rides the shm ring (mapped, ≥ 1 ring frame
+/// applied) on a settled table (no re-base pending). False on timeout.
+bool await_ring(TelemetryClient& client, int max_frames = 400) {
+  for (int i = 0; i < max_frames; ++i) {
+    if (!client.poll_frame(kFrameTimeout)) return false;
+    if (client.shm_active() && client.shm_frames() >= 1 &&
+        !client.view().rebase_pending()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(SnapshotServer, EveryFilterGroupRidesItsOwnShmRing) {
+  // Each filter group publishes into its own shm ring, so a filtered
+  // subscriber gets the zero-syscall path too: its ring carries exactly
+  // its subset stream (deltas index the subset table), never the
+  // fleet's. A ring rider that re-subscribes is detached and re-based
+  // onto its new group over TCP, and stays on TCP until it asks for
+  // that group's ring.
   shard::RegistryT<base::DirectBackend> registry(4);
   shard::AnyCounter& hot_a =
       registry.create("hot_a", {ErrorModel::kExact, 0, 1});
-  registry.create("cold_x", {ErrorModel::kExact, 0, 1});
+  shard::AnyCounter& cold_x =
+      registry.create("cold_x", {ErrorModel::kExact, 0, 1});
   ServerOptions options;
   options.period = 5ms;
   SnapshotServer server(registry, 3, options);
@@ -866,89 +880,170 @@ TEST(SnapshotServer, FilteredSubscriberIsNeverOfferedTheShmRing) {
   std::thread incrementer([&] {
     while (!stop.load(std::memory_order_acquire)) {
       hot_a.increment(0);
+      cold_x.increment(0);
       std::this_thread::sleep_for(1ms);
     }
   });
-
-  // An unfiltered control client proves the ring itself is healthy —
-  // otherwise "no offer" below would be vacuous (e.g. no /dev/shm).
-  TelemetryClient unfiltered;
-  ASSERT_TRUE(unfiltered.connect(server.port()));
-  ASSERT_TRUE(unfiltered.request_shm());
-  bool ring_healthy = false;
-  for (int i = 0; i < 200 && !ring_healthy; ++i) {
-    if (!unfiltered.poll_frame(kFrameTimeout)) break;
-    ring_healthy = unfiltered.shm_active() && unfiltered.shm_frames() >= 1;
-  }
-  if (!ring_healthy) {
+  const auto finish = [&] {
     stop.store(true, std::memory_order_release);
     incrementer.join();
     server.stop();
+  };
+
+  // An unfiltered rider proves shm works here at all — otherwise the
+  // assertions below would be vacuous (e.g. no /dev/shm).
+  TelemetryClient unfiltered;
+  ASSERT_TRUE(unfiltered.connect(server.port()));
+  ASSERT_TRUE(unfiltered.request_shm());
+  if (!await_ring(unfiltered)) {
+    finish();
     GTEST_SKIP() << "no healthy shm ring in this environment";
   }
+  EXPECT_EQ(unfiltered.view().samples().size(), 2u);
 
   TelemetryClient filtered;
   ASSERT_TRUE(filtered.connect(server.port()));
   SubscriptionFilter filter;
   filter.prefixes = {"hot_"};
   ASSERT_TRUE(filtered.subscribe(filter));
-  bool rebased = false;
-  for (int i = 0; i < 400 && !rebased; ++i) {
-    ASSERT_TRUE(filtered.poll_frame(kFrameTimeout));
-    rebased = !filtered.view().rebase_pending() &&
-              filtered.view().samples().size() == 1;
-  }
-  ASSERT_TRUE(rebased);
-
-  const std::uint64_t offers_before = server.stats().shm_offers_sent;
-  const std::uint64_t requests_before = server.stats().shm_requests_received;
   ASSERT_TRUE(filtered.request_shm());
-  // The server must see the request and stay silent: the subscriber
-  // keeps streaming filtered TCP frames, never a ring offer.
-  for (int i = 0; i < 200 && server.stats().shm_requests_received ==
-                                 requests_before;
-       ++i) {
-    ASSERT_TRUE(filtered.poll_frame(kFrameTimeout));
-  }
-  ASSERT_GT(server.stats().shm_requests_received, requests_before);
-  const std::uint64_t value_seen = filtered.view().samples()[0].value;
-  ASSERT_TRUE(await_value(filtered, "hot_a", value_seen + 10));
-  EXPECT_EQ(server.stats().shm_offers_sent, offers_before)
-      << "a filtered subscriber was offered the unfiltered shm ring";
-  EXPECT_FALSE(filtered.shm_active());
-  EXPECT_EQ(filtered.shm_frames(), 0u);
-  // The filtered table stayed the subset throughout — no unfiltered
-  // ring frame widened it behind the subscription's back.
+  ASSERT_TRUE(await_ring(filtered));
+  ASSERT_EQ(filtered.view().samples().size(), 1u);
+  const std::uint64_t ring_frames = filtered.shm_frames();
+  ASSERT_TRUE(
+      await_value(filtered, "hot_a", filtered.view().samples()[0].value + 10));
+  EXPECT_GT(filtered.shm_frames(), ring_frames) << "values stopped riding";
+  EXPECT_TRUE(filtered.shm_active());
+  // The subset stayed the table throughout: no fleet frame widened it.
   EXPECT_EQ(filtered.view().samples().size(), 1u);
   EXPECT_EQ(filtered.view().samples()[0].name, "hot_a");
+  EXPECT_GE(server.stats().shm_accepts_received, 2u);
 
-  // The reverse order — riding the ring, THEN subscribing — must demote
-  // the client back to per-subscriber TCP frames before the subset
-  // stream starts (subscribe() detaches client-side; the server drops
-  // shm_consuming when it processes the SUBSCRIBE).
+  // Riding the pass-all ring, THEN subscribing: the client detaches and
+  // its new group's stream arrives over TCP...
   SubscriptionFilter narrow;
   narrow.prefixes = {"cold_"};
   ASSERT_TRUE(unfiltered.subscribe(narrow));
-  rebased = false;
+  EXPECT_FALSE(unfiltered.shm_active());
+  bool rebased = false;
   for (int i = 0; i < 400 && !rebased; ++i) {
     ASSERT_TRUE(unfiltered.poll_frame(kFrameTimeout));
     rebased = !unfiltered.view().rebase_pending() &&
               unfiltered.view().samples().size() == 1;
   }
   ASSERT_TRUE(rebased);
-  EXPECT_FALSE(unfiltered.shm_active());
   EXPECT_EQ(unfiltered.view().samples()[0].name, "cold_x");
-  // And a re-request AFTER subscribing is refused like any other.
-  const std::uint64_t offers_after = server.stats().shm_offers_sent;
-  ASSERT_TRUE(unfiltered.request_shm());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(unfiltered.poll_frame(kFrameTimeout));
-  }
-  EXPECT_EQ(server.stats().shm_offers_sent, offers_after);
+  const std::uint64_t frozen = unfiltered.shm_frames();
+  ASSERT_TRUE(await_value(unfiltered, "cold_x",
+                          unfiltered.view().samples()[0].value + 5));
+  EXPECT_EQ(unfiltered.shm_frames(), frozen) << "rode a ring unasked";
   EXPECT_FALSE(unfiltered.shm_active());
+  // ...until it asks: then it rides the cold_ group's own ring.
+  ASSERT_TRUE(unfiltered.request_shm());
+  ASSERT_TRUE(await_ring(unfiltered));
+  ASSERT_TRUE(await_value(unfiltered, "cold_x",
+                          unfiltered.view().samples()[0].value + 5));
+  EXPECT_GT(unfiltered.shm_frames(), frozen);
+  EXPECT_EQ(unfiltered.view().samples().size(), 1u);
+  EXPECT_EQ(unfiltered.view().samples()[0].name, "cold_x");
+  EXPECT_GE(server.stats().shm_offers_sent, 3u);  // pass-all, hot_, cold_
+  EXPECT_EQ(server.stats().shm_publish_failures, 0u);
+  finish();
+}
+
+TEST(SnapshotServer, ShmOfferOvertakenBySubscribeIsNeverRidden) {
+  // An offer already on the wire when the client SUBSCRIBEs names the
+  // ring of the group it just left, whose deltas index the old table.
+  // The client must skip it, ask again, and ride its new group's ring
+  // only after that group's re-basing full — values stay exact.
+  shard::RegistryT<base::DirectBackend> registry(4);
+  shard::AnyCounter& cold_x =
+      registry.create("cold_x", {ErrorModel::kExact, 0, 1});
+  shard::AnyCounter& hot_a =
+      registry.create("hot_a", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  SnapshotServer server(registry, 3, options);
+  ASSERT_TRUE(server.start());
+
+  std::atomic<bool> stop{false};
+  std::thread incrementer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      hot_a.increment(0);
+      for (int i = 0; i < 3; ++i) cold_x.increment(0);  // values differ
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  ASSERT_TRUE(client.request_shm());
+  // Let the pass-all ring's offer reach the socket without reading it.
+  for (int i = 0; i < 400 && server.stats().shm_offers_sent == 0; ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  if (server.stats().shm_offers_sent == 0) {
+    stop.store(true, std::memory_order_release);
+    incrementer.join();
+    server.stop();
+    GTEST_SKIP() << "no healthy shm ring in this environment";
+  }
+  SubscriptionFilter filter;
+  filter.prefixes = {"hot_"};
+  ASSERT_TRUE(client.subscribe(filter));
+  ASSERT_TRUE(client.request_shm());
+  ASSERT_TRUE(await_ring(client));
+  ASSERT_EQ(client.view().samples().size(), 1u);
+  EXPECT_EQ(client.view().samples()[0].name, "hot_a");
 
   stop.store(true, std::memory_order_release);
   incrementer.join();
+  const std::uint64_t truth = hot_a.read(0);
+  ASSERT_TRUE(await_value(client, "hot_a", truth));
+  EXPECT_EQ(client.view().samples()[0].value, truth);
+  EXPECT_TRUE(client.shm_active());
+  EXPECT_GE(server.stats().shm_offers_sent, 2u);  // old group, then new
+  server.stop();
+}
+
+TEST(SnapshotServer, FullFramesAreEncodedOnlyWhenAMemberNeedsOne) {
+  // Fulls are lazy for every group: with nobody connected the collector
+  // encodes nothing at all, and subscribers joining on one tick share a
+  // single full encode.
+  shard::RegistryT<base::DirectBackend> registry(4);
+  shard::AnyCounter& c = registry.create("c", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  SnapshotServer server(registry, 3, options);
+  ASSERT_TRUE(server.start());
+  for (int i = 0; i < 200 && server.stats().frames_collected < 10; ++i) {
+    c.increment(0);
+    std::this_thread::sleep_for(5ms);
+  }
+  ServerStats stats = server.stats();
+  ASSERT_GE(stats.frames_collected, 10u);
+  EXPECT_EQ(stats.filtered_full_encodes, 0u);
+  EXPECT_EQ(stats.filtered_delta_encodes, 0u);
+
+  TelemetryClient first;
+  TelemetryClient second;
+  ASSERT_TRUE(first.connect(server.port()));
+  ASSERT_TRUE(second.connect(server.port()));
+  ASSERT_TRUE(first.poll_frame(kFrameTimeout));
+  ASSERT_TRUE(second.poll_frame(kFrameTimeout));
+  stats = server.stats();
+  EXPECT_EQ(stats.full_frames_sent, 2u);
+  EXPECT_GE(stats.filtered_full_encodes, 1u);
+  EXPECT_LE(stats.filtered_full_encodes, 2u);  // one per tick joined on
+  // Steady state: deltas only.
+  const std::uint64_t fulls = stats.filtered_full_encodes;
+  for (int i = 0; i < 5; ++i) {
+    c.increment(0);
+    ASSERT_TRUE(first.poll_frame(kFrameTimeout));
+  }
+  EXPECT_EQ(server.stats().filtered_full_encodes, fulls);
+  EXPECT_GT(server.stats().filtered_delta_encodes, 0u);
   server.stop();
 }
 

@@ -521,13 +521,19 @@ TEST(ControlFrame, DataStreamRejectsControlKinds) {
 }
 
 TEST(WireFiltered, FilteredFullDefinesSubsetTableAndSubsetDeltasApply) {
-  // A filtered full carries only the selection, in table order — the
+  // A filter group's full carries only its rows, in table order — the
   // subscriber's whole name table. Deltas for the subset then index
   // into it positionally.
   const TelemetryFrame frame = synthetic_frame(5, 11);
   const std::vector<std::uint64_t> selection = {1, 4, 7};
+  TelemetryFrame rows;
+  rows.sequence = frame.sequence;
+  rows.registry_version = frame.registry_version;
+  for (const std::uint64_t index : selection) {
+    rows.samples.push_back(frame.samples[index]);
+  }
   std::string wire;
-  encode_full_frame_filtered(frame, selection, 777, wire);
+  encode_full_frame(rows, 777, wire);
   EXPECT_EQ(prefix_of(wire), wire.size() - kFramePrefixBytes);
 
   MaterializedView view;
