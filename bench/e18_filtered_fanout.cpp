@@ -1,4 +1,4 @@
-// E18 — subscription filters under fan-out: wire v2's SUBSCRIBE channel
+// E18 — subscription filters under fan-out: the wire's SUBSCRIBE channel
 // over the 48-counter fleet, swept across filter selectivity and
 // subscriber count.
 //
@@ -6,7 +6,7 @@
 // ~1% of the fleet, WARM — it moves every ~50 ms, slower than a tick),
 // "b_0".."b_4" (5 counters, ~10%, hot every tick) and "z_00".."z_41"
 // (42 counters, hot every tick). Cells subscribe with an exact-name
-// filter (1%), a prefix filter (10%) or no filter at all (100%, the v1
+// filter (1%), a prefix filter (10%) or no filter at all (100%, the
 // baseline), and measure what each subscriber actually receives:
 //
 //   1. Wire economics — delta bytes/frame and bytes/s per subscriber.
@@ -48,7 +48,7 @@ constexpr unsigned kServerPid = kWorkers;  // registry pid space: n = 3
 constexpr std::uint64_t kPeriodMs = 10;
 
 /// One selectivity cell: its label and the filter it subscribes with
-/// (pass-all = no SUBSCRIBE at all, the v1 baseline).
+/// (pass-all = no SUBSCRIBE at all, the baseline).
 struct Selectivity {
   const char* label;
   svc::SubscriptionFilter filter;
@@ -65,7 +65,7 @@ const bench::Experiment kExperiment{
     "e18",
     "filtered fan-out: subscription selectivity × subscriber count over "
     "the snapshot server",
-    "48-counter fleet (47 hot every tick, 1 warm at ~20 Hz), wire v2 "
+    "48-counter fleet (47 hot every tick, 1 warm at ~20 Hz), "
     "subscribers with exact (1%), prefix (10%) and pass-all (100%) "
     "filters, S subscriber threads each decoding its filtered stream",
     "scalable pub/sub serves per-client subsets: a subscriber should pay "

@@ -1,4 +1,4 @@
-// E19 — same-host fan-out at memory speed: the wire-v3 shared-memory
+// E19 — same-host fan-out at memory speed: the shared-memory
 // snapshot ring vs the TCP stream, swept across subscriber swarms.
 //
 // An all-hot 48-counter fleet (every tick ships a real delta), but the
@@ -286,7 +286,7 @@ const bench::Experiment kExperiment{
     "all-hot 48-counter fleet (2 gentle worker threads), SnapshotServer on "
     "loopback; per cell one RT-priority probe subscriber samples delivery "
     "latency while S-1 nice+15 load subscribers consume the same tick "
-    "stream, over TCP or off the wire-v3 shared-memory seqlock ring",
+    "stream, over TCP or off the shared-memory seqlock ring",
     "the paper's counters make collection cheap; same-host fan-out should "
     "be cheap too — one ring publish per tick serves every local reader "
     "with zero syscalls and zero per-reader server work, where TCP pays a "

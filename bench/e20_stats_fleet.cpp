@@ -137,7 +137,8 @@ std::size_t delta_bytes_for_tick(shard::RegistryT<base::DirectBackend>& registry
   registry.for_each_changed_since(
       prev_seq, version,
       [&](std::size_t index, const std::string&, std::uint64_t value,
-          std::uint64_t, const std::vector<std::uint64_t>* counts) {
+          std::uint64_t, const std::vector<std::uint64_t>* counts,
+          const std::vector<std::string>*) {
         entries.emplace_back(index, value,
                              counts != nullptr ? *counts
                                                : std::vector<std::uint64_t>{});

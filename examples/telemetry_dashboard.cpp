@@ -12,7 +12,7 @@
 // internal it decodes, and asserts the pipeline-timing histogram
 // "__sys/server.tick.collect_ns" carries a usable p99 — printing
 // "sys OK p99_collect_ns<=<ns>" on success. No new wire machinery:
-// the internals ride the same v2 prefix filter as any user subset,
+// the internals ride the same prefix filter as any user subset,
 // which is the point the CI probe pins down.
 //
 // --reconnect swaps the single-session TelemetryClient for the
@@ -30,13 +30,13 @@
 // or failure — the chaos-smoke job uploads those logs as the
 // post-mortem artifact when a dashboard does not survive the bounce.
 //
-// --prefix=P subscribes with a wire-v2 prefix filter: the server then
+// --prefix=P subscribes with a prefix filter: the server then
 // streams only counters named P*, and the view's table IS that subset.
 // --stall-ms=M demonstrates client-driven recovery: after the first
 // frame the dashboard goes silent for M ms (the server coalesces the
 // missed ticks), then issues request_resync() and requires a fresh FULL
 // frame to arrive — printing "resync full OK" when it does.
-// --shm asks a same-host server for its wire-v3 shared-memory snapshot
+// --shm asks a same-host server for its shared-memory snapshot
 // ring and requires the data path to actually move onto it (at least
 // one frame applied off the ring) — printing "transport: shm" once it
 // has. The view and every assertion below are transport-agnostic;

@@ -8,33 +8,35 @@
 //   * create(name, spec)  — get-or-create; idempotent on the name (the
 //     first spec wins), so racing workers can lazily materialize the
 //     counter they are about to bump;
-//   * lookup(name)        — wait-free after a shared-lock acquisition;
-//     returned handles stay valid for the registry's lifetime (counters
-//     are never destroyed before the registry — the map only grows);
+//   * lookup(name)        — a binary search of the name-sorted table
+//     under the shared lock; returned handles stay valid for the
+//     registry's lifetime (entries are never destroyed before the
+//     registry — the table only grows);
 //   * snapshot_all(pid)   — one Sample per counter, carrying the value
 //     together with its error model + composed bound, so consumers can
 //     interpret every figure without knowing how it was configured;
 //   * snapshot_all_into(pid, out, version) — the single-pass form the
-//     aggregator drives: the registry keeps a name-sorted flat table of
-//     (name, counter, model, bound) entries, immutable except for
-//     sorted inserts on create, and a collect pass walks that table
-//     once, writing each counter's fresh value into the caller's
-//     existing Sample storage. Names, models and bounds are constant
-//     per counter, so they are copied only when the registry's version
-//     changed since the caller's last pass — a steady-state frame is
-//     one read per shard of every counter and zero allocations, instead
-//     of the map walk + string copies + virtual metadata hops the
-//     allocating form pays (E16 measures the difference);
+//     aggregator drives: the registry keeps one name-sorted flat table
+//     of (name, instrument, model, bound) rows — each row owns its
+//     instrument, and the table changes only by sorted inserts on
+//     create — and a collect pass walks that table once, writing each
+//     counter's fresh value into the caller's existing Sample storage.
+//     Names, models and bounds are constant per counter, so they are
+//     copied only when the registry's version changed since the
+//     caller's last pass — a steady-state frame is one read per shard
+//     of every counter and zero allocations, instead of the string
+//     copies + virtual metadata hops the allocating form pays (E16
+//     measures the difference);
 //   * snapshot_all_into_sequenced / for_each_changed_since — the delta
 //     channel the service layer (src/svc) consumes: the flat table
 //     additionally carries two tracking columns (last collected value,
 //     sequence of the pass that last changed it), refreshed by the
 //     sequenced collect, so a delta encoder can walk exactly the
 //     counters that moved since a subscriber's acknowledged sequence
-//     instead of re-encoding the whole fleet every tick; the _filtered
-//     variant restricts the walk to a selection of flat-table rows (a
-//     subscription filter's matches) and reports subset positions, the
-//     index space of a filtered wire name table.
+//     instead of re-encoding the whole fleet every tick; given a
+//     selection of rows (a subscription filter's matches) the walk
+//     reports subset positions, the index space of a filtered wire
+//     name table.
 //
 // Counter kinds are erased behind `AnyCounter` so one fleet can mix
 // multiplicative, additive and exact striping; the virtual hop is
@@ -61,7 +63,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -69,6 +70,8 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "base/kmath.hpp"
@@ -221,7 +224,7 @@ class RegistryT {
   AnyCounter* get_or_create(const std::string& name, const CounterSpec& spec) {
     if (is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return create_locked(name, [&] { return make_counter(spec); });
+    return insert_locked<AnyCounter>(name, [&] { return make_counter(spec); });
   }
 
   /// Reference-returning convenience over get_or_create for names the
@@ -245,14 +248,13 @@ class RegistryT {
   AnyCounter* add_counter_reserved(const std::string& name, Factory&& make) {
     if (!is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return create_locked(name, std::forward<Factory>(make));
+    return insert_locked<AnyCounter>(name, std::forward<Factory>(make));
   }
 
   /// The counter registered under `name`, or nullptr.
   [[nodiscard]] AnyCounter* lookup(const std::string& name) const {
     std::shared_lock lock(mutex_);
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : it->second.get();
+    return find_locked<AnyCounter>(name);
   }
 
   /// Get-or-create the vector-valued entry `name`. `make` is invoked
@@ -265,7 +267,7 @@ class RegistryT {
   AnyHistogram* add_histogram(const std::string& name, Factory&& make) {
     if (is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return add_histogram_locked(name, std::forward<Factory>(make));
+    return insert_locked<AnyHistogram>(name, std::forward<Factory>(make));
   }
 
   /// Privileged add_histogram for a reserved `__sys/` name (nullptr iff
@@ -275,14 +277,13 @@ class RegistryT {
                                        Factory&& make) {
     if (!is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return add_histogram_locked(name, std::forward<Factory>(make));
+    return insert_locked<AnyHistogram>(name, std::forward<Factory>(make));
   }
 
   /// The histogram registered under `name`, or nullptr.
   [[nodiscard]] AnyHistogram* lookup_histogram(const std::string& name) const {
     std::shared_lock lock(mutex_);
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
+    return find_locked<AnyHistogram>(name);
   }
 
   /// Get-or-create the labeled top-k entry `name` (same contract as
@@ -293,7 +294,7 @@ class RegistryT {
   AnyTopK* add_topk(const std::string& name, Factory&& make) {
     if (is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return add_topk_locked(name, std::forward<Factory>(make));
+    return insert_locked<AnyTopK>(name, std::forward<Factory>(make));
   }
 
   /// Privileged add_topk for a reserved `__sys/` name (nullptr iff the
@@ -302,14 +303,13 @@ class RegistryT {
   AnyTopK* add_topk_reserved(const std::string& name, Factory&& make) {
     if (!is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return add_topk_locked(name, std::forward<Factory>(make));
+    return insert_locked<AnyTopK>(name, std::forward<Factory>(make));
   }
 
   /// The top-k entry registered under `name`, or nullptr.
   [[nodiscard]] AnyTopK* lookup_topk(const std::string& name) const {
     std::shared_lock lock(mutex_);
-    const auto it = topks_.find(name);
-    return it == topks_.end() ? nullptr : it->second.get();
+    return find_locked<AnyTopK>(name);
   }
 
   /// Reads every registered counter (as process `pid`) into one
@@ -353,17 +353,22 @@ class RegistryT {
     return refresh_locked(pid, out, cached_version, &pass_seq);
   }
 
-  /// Invokes `fn(index, name, value, changed_seq, counts)` for every
-  /// flat-table entry whose value changed in a sequenced pass with
+  /// Invokes `fn(index, name, value, changed_seq, counts, labels)` for
+  /// every flat-table entry whose value changed in a sequenced pass with
   /// sequence > `seq` (index = position in the name-sorted table, i.e.
   /// the wire name-table index; value = the one the latest completed
   /// pass collected, NOT a fresh read; counts = pointer to that pass's
   /// bucket vector for a histogram entry — or its row-value vector for
-  /// a top-k entry — nullptr for a scalar). A callback additionally
-  /// accepting `const std::vector<std::string>* labels` as a sixth
-  /// argument also receives the top-k row labels (nullptr for scalar
-  /// and histogram entries). An unchanged fleet yields no calls: the
-  /// empty delta.
+  /// a top-k entry — nullptr for a scalar; labels = the top-k row labels,
+  /// nullptr for every other kind). An unchanged fleet yields no calls:
+  /// the empty delta.
+  ///
+  /// With a `selection` (ascending flat-table rows, e.g. the rows a
+  /// subscription filter matches) only those rows are visited, and
+  /// index is the position WITHIN the selection — the wire index of a
+  /// filtered name table. A selection holding an out-of-range row can
+  /// only have been built against another table: the walk refuses it
+  /// (nullopt) without visiting anything.
   ///
   /// The walk is only meaningful against the name table the caller
   /// believes in: if the registry's version no longer equals
@@ -376,61 +381,22 @@ class RegistryT {
   /// complete: no entry can carry a change from a half-finished pass).
   template <typename Fn>
   std::optional<std::uint64_t> for_each_changed_since(
-      std::uint64_t seq, std::uint64_t expected_version, Fn&& fn) const {
+      std::uint64_t seq, std::uint64_t expected_version, Fn&& fn,
+      const std::vector<std::uint64_t>* selection = nullptr) const {
     std::shared_lock lock(mutex_);
     if (version_ != expected_version) return std::nullopt;
-    for (std::size_t i = 0; i < flat_.size(); ++i) {
-      const Entry& entry = flat_[i];
-      if (entry.changed_seq > seq) {
-        if constexpr (std::is_invocable_v<
-                          Fn&, std::size_t, const std::string&, std::uint64_t,
-                          std::uint64_t, const std::vector<std::uint64_t>*,
-                          const std::vector<std::string>*>) {
-          fn(i, entry.name, entry.last_value, entry.changed_seq,
-             changed_counts(entry), changed_labels(entry));
-        } else {
-          fn(i, entry.name, entry.last_value, entry.changed_seq,
-             changed_counts(entry));
-        }
-      }
+    if (selection != nullptr &&
+        std::any_of(selection->begin(), selection->end(),
+                    [&](std::uint64_t row) { return row >= flat_.size(); })) {
+      return std::nullopt;
     }
-    return last_pass_seq_;
-  }
-
-  /// Filtered form of for_each_changed_since, the service layer's
-  /// per-subscription delta walk: visits only the flat-table indices in
-  /// `selection` (ascending positions, e.g. the rows matching a
-  /// subscription filter), invoking
-  /// `fn(subset_index, flat_index, name, value, changed_seq, counts)` —
-  /// subset_index is the position within `selection`, i.e. the wire
-  /// index of a *filtered* name table. Same version guard and sequence
-  /// label as the unfiltered walk; additionally refuses (nullopt) a
-  /// selection holding an out-of-range index, which can only mean it
-  /// was built against a different table.
-  template <typename Fn>
-  std::optional<std::uint64_t> for_each_changed_since_filtered(
-      std::uint64_t seq, std::uint64_t expected_version,
-      const std::vector<std::uint64_t>& selection, Fn&& fn) const {
-    std::shared_lock lock(mutex_);
-    if (version_ != expected_version) return std::nullopt;
-    for (const std::uint64_t index : selection) {
-      if (index >= flat_.size()) return std::nullopt;
-    }
-    for (std::size_t j = 0; j < selection.size(); ++j) {
-      const Entry& entry = flat_[static_cast<std::size_t>(selection[j])];
+    const std::size_t count =
+        selection != nullptr ? selection->size() : flat_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const Entry& entry = flat_[selection != nullptr ? (*selection)[i] : i];
       if (entry.changed_seq > seq) {
-        if constexpr (std::is_invocable_v<
-                          Fn&, std::size_t, std::size_t, const std::string&,
-                          std::uint64_t, std::uint64_t,
-                          const std::vector<std::uint64_t>*,
-                          const std::vector<std::string>*>) {
-          fn(j, static_cast<std::size_t>(selection[j]), entry.name,
-             entry.last_value, entry.changed_seq, changed_counts(entry),
-             changed_labels(entry));
-        } else {
-          fn(j, static_cast<std::size_t>(selection[j]), entry.name,
-             entry.last_value, entry.changed_seq, changed_counts(entry));
-        }
+        fn(i, entry.name, entry.last_value, entry.changed_seq,
+           entry.changed_counts(), entry.changed_labels());
       }
     }
     return last_pass_seq_;
@@ -456,6 +422,48 @@ class RegistryT {
   [[nodiscard]] unsigned num_processes() const noexcept { return n_; }
 
  private:
+  /// One row of the flat snapshot table: the instrument it owns plus
+  /// the per-entry constants a collect pass needs, cached at create time
+  /// (instruments are never destroyed or reconfigured before the
+  /// registry; moving a row on a sorted insert keeps every handle).
+  struct Entry {
+    std::string name;
+    std::variant<std::unique_ptr<AnyCounter>, std::unique_ptr<AnyHistogram>,
+                 std::unique_ptr<AnyTopK>>
+        instrument;
+    ErrorModel model = ErrorModel::kExact;
+    std::uint64_t error_bound = 0;
+    // Change-tracking columns, written only by sequenced collects under
+    // the exclusive lock (mutable: those collects are const like every
+    // snapshot pass). last_value starts at an impossible counter value
+    // so a new entry's first sequenced pass always registers a change
+    // (a histogram's empty last_counts plays the same role: a real
+    // snapshot always has ≥ 2 buckets; an empty top-k has nothing to
+    // delta until its first row lands, which then differs).
+    mutable std::uint64_t last_value = kNeverCollected;
+    mutable std::uint64_t changed_seq = 0;
+    mutable std::vector<std::uint64_t> last_counts;  // histogram/topk rows
+    mutable std::vector<std::string> last_labels;    // topk only
+
+    /// The row's instrument if it is an `Instrument`, else nullptr.
+    template <typename Instrument>
+    [[nodiscard]] Instrument* as() const noexcept {
+      const auto* held = std::get_if<std::unique_ptr<Instrument>>(&instrument);
+      return held != nullptr ? held->get() : nullptr;
+    }
+
+    /// The payload pointers a changed-since walk reports: bucket counts
+    /// double as top-k row values.
+    [[nodiscard]] const std::vector<std::uint64_t>* changed_counts()
+        const noexcept {
+      return as<AnyCounter>() == nullptr ? &last_counts : nullptr;
+    }
+    [[nodiscard]] const std::vector<std::string>* changed_labels()
+        const noexcept {
+      return as<AnyTopK>() != nullptr ? &last_labels : nullptr;
+    }
+  };
+
   /// The one collect pass both snapshot_all_into forms share. Caller
   /// holds mutex_: shared suffices for a plain pass (pass_seq ==
   /// nullptr, nothing written but the caller's frame), exclusive is
@@ -470,20 +478,22 @@ class RegistryT {
         out[i].model = flat_[i].model;
         out[i].error_bound = flat_[i].error_bound;
         out[i].top_labels.clear();  // kTopK rows are refreshed per pass
-        if (flat_[i].hist != nullptr) {
-          out[i].bucket_bounds = flat_[i].hist->bucket_bounds();
+        if (const AnyHistogram* hist = flat_[i].template as<AnyHistogram>()) {
+          out[i].bucket_bounds = hist->bucket_bounds();
         } else {
           out[i].bucket_bounds.clear();
-          if (flat_[i].topk == nullptr) out[i].bucket_counts.clear();
+          if (flat_[i].template as<AnyTopK>() == nullptr) {
+            out[i].bucket_counts.clear();
+          }
         }
       }
     }
     for (std::size_t i = 0; i < flat_.size(); ++i) {
       const Entry& entry = flat_[i];
-      if (entry.topk != nullptr) {
+      if (AnyTopK* topk = entry.template as<AnyTopK>()) {
         // Labeled vector entry: ranked rows straight into the caller's
         // storage; the scalar value is the top row's (0 when empty).
-        entry.topk->snapshot_into(out[i].top_labels, out[i].bucket_counts);
+        topk->snapshot_into(out[i].top_labels, out[i].bucket_counts);
         out[i].value =
             out[i].bucket_counts.empty() ? 0 : out[i].bucket_counts.front();
         if (pass_seq != nullptr &&
@@ -496,11 +506,11 @@ class RegistryT {
         }
         continue;
       }
-      if (entry.hist != nullptr) {
+      if (AnyHistogram* hist = entry.template as<AnyHistogram>()) {
         // Vector entry: snapshot straight into the caller's storage (a
         // plain shared-lock pass must not touch the flat table), then
         // derive the scalar value as the saturated count sum.
-        entry.hist->snapshot_into(pid, out[i].bucket_counts);
+        hist->snapshot_into(pid, out[i].bucket_counts);
         std::uint64_t total = 0;
         for (const std::uint64_t count : out[i].bucket_counts) {
           total = base::sat_add(total, count);
@@ -513,7 +523,7 @@ class RegistryT {
         }
         continue;
       }
-      const std::uint64_t value = entry.counter->read(pid);
+      const std::uint64_t value = entry.template as<AnyCounter>()->read(pid);
       out[i].value = value;
       if (pass_seq != nullptr && value != entry.last_value) {
         entry.last_value = value;
@@ -524,77 +534,55 @@ class RegistryT {
     return version_;
   }
 
-  struct Entry;  // defined below (flat snapshot-table row)
-
-  /// Shared tail of every registration path (caller holds the exclusive
-  /// lock): get-or-create in the kind map, mirror a new instrument into
-  /// the flat snapshot table at its name-sorted position, bump the
-  /// version. Each returns nullptr on a cross-kind name collision.
-  template <typename Factory>
-  AnyCounter* create_locked(const std::string& name, Factory&& make) {
-    if (histograms_.find(name) != histograms_.end() ||
-        topks_.find(name) != topks_.end()) {
-      return nullptr;
-    }
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-      it = counters_.emplace(name, make()).first;
-      AnyCounter& counter = *it->second;
-      Entry& entry = insert_flat_locked(name);
-      entry.counter = &counter;
-      entry.model = counter.error_model();
-      entry.error_bound = counter.error_bound();
-    }
-    return it->second.get();
+  /// Index of `name`'s row in flat_, or of where it would be inserted.
+  [[nodiscard]] std::size_t position_locked(const std::string& name) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(flat_.begin(), flat_.end(), name,
+                         [](const Entry& entry, const std::string& key) {
+                           return entry.name < key;
+                         }) -
+        flat_.begin());
   }
 
-  template <typename Factory>
-  AnyHistogram* add_histogram_locked(const std::string& name, Factory&& make) {
-    if (counters_.find(name) != counters_.end() ||
-        topks_.find(name) != topks_.end()) {
-      return nullptr;
-    }
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(name, make()).first;
-      AnyHistogram& hist = *it->second;
-      Entry& entry = insert_flat_locked(name);
-      entry.model = ErrorModel::kHistogram;
-      entry.error_bound = hist.per_bucket_bound();
-      entry.hist = &hist;
-    }
-    return it->second.get();
+  /// The `Instrument` registered under `name`; nullptr when the name is
+  /// absent or held by another kind. Caller holds mutex_.
+  template <typename Instrument>
+  [[nodiscard]] Instrument* find_locked(const std::string& name) const {
+    const std::size_t pos = position_locked(name);
+    if (pos == flat_.size() || flat_[pos].name != name) return nullptr;
+    return flat_[pos].template as<Instrument>();
   }
 
-  template <typename Factory>
-  AnyTopK* add_topk_locked(const std::string& name, Factory&& make) {
-    if (counters_.find(name) != counters_.end() ||
-        histograms_.find(name) != histograms_.end()) {
-      return nullptr;
+  /// The one registration path (caller holds the exclusive lock):
+  /// returns the `Instrument` already registered under `name`; nullptr
+  /// without running `make` when another kind holds the name; otherwise
+  /// inserts a row owning `make()`'s instrument (nullptr = none) at its
+  /// name-sorted position and bumps the version.
+  template <typename Instrument, typename Factory>
+  Instrument* insert_locked(const std::string& name, Factory&& make) {
+    const std::size_t pos = position_locked(name);
+    if (pos < flat_.size() && flat_[pos].name == name) {
+      return flat_[pos].template as<Instrument>();
     }
-    auto it = topks_.find(name);
-    if (it == topks_.end()) {
-      it = topks_.emplace(name, make()).first;
-      AnyTopK& topk = *it->second;
-      Entry& entry = insert_flat_locked(name);
-      entry.model = ErrorModel::kTopK;
-      entry.error_bound = 0;  // max-register rows are exact
-      entry.topk = &topk;
-    }
-    return it->second.get();
-  }
-
-  Entry& insert_flat_locked(const std::string& name) {
-    const auto pos = std::lower_bound(
-        flat_.begin(), flat_.end(), name,
-        [](const Entry& entry, const std::string& key) {
-          return entry.name < key;
-        });
+    std::unique_ptr<Instrument> made = make();
+    Instrument* const handle = made.get();
+    if (handle == nullptr) return nullptr;  // the factory declined
     Entry entry;
     entry.name = name;
-    const auto it = flat_.insert(pos, std::move(entry));
+    if constexpr (std::is_same_v<Instrument, AnyCounter>) {
+      entry.model = handle->error_model();
+      entry.error_bound = handle->error_bound();
+    } else if constexpr (std::is_same_v<Instrument, AnyHistogram>) {
+      entry.model = ErrorModel::kHistogram;
+      entry.error_bound = handle->per_bucket_bound();
+    } else {
+      entry.model = ErrorModel::kTopK;  // max-register rows are exact
+    }
+    entry.instrument = std::move(made);
+    flat_.insert(flat_.begin() + static_cast<std::ptrdiff_t>(pos),
+                 std::move(entry));
     ++version_;
-    return *it;
+    return handle;
   }
 
   std::unique_ptr<AnyCounter> make_counter(const CounterSpec& spec) const {
@@ -615,42 +603,6 @@ class RegistryT {
     }
   }
 
-  /// One row of the flat snapshot table: the per-counter constants a
-  /// collect pass needs, cached at create time (counters are never
-  /// destroyed or reconfigured before the registry).
-  struct Entry {
-    std::string name;
-    AnyCounter* counter = nullptr;  // scalar entries; else nullptr
-    ErrorModel model = ErrorModel::kExact;
-    std::uint64_t error_bound = 0;
-    AnyHistogram* hist = nullptr;  // histogram entries; else nullptr
-    AnyTopK* topk = nullptr;       // top-k entries; else nullptr
-    // Change-tracking columns, written only by sequenced collects under
-    // the exclusive lock (mutable: those collects are const like every
-    // snapshot pass). last_value starts at an impossible counter value
-    // so a new entry's first sequenced pass always registers a change
-    // (a histogram's empty last_counts plays the same role: a real
-    // snapshot always has ≥ 2 buckets; an empty top-k has nothing to
-    // delta until its first row lands, which then differs).
-    mutable std::uint64_t last_value = kNeverCollected;
-    mutable std::uint64_t changed_seq = 0;
-    mutable std::vector<std::uint64_t> last_counts;  // histogram/topk rows
-    mutable std::vector<std::string> last_labels;    // topk only
-  };
-
-  /// The per-entry payload pointers a changed-since walk reports (see
-  /// for_each_changed_since): bucket counts double as top-k row values.
-  [[nodiscard]] static const std::vector<std::uint64_t>* changed_counts(
-      const Entry& entry) noexcept {
-    return entry.hist != nullptr || entry.topk != nullptr
-               ? &entry.last_counts
-               : nullptr;
-  }
-  [[nodiscard]] static const std::vector<std::string>* changed_labels(
-      const Entry& entry) noexcept {
-    return entry.topk != nullptr ? &entry.last_labels : nullptr;
-  }
-
   /// Counters count up from 0; ~0 marks "no sequenced pass yet".
   static constexpr std::uint64_t kNeverCollected = ~std::uint64_t{0};
 
@@ -663,10 +615,7 @@ class RegistryT {
 
   unsigned n_;
   mutable std::shared_mutex mutex_;
-  std::map<std::string, std::unique_ptr<AnyCounter>> counters_;
-  std::map<std::string, std::unique_ptr<AnyHistogram>> histograms_;
-  std::map<std::string, std::unique_ptr<AnyTopK>> topks_;
-  std::vector<Entry> flat_;  // name-sorted mirror of the kind maps
+  std::vector<Entry> flat_;  // name-sorted; each row owns its instrument
   std::uint64_t version_;    // nonce-seeded, bumped per create (never 0)
   mutable std::uint64_t last_pass_seq_ = 0;  // newest completed sequenced pass
 };

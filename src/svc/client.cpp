@@ -275,7 +275,7 @@ bool TelemetryClient::poll_frame(std::chrono::milliseconds timeout) {
                                      static_cast<std::size_t>(payload_len));
       const std::size_t wire_bytes = kFramePrefixBytes + payload.size();
       // An SHM_OFFER rides the data channel; it must be intercepted here
-      // (the view rejects v3 frames as corrupt). decode_shm_offer is
+      // (the view rejects its kind as corrupt). decode_shm_offer is
       // strict — anything else falls through to the view untouched. The
       // server offers a ring only to a subscriber it has sent its
       // group's full, so an offer arriving while the rebase guard is

@@ -18,17 +18,17 @@
 // frame on its next tick. Corrupt bytes close the connection: after a
 // framing error nothing downstream can be trusted.
 //
-// Wire v2 control channel: subscribe(filter) asks the server for a
-// named subset of the fleet (exact names and/or prefixes; an empty
-// filter is the v1 everything-stream), and request_resync() asks for an
-// immediate fresh full of the current subset — recovery the CLIENT
-// drives, instead of waiting out the server's next table change. Both
-// mark the view rebase-pending until the re-basing full applies (at the
-// server's next tick at the latest). Control records ride the same
+// Control channel: subscribe(filter) asks the server for a named
+// subset of the fleet (exact names and/or prefixes; an empty filter is
+// the everything-stream), and request_resync() asks for an immediate
+// fresh full of the current subset — recovery the CLIENT drives,
+// instead of waiting out the server's next table change. Both mark the
+// view rebase-pending until the re-basing full applies (at the server's
+// next tick at the latest). Control records ride the same
 // socket as acks; a record is never split (whole records or nothing),
 // so the outbound stream cannot desync.
 //
-// Wire v3 shm transport: request_shm() asks a same-host server for its
+// Shm transport: request_shm() asks a same-host server for its
 // shared-memory snapshot ring. When the SHM_OFFER arrives, poll_frame
 // maps the segment read-only, confirms with SHM_ACCEPT, and from then
 // on pulls data frames out of the ring: no socket round-trip, no data
@@ -209,8 +209,8 @@ class TelemetryClient {
   std::uint64_t full_frame_bytes_ = 0;
   std::uint64_t delta_frame_bytes_ = 0;
   std::uint64_t last_latency_ns_ = 0;
-  // Shm ring state (wire v3). shm_requested_ gates offer adoption —
-  // offers are solicited-only, an unrequested one is just skipped.
+  // Shm ring state. shm_requested_ gates offer adoption — offers are
+  // solicited-only, an unrequested one is just skipped.
   ShmRingReader ring_;
   bool shm_requested_ = false;
   // SHM_ACCEPT is deferred until a ring frame APPLIES: at adoption, and

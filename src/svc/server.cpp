@@ -298,8 +298,8 @@ class ServerCore {
     std::shared_ptr<const std::vector<std::uint64_t>> selection;
   };
 
-  /// A group's shared-memory snapshot ring (wire v3): created by the
-  /// worker serving the group's first SHM_REQUEST, published into by the
+  /// A group's shared-memory snapshot ring: created by the worker
+  /// serving the group's first SHM_REQUEST, published into by the
   /// collector only, destroyed (unlinked) with the group.
   struct GroupRing {
     ShmRingWriter writer;
@@ -880,10 +880,9 @@ class ServerCore {
     client.force_full = true;
   }
 
-  /// Parses complete inbound records — { kAckByte, seq } acks (v1) and
-  /// kControlByte-framed SUBSCRIBE/RESYNC control frames (v2) — out of
-  /// the client's buffered bytes. False = EOF / error / protocol
-  /// violation: close.
+  /// Parses complete inbound records — { kAckByte, seq } acks and
+  /// kControlByte-framed control records — out of the client's
+  /// buffered bytes. False = EOF / error / protocol violation: close.
   bool read_inbound(Client& client) {
     char buf[256];
     while (true) {
@@ -1495,34 +1494,19 @@ SnapshotServerT<Backend>::SnapshotServerT(
                                std::uint64_t expected_version,
                                const std::vector<std::uint64_t>* selection,
                                std::vector<DeltaEntry>& out) {
-    const auto append = [&out](std::size_t index, std::uint64_t value,
-                               const std::vector<std::uint64_t>* counts,
-                               const std::vector<std::string>* labels) {
-      out.push_back({index, value,
-                     counts != nullptr ? *counts
-                                       : std::vector<std::uint64_t>{},
-                     labels != nullptr ? *labels
-                                       : std::vector<std::string>{}});
-    };
-    if (selection == nullptr) {
-      return registry_.for_each_changed_since(
-          since, expected_version,
-          [&](std::size_t index, const std::string& /*name*/,
-              std::uint64_t value, std::uint64_t /*changed_seq*/,
-              const std::vector<std::uint64_t>* counts,
-              const std::vector<std::string>* labels) {
-            append(index, value, counts, labels);
-          });
-    }
-    return registry_.for_each_changed_since_filtered(
-        since, expected_version, *selection,
-        [&](std::size_t subset_index, std::size_t /*flat_index*/,
-            const std::string& /*name*/, std::uint64_t value,
-            std::uint64_t /*changed_seq*/,
-            const std::vector<std::uint64_t>* counts,
-            const std::vector<std::string>* labels) {
-          append(subset_index, value, counts, labels);
-        });
+    return registry_.for_each_changed_since(
+        since, expected_version,
+        [&out](std::size_t index, const std::string& /*name*/,
+               std::uint64_t value, std::uint64_t /*changed_seq*/,
+               const std::vector<std::uint64_t>* counts,
+               const std::vector<std::string>* labels) {
+          out.push_back({index, value,
+                         counts != nullptr ? *counts
+                                           : std::vector<std::uint64_t>{},
+                         labels != nullptr ? *labels
+                                           : std::vector<std::string>{}});
+        },
+        selection);
   };
   core_ = std::make_unique<detail::ServerCore>(options, std::move(hooks));
 }

@@ -7,10 +7,10 @@
 //   * filter groups — every subscriber is a member of exactly one
 //     group, keyed by the canonical form of its subscription filter. A
 //     client that never subscribes is in the pass-all group (the whole
-//     fleet: the v1 stream); a SUBSCRIBE (wire v2, see wire.hpp) moves
-//     it to its filter's group, and from the next tick it receives only
-//     the matching subset — a full re-bases its name table, then
-//     group-shared deltas. The pass-all group is an ordinary group that
+//     fleet); a SUBSCRIBE (see wire.hpp) moves it to its filter's
+//     group, and from the next tick it receives only the matching
+//     subset — a full re-bases its name table, then group-shared
+//     deltas. The pass-all group is an ordinary group that
 //     simply outlives its members, so there is one serving path.
 //
 //   * collector thread — every `period`, one sequenced collect_into
@@ -43,8 +43,8 @@
 //     shared delta if that covers it, as a per-client catch-up delta
 //     (the registry's changed-since walk over the group's subset) if it
 //     lagged but its name table is unchanged, or as the group's full
-//     otherwise. A RESYNC (wire v2) asks for that full at the next tick
-//     at the latest. Memory per client is O(one frame) regardless of
+//     otherwise. A RESYNC asks for that full at the next tick at the
+//     latest. Memory per client is O(one frame) regardless of
 //     how slow it reads; nobody is disconnected for being slow.
 //
 //   * acks — subscribers send { 0xAC, seq:uvarint } after applying a
@@ -53,8 +53,8 @@
 //     guaranteeing delivery of fully-written frames. Unknown inbound
 //     bytes are a protocol error and close that subscriber.
 //
-//   * shared-memory rings (wire v3) — when ServerOptions::shm_enable, a
-//     group's first SHM_REQUEST creates a seqlock shm ring for it
+//   * shared-memory rings — when ServerOptions::shm_enable, a group's
+//     first SHM_REQUEST creates a seqlock shm ring for it
 //     (base/seqlock_ring.hpp via svc/shm.hpp), into which the collector
 //     then publishes each tick's group frame (the delta, else the full).
 //     The requester receives SHM_OFFER (segment name, generation,
@@ -108,10 +108,10 @@ struct ServerOptions {
   /// A filter group whose subset did not change ships nothing — except
   /// one empty-delta heartbeat after this many consecutive suppressed
   /// ticks (liveness + sequence advance for its subscribers). Minimum 1
-  /// (1 = heartbeat every tick, v1 cadence).
+  /// (1 = heartbeat every tick).
   unsigned group_heartbeat_ticks = 16;
-  /// Shared-memory snapshot rings (wire v3, see shm.hpp): when enabled,
-  /// a filter group's first SHM_REQUEST creates a POSIX shm ring into
+  /// Shared-memory snapshot rings (see shm.hpp): when enabled, a
+  /// filter group's first SHM_REQUEST creates a POSIX shm ring into
   /// which the collector publishes the group's frame every tick, and
   /// same-host members that SHM_REQUEST it consume frames with zero
   /// syscalls and zero server-side per-reader work. Disabling (or a
@@ -137,8 +137,8 @@ struct ServerOptions {
   /// and is never evicted. Shm-consuming clients are exempt (they ack
   /// nothing by design; ring liveness is the client's job), as are
   /// idle-but-owed-nothing subscribers of a quiet filter group.
-  /// 0 disables eviction (the pre-v5 behavior). Default 250 ticks
-  /// (5 s at the default 20 ms period).
+  /// 0 disables eviction. Default 250 ticks (5 s at the default 20 ms
+  /// period).
   unsigned ack_deadline_ticks = 250;
   /// Flight recorder (src/obs): when non-null the server records one
   /// structured event per resilience-ladder decision (accept, evict,
@@ -182,7 +182,7 @@ struct ServerStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t acks_received = 0;
   std::uint64_t min_acked_seq = 0;  // slowest subscriber's acked frame
-  // Wire v2 control channel + filter groups.
+  // Control channel + filter groups.
   std::uint64_t subscribes_received = 0;
   std::uint64_t resyncs_received = 0;
   /// Distinct group encodes actually performed, over every group (the
@@ -196,7 +196,7 @@ struct ServerStats {
   /// was shipped to it (not coalescing — there was nothing to say; a
   /// heartbeat bounds the silence).
   std::uint64_t group_deltas_suppressed = 0;
-  // Shared-memory ring transport (wire v3).
+  // Shared-memory ring transport.
   std::uint64_t shm_requests_received = 0;
   std::uint64_t shm_offers_sent = 0;
   std::uint64_t shm_accepts_received = 0;  // clients moved off TCP data

@@ -65,16 +65,50 @@ bool read_name_list(const char** cursor, const char* end,
   return true;
 }
 
-void append_header(std::string& out, FrameKind kind, std::uint64_t sequence,
-                   std::uint64_t registry_version, std::uint64_t collect_ns,
-                   std::uint8_t version = kWireVersion) {
+/// The one record-prefix writer: magic, version, kind.
+void append_prefix(std::string& out, FrameKind kind) {
   out.push_back(static_cast<char>(kWireMagic0));
   out.push_back(static_cast<char>(kWireMagic1));
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(kind));
+}
+
+void append_header(std::string& out, FrameKind kind, std::uint64_t sequence,
+                   std::uint64_t registry_version, std::uint64_t collect_ns) {
+  append_prefix(out, kind);
   append_uvarint(out, sequence);
   append_uvarint(out, registry_version);
   append_uvarint(out, collect_ns);
+}
+
+/// The one record-prefix reader. False when truncated or when the magic
+/// or version byte is not ours; the kind is the caller's to check.
+bool read_prefix(const char** cursor, const char* end, FrameKind& kind) {
+  if (end - *cursor < 4) return false;
+  const char* p = *cursor;
+  if (static_cast<unsigned char>(p[0]) != kWireMagic0 ||
+      static_cast<unsigned char>(p[1]) != kWireMagic1 ||
+      static_cast<std::uint8_t>(p[2]) != kWireVersion) {
+    return false;
+  }
+  kind = static_cast<FrameKind>(p[3]);
+  *cursor += 4;
+  return true;
+}
+
+/// A data-frame prefix + header, as read_header parses it.
+struct Header {
+  FrameKind kind = FrameKind::kFull;
+  std::uint64_t sequence = 0;
+  std::uint64_t registry_version = 0;
+  std::uint64_t collect_ns = 0;
+};
+
+bool read_header(const char** cursor, const char* end, Header& header) {
+  return read_prefix(cursor, end, header.kind) &&
+         read_uvarint(cursor, end, header.sequence) &&
+         read_uvarint(cursor, end, header.registry_version) &&
+         read_uvarint(cursor, end, header.collect_ns);
 }
 
 bool read_u8(const char** cursor, const char* end, std::uint8_t& value) {
@@ -129,58 +163,41 @@ bool read_uvarint(const char** cursor, const char* end, std::uint64_t& value) {
 
 namespace {
 
+/// Appends a top-k row list: row count, then ranked (label_len, label,
+/// value) rows from the parallel label/value vectors.
+void append_rows(std::string& out, const std::vector<std::string>& labels,
+                 const std::vector<std::uint64_t>& values) {
+  append_uvarint(out, labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    append_uvarint(out, labels[i].size());
+    out.append(labels[i]);
+    append_uvarint(out, values[i]);
+  }
+}
+
+void append_counts(std::string& out, const std::vector<std::uint64_t>& counts) {
+  for (const std::uint64_t count : counts) append_uvarint(out, count);
+}
+
 void append_sample(std::string& out, const shard::Sample& sample) {
   append_uvarint(out, sample.name.size());
   out.append(sample.name);
   out.push_back(static_cast<char>(sample.model));
   append_uvarint(out, sample.error_bound);
   if (sample.model == shard::ErrorModel::kTopK) {
-    // Labeled entry (v5 grammar): row count, then ranked
-    // (label_len, label, value) rows. The top value is NOT shipped
-    // separately — decoders derive it from row 0.
-    append_uvarint(out, sample.top_labels.size());
-    for (std::size_t i = 0; i < sample.top_labels.size(); ++i) {
-      append_uvarint(out, sample.top_labels[i].size());
-      out.append(sample.top_labels[i]);
-      append_uvarint(out, sample.bucket_counts[i]);
+    append_rows(out, sample.top_labels, sample.bucket_counts);
+  } else if (sample.model == shard::ErrorModel::kHistogram) {
+    // Bucket count, edge0 + ascending diffs, then the counts.
+    append_uvarint(out, sample.bucket_counts.size());
+    for (std::size_t i = 0; i < sample.bucket_bounds.size(); ++i) {
+      append_uvarint(out, i == 0 ? sample.bucket_bounds[0]
+                                 : sample.bucket_bounds[i] -
+                                       sample.bucket_bounds[i - 1]);
     }
-    return;
-  }
-  if (sample.model != shard::ErrorModel::kHistogram) {
+    append_counts(out, sample.bucket_counts);
+  } else {
     append_uvarint(out, sample.value);
-    return;
   }
-  // Vector entry (v4 grammar): bucket count, edge0 + ascending diffs,
-  // then the counts. The sum is NOT shipped — decoders derive it.
-  const std::size_t nbuckets = sample.bucket_counts.size();
-  append_uvarint(out, nbuckets);
-  for (std::size_t i = 0; i < sample.bucket_bounds.size(); ++i) {
-    append_uvarint(out, i == 0 ? sample.bucket_bounds[0]
-                               : sample.bucket_bounds[i] -
-                                     sample.bucket_bounds[i - 1]);
-  }
-  for (const std::uint64_t count : sample.bucket_counts) {
-    append_uvarint(out, count);
-  }
-}
-
-/// The version byte one entry requires: 5 for labeled top-k entries, 4
-/// for histogram vectors, the frozen v1 for scalars.
-std::uint8_t sample_version(const shard::Sample& sample) {
-  if (sample.model == shard::ErrorModel::kTopK) return kTopKVersion;
-  if (sample.model == shard::ErrorModel::kHistogram) return kVectorVersion;
-  return kWireVersion;
-}
-
-/// The data-frame version byte: the maximum any riding entry requires,
-/// so scalar-only frames stay byte-identical to a v1 server's (the
-/// compatibility contract).
-std::uint8_t full_frame_version(const shard::TelemetryFrame& frame) {
-  std::uint8_t version = kWireVersion;
-  for (const shard::Sample& sample : frame.samples) {
-    version = std::max(version, sample_version(sample));
-  }
-  return version;
 }
 
 }  // namespace
@@ -190,7 +207,7 @@ void encode_full_frame(const shard::TelemetryFrame& frame,
   out.clear();
   append_u32le(out, 0);  // length prefix, patched below
   append_header(out, FrameKind::kFull, frame.sequence, frame.registry_version,
-                collect_ns, full_frame_version(frame));
+                collect_ns);
   append_uvarint(out, frame.samples.size());
   for (const shard::Sample& sample : frame.samples) {
     append_sample(out, sample);
@@ -204,44 +221,20 @@ void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::string& out) {
   out.clear();
   append_u32le(out, 0);  // length prefix, patched below
-  std::uint8_t version = kWireVersion;
-  for (const DeltaEntry& entry : entries) {
-    if (!entry.labels.empty()) {
-      version = kTopKVersion;
-      break;
-    }
-    if (!entry.buckets.empty()) version = kVectorVersion;
-  }
-  append_header(out, FrameKind::kDelta, sequence, registry_version,
-                collect_ns, version);
+  append_header(out, FrameKind::kDelta, sequence, registry_version, collect_ns);
   append_uvarint(out, base_seq);
   append_uvarint(out, entries.size());
   for (const DeltaEntry& entry : entries) {
-    append_uvarint(out, entry.index);
-    if (version == kWireVersion) {
-      append_uvarint(out, entry.value);
-      continue;
-    }
+    const bool vector = !entry.labels.empty() || !entry.buckets.empty();
+    append_uvarint(out, entry.index * 2 + (vector ? 1 : 0));
     if (!entry.labels.empty()) {
-      // v5 top-k entry: tag 1, then ranked (label_len, label, value)
-      // rows (labels/buckets are parallel — see DeltaEntry).
-      append_uvarint(out, 1);
-      append_uvarint(out, entry.labels.size());
-      for (std::size_t i = 0; i < entry.labels.size(); ++i) {
-        append_uvarint(out, entry.labels[i].size());
-        out.append(entry.labels[i]);
-        append_uvarint(out, entry.buckets[i]);
-      }
-      continue;
-    }
-    // v4 delta entries are self-describing: nbuckets = 0 marks a scalar.
-    append_uvarint(out, entry.buckets.size());
-    if (entry.buckets.empty()) {
-      append_uvarint(out, entry.value);
+      append_uvarint(out, 1);  // tag: ranked top-k rows
+      append_rows(out, entry.labels, entry.buckets);
+    } else if (vector) {
+      append_uvarint(out, entry.buckets.size());  // tag: bucket count
+      append_counts(out, entry.buckets);
     } else {
-      for (const std::uint64_t count : entry.buckets) {
-        append_uvarint(out, count);
-      }
+      append_uvarint(out, entry.value);
     }
   }
   patch_length_prefix(out);
@@ -300,14 +293,10 @@ bool SubscriptionFilter::within_limits() const noexcept {
 
 namespace {
 
-void append_control_header(std::string& out, FrameKind kind,
-                           std::uint8_t version = kControlVersion) {
+void append_control_header(std::string& out, FrameKind kind) {
   out.push_back(static_cast<char>(kControlByte));
   append_u32le(out, 0);  // payload length, patched by the caller
-  out.push_back(static_cast<char>(kWireMagic0));
-  out.push_back(static_cast<char>(kWireMagic1));
-  out.push_back(static_cast<char>(version));
-  out.push_back(static_cast<char>(kind));
+  append_prefix(out, kind);
 }
 
 }  // namespace
@@ -330,20 +319,20 @@ void encode_resync_record(std::string& out) {
 
 void encode_shm_request_record(std::string& out) {
   out.clear();
-  append_control_header(out, FrameKind::kShmRequest, kShmVersion);
+  append_control_header(out, FrameKind::kShmRequest);
   patch_length_at(out, 1);
 }
 
 void encode_shm_accept_record(std::uint64_t generation, std::string& out) {
   out.clear();
-  append_control_header(out, FrameKind::kShmAccept, kShmVersion);
+  append_control_header(out, FrameKind::kShmAccept);
   append_uvarint(out, generation);
   patch_length_at(out, 1);
 }
 
 void encode_metricsz_request_record(std::string& out) {
   out.clear();
-  append_control_header(out, FrameKind::kMetricszRequest, kTopKVersion);
+  append_control_header(out, FrameKind::kMetricszRequest);
   patch_length_at(out, 1);
 }
 
@@ -354,7 +343,7 @@ void encode_metricsz_frame(std::uint64_t sequence,
   out.clear();
   append_u32le(out, 0);  // stream length prefix, patched below
   append_header(out, FrameKind::kMetricsz, sequence, registry_version,
-                collect_ns, kTopKVersion);
+                collect_ns);
   out.append(text);
   patch_length_prefix(out);
 }
@@ -362,25 +351,9 @@ void encode_metricsz_frame(std::uint64_t sequence,
 bool decode_metricsz(std::string_view payload, std::string& text) {
   const char* cursor = payload.data();
   const char* const end = cursor + payload.size();
-  std::uint8_t magic0 = 0;
-  std::uint8_t magic1 = 0;
-  std::uint8_t version = 0;
-  std::uint8_t kind = 0;
-  if (!read_u8(&cursor, end, magic0) || !read_u8(&cursor, end, magic1) ||
-      !read_u8(&cursor, end, version) || !read_u8(&cursor, end, kind)) {
-    return false;
-  }
-  if (magic0 != kWireMagic0 || magic1 != kWireMagic1 ||
-      version != kTopKVersion ||
-      static_cast<FrameKind>(kind) != FrameKind::kMetricsz) {
-    return false;
-  }
-  std::uint64_t sequence = 0;
-  std::uint64_t registry_version = 0;
-  std::uint64_t collect_ns = 0;
-  if (!read_uvarint(&cursor, end, sequence) ||
-      !read_uvarint(&cursor, end, registry_version) ||
-      !read_uvarint(&cursor, end, collect_ns)) {
+  Header header;
+  if (!read_header(&cursor, end, header) ||
+      header.kind != FrameKind::kMetricsz) {
     return false;
   }
   text.assign(cursor, static_cast<std::size_t>(end - cursor));
@@ -391,10 +364,7 @@ bool encode_shm_offer_frame(const ShmOffer& offer, std::string& out) {
   out.clear();
   if (offer.name.empty() || offer.name.size() > kMaxShmNameBytes) return false;
   append_u32le(out, 0);  // stream length prefix, patched below
-  out.push_back(static_cast<char>(kWireMagic0));
-  out.push_back(static_cast<char>(kWireMagic1));
-  out.push_back(static_cast<char>(kShmVersion));
-  out.push_back(static_cast<char>(FrameKind::kShmOffer));
+  append_prefix(out, FrameKind::kShmOffer);
   append_uvarint(out, offer.name.size());
   out.append(offer.name);
   append_uvarint(out, offer.generation);
@@ -407,17 +377,8 @@ bool encode_shm_offer_frame(const ShmOffer& offer, std::string& out) {
 bool decode_shm_offer(std::string_view payload, ShmOffer& out) {
   const char* cursor = payload.data();
   const char* const end = cursor + payload.size();
-  std::uint8_t magic0 = 0;
-  std::uint8_t magic1 = 0;
-  std::uint8_t version = 0;
-  std::uint8_t kind = 0;
-  if (!read_u8(&cursor, end, magic0) || !read_u8(&cursor, end, magic1) ||
-      !read_u8(&cursor, end, version) || !read_u8(&cursor, end, kind)) {
-    return false;
-  }
-  if (magic0 != kWireMagic0 || magic1 != kWireMagic1 ||
-      version != kShmVersion ||
-      static_cast<FrameKind>(kind) != FrameKind::kShmOffer) {
+  FrameKind kind = FrameKind::kFull;
+  if (!read_prefix(&cursor, end, kind) || kind != FrameKind::kShmOffer) {
     return false;
   }
   std::uint64_t name_len = 0;
@@ -446,87 +407,45 @@ bool decode_shm_offer(std::string_view payload, ShmOffer& out) {
 bool decode_control_payload(std::string_view payload, ControlFrame& out) {
   const char* cursor = payload.data();
   const char* const end = cursor + payload.size();
-  std::uint8_t magic0 = 0;
-  std::uint8_t magic1 = 0;
-  std::uint8_t version = 0;
-  std::uint8_t kind = 0;
-  if (!read_u8(&cursor, end, magic0) || !read_u8(&cursor, end, magic1) ||
-      !read_u8(&cursor, end, version) || !read_u8(&cursor, end, kind)) {
-    return false;
-  }
-  if (magic0 != kWireMagic0 || magic1 != kWireMagic1) return false;
+  if (!read_prefix(&cursor, end, out.kind)) return false;
   out.filter = SubscriptionFilter{};
   out.shm_generation = 0;
-  // Each control kind is checked against the version that introduced
-  // it: SUBSCRIBE/RESYNC are v2, SHM_REQUEST/SHM_ACCEPT are v3,
-  // METRICSZ_REQUEST is v5.
-  switch (static_cast<FrameKind>(kind)) {
+  switch (out.kind) {
     case FrameKind::kSubscribe:
-      if (version != kControlVersion) return false;
-      out.kind = FrameKind::kSubscribe;
       if (!read_name_list(&cursor, end, out.filter.exact) ||
           !read_name_list(&cursor, end, out.filter.prefixes)) {
         return false;
       }
-      if (cursor != end) return false;  // trailing garbage
       out.filter.normalize();
-      return true;
-    case FrameKind::kResync:
-      if (version != kControlVersion) return false;
-      out.kind = FrameKind::kResync;
-      return cursor == end;  // resync carries no body
-    case FrameKind::kShmRequest:
-      if (version != kShmVersion) return false;
-      out.kind = FrameKind::kShmRequest;
-      return cursor == end;  // request carries no body
+      break;
     case FrameKind::kShmAccept:
-      if (version != kShmVersion) return false;
-      out.kind = FrameKind::kShmAccept;
       if (!read_uvarint(&cursor, end, out.shm_generation) ||
           out.shm_generation == 0) {
         return false;
       }
-      return cursor == end;
+      break;
+    case FrameKind::kResync:
+    case FrameKind::kShmRequest:
     case FrameKind::kMetricszRequest:
-      if (version != kTopKVersion) return false;
-      out.kind = FrameKind::kMetricszRequest;
-      return cursor == end;  // request carries no body
+      break;  // bodyless
     default:
-      return false;
+      return false;  // a data-channel kind, or no kind at all
   }
+  return cursor == end;  // no trailing garbage
 }
 
 ApplyResult MaterializedView::apply(std::string_view payload) {
   const char* cursor = payload.data();
   const char* const end = cursor + payload.size();
-  std::uint8_t magic0 = 0;
-  std::uint8_t magic1 = 0;
-  std::uint8_t version = 0;
-  std::uint8_t kind = 0;
-  if (!read_u8(&cursor, end, magic0) || !read_u8(&cursor, end, magic1) ||
-      !read_u8(&cursor, end, version) || !read_u8(&cursor, end, kind)) {
-    return ApplyResult::kCorrupt;
-  }
-  if (magic0 != kWireMagic0 || magic1 != kWireMagic1 ||
-      (version != kWireVersion && version != kVectorVersion &&
-       version != kTopKVersion)) {
-    return ApplyResult::kCorrupt;
-  }
-  std::uint64_t sequence = 0;
-  std::uint64_t registry_version = 0;
-  std::uint64_t collect_ns = 0;
-  if (!read_uvarint(&cursor, end, sequence) ||
-      !read_uvarint(&cursor, end, registry_version) ||
-      !read_uvarint(&cursor, end, collect_ns)) {
-    return ApplyResult::kCorrupt;
-  }
-  switch (static_cast<FrameKind>(kind)) {
+  Header header;
+  if (!read_header(&cursor, end, header)) return ApplyResult::kCorrupt;
+  switch (header.kind) {
     case FrameKind::kFull:
-      return apply_full(cursor, end, sequence, registry_version, collect_ns,
-                        version);
+      return apply_full(cursor, end, header.sequence, header.registry_version,
+                        header.collect_ns);
     case FrameKind::kDelta:
-      return apply_delta(cursor, end, sequence, registry_version, collect_ns,
-                         version);
+      return apply_delta(cursor, end, header.sequence,
+                         header.registry_version, header.collect_ns);
     default:
       return ApplyResult::kCorrupt;
   }
@@ -534,13 +453,34 @@ ApplyResult MaterializedView::apply(std::string_view payload) {
 
 namespace {
 
-/// Parses a v4 vector body (nbuckets already read) into the sample's
-/// bucket vectors and derives the scalar value as the saturated count
-/// sum. False on any malformed byte: a bucket count beyond the limit or
-/// the remaining bytes, a zero/overflowing edge diff, truncation.
-bool read_vector_body(const char** cursor, const char* end,
-                      std::uint64_t nbuckets, shard::Sample& sample) {
-  if (nbuckets < 2 || nbuckets > kMaxWireBuckets) return false;
+/// Reads `n` bucket counts (n within kMaxWireBuckets, checked against
+/// the remaining bytes before allocating) and their saturated sum.
+bool read_counts(const char** cursor, const char* end, std::uint64_t n,
+                 std::vector<std::uint64_t>& counts, std::uint64_t& total) {
+  if (n > kMaxWireBuckets || n > static_cast<std::uint64_t>(end - *cursor)) {
+    return false;  // ≥ 1 byte per count
+  }
+  counts.resize(static_cast<std::size_t>(n));
+  total = 0;
+  for (std::uint64_t& count : counts) {
+    if (!read_uvarint(cursor, end, count)) return false;
+    total = base::sat_add(total, count);
+  }
+  return true;
+}
+
+/// Parses a FULL entry's histogram body into the sample's bucket
+/// vectors and derives the scalar value as the saturated count sum.
+/// False on any malformed byte: a bucket count below 2, beyond the
+/// limit or the remaining bytes, a zero/overflowing edge diff,
+/// truncation.
+bool read_histogram(const char** cursor, const char* end,
+                    shard::Sample& sample) {
+  std::uint64_t nbuckets = 0;
+  if (!read_uvarint(cursor, end, nbuckets) || nbuckets < 2 ||
+      nbuckets > kMaxWireBuckets) {
+    return false;
+  }
   // Plausibility before any allocation: nbuckets−1 edges + nbuckets
   // counts, each at least one byte.
   if (2 * nbuckets - 1 > static_cast<std::uint64_t>(end - *cursor)) {
@@ -560,24 +500,21 @@ bool read_vector_body(const char** cursor, const char* end,
     }
     sample.bucket_bounds[i] = edge;
   }
-  sample.bucket_counts.resize(static_cast<std::size_t>(nbuckets));
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nbuckets; ++i) {
-    if (!read_uvarint(cursor, end, sample.bucket_counts[i])) return false;
-    total = base::sat_add(total, sample.bucket_counts[i]);
-  }
-  sample.value = total;
-  return true;
+  return read_counts(cursor, end, nbuckets, sample.bucket_counts,
+                     sample.value);
 }
 
-/// Parses a v5 top-k row list (nrows already read) into parallel
-/// label/value vectors. False on any malformed byte: a row count or
-/// label length beyond the limits or the remaining bytes, truncation,
-/// or values not descending (rows ride ranked — see wire.hpp).
-bool read_topk_rows(const char** cursor, const char* end, std::uint64_t nrows,
-                    std::vector<std::string>& labels,
-                    std::vector<std::uint64_t>& values) {
-  if (nrows > kMaxWireTopKRows) return false;
+/// Parses a top-k row list into parallel label/value vectors. False on
+/// any malformed byte: a row count or label length beyond the limits or
+/// the remaining bytes, truncation, or values not descending (rows ride
+/// ranked — see wire.hpp).
+bool read_rows(const char** cursor, const char* end,
+               std::vector<std::string>& labels,
+               std::vector<std::uint64_t>& values) {
+  std::uint64_t nrows = 0;
+  if (!read_uvarint(cursor, end, nrows) || nrows > kMaxWireTopKRows) {
+    return false;
+  }
   // Plausibility before any allocation: each row is at least a
   // label_len byte + a value byte.
   if (2 * nrows > static_cast<std::uint64_t>(end - *cursor)) return false;
@@ -602,13 +539,35 @@ bool read_topk_rows(const char** cursor, const char* end, std::uint64_t nrows,
   return true;
 }
 
+/// Parses one DELTA entry: a key, then a scalar's value or a vector's
+/// tag and body — 1: ranked top-k rows, never empty (an unchanged
+/// directory does not ride a delta); ≥ 2: that many bucket counts;
+/// 0: corrupt.
+bool read_delta_entry(const char** cursor, const char* end,
+                      DeltaEntry& entry) {
+  std::uint64_t key = 0;
+  if (!read_uvarint(cursor, end, key)) return false;
+  entry.index = key >> 1;
+  if ((key & 1) == 0) return read_uvarint(cursor, end, entry.value);
+  std::uint64_t tag = 0;
+  if (!read_uvarint(cursor, end, tag) || tag == 0) return false;
+  if (tag >= 2) {
+    return read_counts(cursor, end, tag, entry.buckets, entry.value);
+  }
+  if (!read_rows(cursor, end, entry.labels, entry.buckets) ||
+      entry.labels.empty()) {
+    return false;
+  }
+  entry.value = entry.buckets.front();
+  return true;
+}
+
 }  // namespace
 
 ApplyResult MaterializedView::apply_full(const char* cursor, const char* end,
                                          std::uint64_t sequence,
                                          std::uint64_t registry_version,
-                                         std::uint64_t collect_ns,
-                                         std::uint8_t version) {
+                                         std::uint64_t collect_ns) {
   std::uint64_t count = 0;
   if (!read_uvarint(&cursor, end, count)) return ApplyResult::kCorrupt;
   // Each entry costs ≥ 4 payload bytes (empty name: len + model + bound
@@ -632,39 +591,25 @@ ApplyResult MaterializedView::apply_full(const char* cursor, const char* end,
     sample.name.assign(cursor, static_cast<std::size_t>(name_len));
     cursor += name_len;
     std::uint8_t model = 0;
-    if (!read_u8(&cursor, end, model)) return ApplyResult::kCorrupt;
-    // The v1 grammar tops out at kAdditive, v4 adds kHistogram, v5 adds
-    // kTopK; a frame may only carry model bytes its version byte admits
-    // (old decoders already rejected the version byte, so no revision
-    // can misread another's entries).
-    const std::uint8_t max_model = static_cast<std::uint8_t>(
-        version >= kTopKVersion
-            ? shard::ErrorModel::kTopK
-            : (version == kVectorVersion ? shard::ErrorModel::kHistogram
-                                         : shard::ErrorModel::kAdditive));
-    if (model > max_model) return ApplyResult::kCorrupt;
+    if (!read_u8(&cursor, end, model) ||
+        model > static_cast<std::uint8_t>(shard::ErrorModel::kTopK)) {
+      return ApplyResult::kCorrupt;
+    }
     sample.model = static_cast<shard::ErrorModel>(model);
     if (!read_uvarint(&cursor, end, sample.error_bound)) {
       return ApplyResult::kCorrupt;
     }
+    bool ok = true;
     if (sample.model == shard::ErrorModel::kTopK) {
-      std::uint64_t nrows = 0;
-      if (!read_uvarint(&cursor, end, nrows) ||
-          !read_topk_rows(&cursor, end, nrows, sample.top_labels,
-                          sample.bucket_counts)) {
-        return ApplyResult::kCorrupt;
-      }
+      ok = read_rows(&cursor, end, sample.top_labels, sample.bucket_counts);
       sample.value =
           sample.bucket_counts.empty() ? 0 : sample.bucket_counts.front();
     } else if (sample.model == shard::ErrorModel::kHistogram) {
-      std::uint64_t nbuckets = 0;
-      if (!read_uvarint(&cursor, end, nbuckets) ||
-          !read_vector_body(&cursor, end, nbuckets, sample)) {
-        return ApplyResult::kCorrupt;
-      }
-    } else if (!read_uvarint(&cursor, end, sample.value)) {
-      return ApplyResult::kCorrupt;
+      ok = read_histogram(&cursor, end, sample);
+    } else {
+      ok = read_uvarint(&cursor, end, sample.value);
     }
+    if (!ok) return ApplyResult::kCorrupt;
     scratch_.push_back(std::move(sample));
   }
   if (cursor != end) return ApplyResult::kCorrupt;  // trailing garbage
@@ -692,9 +637,7 @@ ApplyResult MaterializedView::apply_full(const char* cursor, const char* end,
 ApplyResult MaterializedView::apply_delta(const char* cursor, const char* end,
                                           std::uint64_t sequence,
                                           std::uint64_t registry_version,
-                                          std::uint64_t collect_ns,
-                                          std::uint8_t version) {
-  const bool vectors = version >= kVectorVersion;
+                                          std::uint64_t collect_ns) {
   std::uint64_t base_seq = 0;
   std::uint64_t count = 0;
   if (!read_uvarint(&cursor, end, base_seq) ||
@@ -712,55 +655,7 @@ ApplyResult MaterializedView::apply_delta(const char* cursor, const char* end,
       std::min<std::uint64_t>(count, kReserveClamp)));
   for (std::uint64_t i = 0; i < count; ++i) {
     DeltaEntry entry;
-    if (!read_uvarint(&cursor, end, entry.index)) {
-      return ApplyResult::kCorrupt;
-    }
-    if (!vectors) {
-      if (!read_uvarint(&cursor, end, entry.value)) {
-        return ApplyResult::kCorrupt;
-      }
-    } else {
-      // v4/v5 entries are self-describing: the tag in the nbuckets
-      // position marks a scalar (0), a v5 top-k row list (1 — never a
-      // legal bucket count), or a histogram's bucket count (≥ 2).
-      std::uint64_t tag = 0;
-      if (!read_uvarint(&cursor, end, tag)) {
-        return ApplyResult::kCorrupt;
-      }
-      if (tag == 0) {
-        if (!read_uvarint(&cursor, end, entry.value)) {
-          return ApplyResult::kCorrupt;
-        }
-      } else if (tag == 1) {
-        std::uint64_t nrows = 0;
-        if (version < kTopKVersion ||
-            !read_uvarint(&cursor, end, nrows) ||
-            !read_topk_rows(&cursor, end, nrows, entry.labels,
-                            entry.buckets)) {
-          return ApplyResult::kCorrupt;
-        }
-        // A changed top-k directory always has rows; an empty list can
-        // only be a malformed frame (and would alias a scalar's shape
-        // downstream).
-        if (entry.labels.empty()) return ApplyResult::kCorrupt;
-        entry.value = entry.buckets.front();
-      } else {
-        const std::uint64_t nbuckets = tag;
-        if (nbuckets > kMaxWireBuckets ||
-            nbuckets > static_cast<std::uint64_t>(end - cursor)) {
-          return ApplyResult::kCorrupt;  // ≥ 1 byte per count
-        }
-        entry.buckets.resize(static_cast<std::size_t>(nbuckets));
-        std::uint64_t total = 0;
-        for (std::size_t b = 0; b < entry.buckets.size(); ++b) {
-          if (!read_uvarint(&cursor, end, entry.buckets[b])) {
-            return ApplyResult::kCorrupt;
-          }
-          total = base::sat_add(total, entry.buckets[b]);
-        }
-        entry.value = total;
-      }
-    }
+    if (!read_delta_entry(&cursor, end, entry)) return ApplyResult::kCorrupt;
     if (entry.index >= samples_.size() && full_frames_ > 0 &&
         registry_version == registry_version_) {
       return ApplyResult::kCorrupt;  // index beyond the agreed name table

@@ -1,143 +1,102 @@
 // wire.hpp — the telemetry wire format: TelemetryFrame as bytes.
 //
 // The service layer (src/svc) ships registry snapshots off-process. The
-// format is compact, versioned and self-describing, mirroring what the
-// in-process TelemetryFrame already guarantees (every figure carries its
-// error model + bound):
-//
-//   stream   := { u32le payload_length, payload }*        (server→client)
-//   payload  := header body
-//   header   := magic[2] version:u8 kind:u8
-//               sequence:uv registry_version:uv collect_ns:uv
-//   full     := count:uv { name_len:uv name model:u8 bound:uv value:uv }*
-//   delta    := base_seq:uv count:uv { index:uv value:uv }*
+// format is compact and self-describing, mirroring what the in-process
+// TelemetryFrame already guarantees: every figure carries its error
+// model + bound, so a consumer can interpret it without knowing how the
+// counter was configured. There is one protocol version,
+// kWireVersion = 6, and every record carries it; a decoder rejects any
+// other version byte.
 //
 // (uv = unsigned LEB128 varint; u32le = little-endian fixed 32-bit.)
 //
-// Protocol v4 adds vector-valued (histogram) entries. A data frame that
-// carries at least one vector entry is stamped header version 4; a
-// frame whose entries are all scalars keeps the frozen v1 byte stream
-// EXACTLY (a scalar-only fleet is byte-identical under a v4 server, and
-// an idle histogram drops out of deltas entirely, so steady-state delta
-// bytes do not move). Old clients reject the unknown version byte as
-// corrupt instead of misdecoding — vector entries never reach a decoder
-// that cannot represent them. The v4 grammar:
+//   prefix   := magic[2] version:u8 kind:u8        (every record below)
 //
-//   full4    := count:uv { name_len:uv name model:u8 bound:uv
-//                          ( value:uv                       — model ≤ 2
-//                          | nbuckets:uv edge0:uv
-//                            { edge_diff:uv }*(nbuckets−2)
-//                            { count:uv }*nbuckets ) }*     — model = 3
-//   delta4   := base_seq:uv count:uv
-//               { index:uv nbuckets:uv
-//                 ( value:uv                                — nbuckets = 0
-//                 | { count:uv }*nbuckets ) }*              — nbuckets ≥ 2
+// Data channel (server→client):
 //
-// A vector entry's bucket edges ride as edge0 + strictly-positive
-// diffs (ascending by construction); nbuckets counts buckets INCLUDING
-// the overflow bucket, so there are nbuckets−1 finite edges. No scalar
-// value rides the wire for a vector entry — the decoder derives it as
-// the saturated count sum. nbuckets is bounded by kMaxWireBuckets and a
-// bytes-remaining plausibility check before any allocation.
-//
-// Protocol v5 adds labeled (top-k) vector entries and the metricsz
-// exposition pair. The version-stamping rule is the same ratchet as v4:
-// a data frame is stamped 5 only when a top-k entry actually rides it,
-// 4 when its vectors are all histograms, and the frozen 1 when every
-// entry is scalar — existing fleets do not move a byte. The v5 grammar:
-//
-//   full5    := full4, plus model = 4 (top-k) entries whose body is
-//                 nrows:uv { label_len:uv label value:uv }*
-//   delta5   := base_seq:uv count:uv
-//               { index:uv tag:uv
-//                 ( value:uv                                — tag = 0
-//                 | nrows:uv { label_len:uv label value:uv }* — tag = 1
-//                 | { count:uv }*tag ) }*                   — tag ≥ 2
-//
-// (tag reuses the v4 nbuckets position: 0 still marks a scalar, ≥ 2 is
-// still a histogram's bucket count — 1 is impossible as a bucket count,
-// so v5 claims it for top-k rows.) Rows ride ranked: value-descending,
-// exactly as the registry collects them; decoders reject a non-sorted
-// row list along with over-limit row counts (kMaxWireTopKRows) and
-// label lengths (kMaxTopKLabelBytes). A top-k entry's scalar value is
-// its top row's value (0 when empty) — derived, never shipped.
-//
-// metricsz (v5) is the self-observability exposition pair: a client
-// sends a bodyless METRICSZ_REQUEST control record; the server answers
-// on the DATA channel with one METRICSZ frame whose body is plain
-// exposition text (solicited only, like SHM_OFFER, so a client that
-// never asks never sees the unknown kind):
-//
-//   metricsz_req := (empty)                               (kind 7, c→s)
-//   metricsz     := text bytes (rest of payload)          (kind 8, s→c)
-//
-// Protocol v2 adds a client→server control channel on the same socket.
-// Inbound records are type-byte discriminated (an 0xAC ack record is
-// unchanged from v1; v1 clients never send anything else, which is the
-// whole backward-compatibility story):
-//
-//   inbound  := { ack | control }*                        (client→server)
-//   ack      := 0xAC seq:uv                               (v1)
-//   control  := 0xC5 u32le payload_length cpayload        (v2)
-//   cpayload := magic[2] version:u8 kind:u8 cbody
-//   subscribe:= exact_count:uv { len:uv name }*
-//               prefix_count:uv { len:uv prefix }*        (kind 2)
-//   resync   := (empty)                                   (kind 3)
-//
-// Protocol v3 adds the same-host shared-memory ring negotiation. A
-// client that wants the zero-syscall read path sends SHM_REQUEST; the
-// server — iff it has a healthy ring — answers on the DATA channel with
-// SHM_OFFER (stream framing, v3 header; solicited only, so a v1/v2
-// client that never asks never sees an unknown frame); the client maps
-// the segment and confirms with SHM_ACCEPT, after which the server
-// stops sending it per-tick data frames (the ring carries them) while
-// the TCP connection stays up for control, liveness and resync fulls:
-//
-//   shm_req  := (empty)                                   (kind 4, c→s)
+//   stream   := { u32le payload_length, payload }*
+//   payload  := prefix header body                 (FULL, DELTA, METRICSZ)
+//             | prefix shm_offer                   (SHM_OFFER: no header)
+//   header   := sequence:uv registry_version:uv collect_ns:uv
+//   full     := count:uv { name_len:uv name model:u8 bound:uv fbody }*
+//   fbody    := value:uv                           — model 0–2 (scalar)
+//             | hist                               — model 3
+//             | rows                               — model 4 (top-k)
+//   hist     := nbuckets:uv edge0:uv { edge_diff:uv }*(nbuckets−2)
+//               { count:uv }*nbuckets
+//   rows     := nrows:uv { label_len:uv label value:uv }*
+//   delta    := base_seq:uv count:uv { key:uv dbody }*
+//   key      := index·2 + (1 iff the entry is a vector)
+//   dbody    := value:uv                           — even key (scalar)
+//             | tag:uv rows                        — odd key, tag = 1
+//             | tag:uv { count:uv }*tag            — odd key, tag ≥ 2
+//   metricsz := text bytes (rest of payload)
 //   shm_offer:= name_len:uv name generation:uv
-//               slot_count:uv slot_payload_bytes:uv       (kind 5, s→c)
-//   shm_acc  := generation:uv                             (kind 6, c→s)
+//               slot_count:uv slot_payload_bytes:uv
 //
-// The header version byte names the protocol revision that introduced
-// the frame's layout: FULL/DELTA are v1 layouts (frozen — a v2 server's
-// data frames still decode on a v1 client), SUBSCRIBE/RESYNC are v2,
-// the SHM records are v3. A decoder accepts a frame iff it knows that
-// (version, kind) pair.
+// Control channel (client→server, same socket):
+//
+//   inbound  := { ack | control }*
+//   ack      := 0xAC seq:uv
+//   control  := 0xC5 u32le payload_length prefix cbody
+//   cbody    := exact_count:uv { len:uv name }*
+//               prefix_count:uv { len:uv prefix }*  (SUBSCRIBE)
+//             | generation:uv                      (SHM_ACCEPT)
+//             | (empty)             (RESYNC, SHM_REQUEST, METRICSZ_REQUEST)
+//
+// Name-table interning: a FULL frame carries each entry's name, model
+// and bound once, in the registry's name-sorted flat-table order — that
+// order IS the name table. A DELTA frame then references entries by
+// table index only, carrying just those that changed since `base_seq`
+// (the registry's for_each_changed_since walk); an empty delta is the
+// unchanged-fleet heartbeat. A delta key below 128 (a scalar at index
+// < 64) is one byte. Deltas are only meaningful against the same
+// `registry_version` (otherwise the table grew — the server falls back
+// to a full frame, and a decoder must reject the mismatch with
+// kNeedFull).
+//
+// Vector entries. A histogram (model 3) ships its bucket edges as edge0
+// + strictly-positive diffs; nbuckets counts buckets INCLUDING the
+// overflow bucket, so there are nbuckets−1 finite edges, and a delta
+// ships the counts alone (tag = nbuckets ≥ 2). A top-k directory
+// (model 4) ships ranked rows, value-descending as the registry
+// collects them; a delta ships the whole list (tag 1) and is never
+// empty. Neither kind ships its scalar value: decoders derive a
+// histogram's as the saturated count sum and a top-k's as its top
+// row's (0 when empty). Decoders reject bucket counts beyond
+// kMaxWireBuckets, row counts beyond kMaxWireTopKRows, labels beyond
+// kMaxTopKLabelBytes and unranked rows, each before allocating.
 //
 // SUBSCRIBE installs a subscription filter: the client henceforth
-// receives only counters whose name is in `exact` or starts with one of
-// `prefixes` (both lists empty = everything, v1 behavior). The server
-// answers with a FULL frame of the matching subset — the subset of a
-// name-sorted table is itself name-sorted, so that frame simply *is*
-// the client's new name table and subsequent DELTA indices are subset
-// positions; MaterializedView needs no new decode path to track a
-// subset. RESYNC asks for an immediate fresh FULL frame (of the
-// client's current subset) without waiting for a table change.
+// receives only entries whose name is in `exact` or starts with one of
+// `prefixes` (both lists empty = everything). The server answers with a
+// FULL frame of the matching subset — the subset of a name-sorted table
+// is itself name-sorted, so that frame simply *is* the client's new
+// name table and later DELTA indices are subset positions. RESYNC asks
+// for an immediate fresh FULL frame of the client's current subset.
 //
-// Name-table interning: a FULL frame carries each counter's name, model
-// and bound once, in the registry's name-sorted flat-table order — that
-// order IS the name table. A DELTA frame then references counters by
-// flat-table index only, carrying just the values that changed since
-// `base_seq` (the registry's for_each_changed_since walk): on the
-// 48-counter / 4-hot fleet E17 measures, a steady-state delta is an
-// order of magnitude smaller than the full frame. Deltas are only
-// meaningful against the same `registry_version` (the table grew
-// otherwise — the server falls back to a full frame, and a decoder must
-// reject the mismatch with kNeedFull).
+// SHM_REQUEST asks a same-host server for its shared-memory snapshot
+// ring; a server with a healthy ring answers on the data channel with
+// SHM_OFFER (solicited only), the client maps the segment and confirms
+// with SHM_ACCEPT, after which per-tick data frames ride the ring while
+// the TCP connection stays up for control, liveness and resync fulls.
+// METRICSZ_REQUEST asks for one METRICSZ frame of exposition text,
+// stamped with the tick it was rendered from (solicited only too).
 //
 // collect_ns is the server's steady-clock timestamp (nanoseconds) taken
 // when the frame was ENCODED — for the shared per-tick frames that is
 // the moment their samples were collected; a per-client catch-up delta
-// is stamped at its own encode. Same-host consumers (E17's load
-// generator) subtract it from their own steady clock for end-to-end
-// latency, and every frame (heartbeats included) refreshes it. 0 = not
-// recorded. Steady-clock values are process-portable on one host but
-// NOT across hosts; cross-host consumers should treat it as opaque.
+// is stamped at its own encode. Same-host consumers subtract it from
+// their own steady clock for end-to-end latency, and every frame
+// (heartbeats included) refreshes it. 0 = not recorded. Steady-clock
+// values are process-portable on one host but NOT across hosts.
 //
 // Decode safety: every read is bounds-checked; a truncated buffer, bad
-// magic/version/kind/model byte, overlong varint or out-of-range delta
-// index yields kCorrupt and leaves the MaterializedView untouched
-// (frames are parsed into scratch storage before being applied).
+// magic/version/kind/model/tag byte, overlong varint, out-of-range
+// delta index, delta shape that does not match its row, or trailing
+// garbage yields kCorrupt and leaves the MaterializedView untouched
+// (frames are parsed and validated in scratch storage before being
+// applied).
 #pragma once
 
 #include <cstdint>
@@ -152,34 +111,20 @@ namespace approx::svc {
 
 inline constexpr unsigned char kWireMagic0 = 0xA5;
 inline constexpr unsigned char kWireMagic1 = 0xC7;
-/// Layout version of scalar-only DATA frames (FULL/DELTA). Frozen at 1:
-/// the v2/v3 protocol upgrades added control frames without touching the
-/// data layout, and v4 stamps its version byte only on frames that
-/// actually carry a vector entry — so v1 clients keep decoding every
-/// scalar frame any newer server emits.
-inline constexpr std::uint8_t kWireVersion = 1;
-/// Layout version of DATA frames carrying ≥ 1 vector (histogram) entry.
-inline constexpr std::uint8_t kVectorVersion = 4;
-/// Layout version of DATA frames carrying ≥ 1 labeled (top-k) entry,
-/// and of the metricsz exposition records (the v5 additions).
-inline constexpr std::uint8_t kTopKVersion = 5;
-/// Layout version of the CONTROL frames (SUBSCRIBE/RESYNC) — the v2
-/// additions.
-inline constexpr std::uint8_t kControlVersion = 2;
-/// Layout version of the shared-memory negotiation records (v3).
-inline constexpr std::uint8_t kShmVersion = 3;
+/// The protocol version every record carries (prefix byte 2).
+inline constexpr std::uint8_t kWireVersion = 6;
 
-/// Frame kinds on the wire (header byte 3).
+/// Record kinds on the wire (prefix byte 3).
 enum class FrameKind : std::uint8_t {
-  kFull = 0,        // complete snapshot incl. the name table (v1)
-  kDelta = 1,       // changed (index, value) pairs since base_seq (v1)
-  kSubscribe = 2,   // client→server: install a subscription filter (v2)
-  kResync = 3,      // client→server: send a fresh full now (v2)
-  kShmRequest = 4,  // client→server: offer me your shm ring (v3)
-  kShmOffer = 5,    // server→client data channel: ring coordinates (v3)
-  kShmAccept = 6,   // client→server: ring mapped, stop TCP data (v3)
-  kMetricszRequest = 7,  // client→server: send one metricsz text (v5)
-  kMetricsz = 8,         // server→client data channel: exposition (v5)
+  kFull = 0,        // complete snapshot incl. the name table
+  kDelta = 1,       // changed entries since base_seq
+  kSubscribe = 2,   // client→server: install a subscription filter
+  kResync = 3,      // client→server: send a fresh full now
+  kShmRequest = 4,  // client→server: offer me your shm ring
+  kShmOffer = 5,    // server→client data channel: ring coordinates
+  kShmAccept = 6,   // client→server: ring mapped, stop TCP data
+  kMetricszRequest = 7,  // client→server: send one metricsz text
+  kMetricsz = 8,         // server→client data channel: exposition
 };
 
 /// One changed entry in a delta frame: flat-table index + new value.
@@ -205,7 +150,7 @@ struct DeltaEntry {
 /// length).
 inline constexpr std::size_t kFramePrefixBytes = 4;
 
-// --- v2 control channel (client→server) -------------------------------
+// --- control channel (client→server) ----------------------------------
 
 /// Type byte introducing an inbound control record (vs 0xAC for acks).
 inline constexpr unsigned char kControlByte = 0xC5;
@@ -219,23 +164,23 @@ inline constexpr std::size_t kControlPrefixBytes = 5;
 inline constexpr std::size_t kMaxControlPayload = 128 * 1024;
 inline constexpr std::size_t kMaxFilterEntries = 128;    // per list
 inline constexpr std::size_t kMaxFilterNameBytes = 256;  // per name/prefix
-/// Largest bucket count a v4 vector entry may claim. Must cover every
+/// Largest bucket count a histogram entry may claim. Must cover every
 /// histogram the stats layer can build (stats::kMaxHistogramBuckets
 /// equals it; stats.cpp static_asserts the two stay in lockstep).
 inline constexpr std::size_t kMaxWireBuckets = 512;
 /// Longest shm segment name an SHM_OFFER may carry (ours are ~40
 /// bytes; POSIX portable shm names are NAME_MAX-ish).
 inline constexpr std::size_t kMaxShmNameBytes = 128;
-/// Largest row count a v5 top-k entry may claim. Must cover every
+/// Largest row count a top-k entry may claim. Must cover every
 /// directory the stats layer publishes (stats::kMaxTopKRows equals it;
 /// stats.cpp static_asserts the two stay in lockstep).
 inline constexpr std::size_t kMaxWireTopKRows = 64;
-/// Longest label a v5 top-k row may carry.
+/// Longest label a top-k row may carry.
 inline constexpr std::size_t kMaxTopKLabelBytes = 128;
 
 /// A subscription filter: which counters a subscriber wants. A name
 /// matches if it equals one of `exact` or starts with one of
-/// `prefixes`; both lists empty means "everything" (v1 behavior).
+/// `prefixes`; both lists empty means "everything".
 struct SubscriptionFilter {
   std::vector<std::string> exact;
   std::vector<std::string> prefixes;
@@ -267,7 +212,7 @@ bool encode_subscribe_record(const SubscriptionFilter& filter,
 /// Encodes a send-ready RESYNC record into `out`.
 void encode_resync_record(std::string& out);
 
-// --- v3 shared-memory ring negotiation --------------------------------
+// --- shared-memory ring negotiation -----------------------------------
 
 /// The coordinates an SHM_OFFER carries: everything a same-host client
 /// needs to map the server's snapshot ring and verify it attached to
@@ -286,14 +231,14 @@ void encode_shm_request_record(std::string& out);
 /// Encodes a send-ready SHM_ACCEPT control record into `out`.
 void encode_shm_accept_record(std::uint64_t generation, std::string& out);
 
-/// Encodes `offer` as a stream-ready DATA-channel frame (u32le prefix +
-/// v3 header + body). False (out cleared) on an over-long name.
+/// Encodes `offer` as a stream-ready DATA-channel frame (u32le length +
+/// record prefix + body). False (out cleared) on an empty or over-long name.
 bool encode_shm_offer_frame(const ShmOffer& offer, std::string& out);
 
 /// Strictly decodes a data-channel payload as an SHM_OFFER. False when
-/// the payload is not a (well-formed) v3 offer — the caller then hands
-/// it to MaterializedView::apply as usual. Clients MUST try this before
-/// apply(): the view rejects the v3 version byte as corrupt.
+/// the payload is not a (well-formed) offer — the caller then hands it
+/// to MaterializedView::apply as usual. Clients MUST try this before
+/// apply(): the view rejects the SHM_OFFER kind as corrupt.
 bool decode_shm_offer(std::string_view payload, ShmOffer& out);
 
 /// A decoded control payload (SUBSCRIBE carries its filter, normalized;
@@ -311,13 +256,13 @@ struct ControlFrame {
 /// garbage. `out` is unspecified on failure.
 bool decode_control_payload(std::string_view payload, ControlFrame& out);
 
-// --- v5 metricsz exposition -------------------------------------------
+// --- metricsz exposition ----------------------------------------------
 
 /// Encodes a send-ready METRICSZ_REQUEST control record into `out`.
 void encode_metricsz_request_record(std::string& out);
 
 /// Encodes exposition `text` as a stream-ready METRICSZ data-channel
-/// frame (u32le prefix + v5 header + text bytes). The header stamps the
+/// frame (u32le length + prefix + header + text bytes). The header stamps the
 /// frame's source snapshot: sequence/registry_version/collect_ns of the
 /// tick the text was rendered from.
 void encode_metricsz_frame(std::uint64_t sequence,
@@ -363,9 +308,8 @@ void encode_full_frame(const shard::TelemetryFrame& frame,
 /// index + value, any order) relative to `base_seq`: a view at sequence
 /// `base_seq` (or newer, same registry_version) becomes sequence
 /// `sequence` after applying it. An empty `entries` is valid — the
-/// unchanged-fleet heartbeat. The frame is stamped version 5 iff some
-/// entry carries labels (top-k rows), else 4 iff some entry carries
-/// buckets; otherwise the bytes are exactly the frozen v1 layout.
+/// unchanged-fleet heartbeat. An entry with `labels` rides as top-k
+/// rows, else one with `buckets` as histogram counts, else as a scalar.
 void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::uint64_t collect_ns, std::uint64_t base_seq,
                         const std::vector<DeltaEntry>& entries,
@@ -387,7 +331,7 @@ enum class ApplyResult : std::uint8_t {
 /// shows. Samples keep the server's name-sorted flat-table order, so
 /// delta indices apply positionally.
 ///
-/// Subset tracking (wire v2): after a SUBSCRIBE, the server's next FULL
+/// Subset tracking: after a SUBSCRIBE, the server's next FULL
 /// frame carries only the matching counters — that frame re-bases the
 /// view, whose table then IS the subscription. Absent (unsubscribed)
 /// entries are simply not in the table, so nothing here can misread
@@ -476,11 +420,11 @@ class MaterializedView {
   ApplyResult apply_full(const char* cursor, const char* end,
                          std::uint64_t sequence,
                          std::uint64_t registry_version,
-                         std::uint64_t collect_ns, std::uint8_t version);
+                         std::uint64_t collect_ns);
   ApplyResult apply_delta(const char* cursor, const char* end,
                           std::uint64_t sequence,
                           std::uint64_t registry_version,
-                          std::uint64_t collect_ns, std::uint8_t version);
+                          std::uint64_t collect_ns);
 
   std::vector<shard::Sample> samples_;
   std::vector<std::uint64_t> entry_update_seq_;

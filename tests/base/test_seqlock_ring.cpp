@@ -272,7 +272,9 @@ TYPED_TEST(SeqlockRingStress, ConcurrentWriterAndReadersStayConsistent) {
   };
   std::thread r1(reader_fn);
   std::thread r2(reader_fn);
-  for (std::uint64_t i = 0; i < kFrames; ++i) {
+  // Publish until some reader has read a frame, not just kFrames: on a
+  // loaded box both readers can stay descheduled for the whole burst.
+  for (std::uint64_t i = 0; i < kFrames || frames_read.load() == 0; ++i) {
     const std::string frame = make_frame(i, kCap);
     ASSERT_TRUE(writer.publish(frame.data(), frame.size()));
     if (i % 64 == 0) std::this_thread::yield();  // let readers catch some

@@ -191,7 +191,8 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   auto upto = registry.for_each_changed_since(
       0, version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
-          const std::vector<std::uint64_t>*) { ++visited; });
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 2u);
   ASSERT_TRUE(upto.has_value());
   EXPECT_EQ(*upto, 1u);  // the walk is complete up to pass 1
@@ -202,7 +203,8 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   upto = registry.for_each_changed_since(
       1, version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
-          const std::vector<std::uint64_t>*) { ++visited; });
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 0u);
   ASSERT_TRUE(upto.has_value());
   EXPECT_EQ(*upto, 2u);
@@ -214,13 +216,15 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   upto = registry.for_each_changed_since(
       2, version,
       [&](std::size_t index, const std::string& name, std::uint64_t value,
-          std::uint64_t changed_seq, const std::vector<std::uint64_t>* counts) {
+          std::uint64_t changed_seq, const std::vector<std::uint64_t>* counts,
+          const std::vector<std::string>* labels) {
         ++visited;
         EXPECT_EQ(index, 0u);  // "a" sorts first
         EXPECT_EQ(name, "a");
         EXPECT_EQ(value, 2u);
         EXPECT_EQ(changed_seq, 3u);
         EXPECT_EQ(counts, nullptr);  // scalar entries carry no buckets
+        EXPECT_EQ(labels, nullptr);
       });
   EXPECT_EQ(visited, 1u);
   EXPECT_EQ(upto.value_or(0), 3u);
@@ -229,7 +233,8 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   (void)registry.for_each_changed_since(
       0, version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
-          const std::vector<std::uint64_t>*) { ++visited; });
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 2u);
 
   // A stale expected_version (the table grew: indices shifted) refuses
@@ -239,7 +244,8 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   upto = registry.for_each_changed_since(
       0, version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
-          const std::vector<std::uint64_t>*) { ++visited; });
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { ++visited; });
   EXPECT_FALSE(upto.has_value());
   EXPECT_EQ(visited, 0u);
 }
@@ -266,17 +272,16 @@ TEST(Registry, FilteredChangedSinceWalkReportsSubsetPositions) {
   const std::vector<std::uint64_t> selection = {0, 2, 3};
   std::vector<std::size_t> subset_positions;
   std::vector<std::string> names;
-  auto upto = registry.for_each_changed_since_filtered(
-      1, version, selection,
-      [&](std::size_t subset_index, std::size_t flat_index,
-          const std::string& name, std::uint64_t value,
-          std::uint64_t changed_seq, const std::vector<std::uint64_t>*) {
-        subset_positions.push_back(subset_index);
-        names.push_back(name);
-        EXPECT_EQ(flat_index, selection[subset_index]);
-        EXPECT_EQ(value, 1u);
-        EXPECT_EQ(changed_seq, 2u);
-      });
+  const auto record = [&](std::size_t subset_index, const std::string& name,
+                          std::uint64_t value, std::uint64_t changed_seq,
+                          const std::vector<std::uint64_t>*,
+                          const std::vector<std::string>*) {
+    subset_positions.push_back(subset_index);
+    names.push_back(name);
+    EXPECT_EQ(value, 1u);
+    EXPECT_EQ(changed_seq, 2u);
+  };
+  auto upto = registry.for_each_changed_since(1, version, record, &selection);
   ASSERT_TRUE(upto.has_value());
   EXPECT_EQ(*upto, 2u);
   ASSERT_EQ(subset_positions.size(), 2u);
@@ -285,24 +290,26 @@ TEST(Registry, FilteredChangedSinceWalkReportsSubsetPositions) {
   EXPECT_EQ(names[0], "a");
   EXPECT_EQ(names[1], "c");
 
+  // Without a selection the same walk reports flat positions.
+  subset_positions.clear();
+  names.clear();
+  upto = registry.for_each_changed_since(1, version, record);
+  ASSERT_EQ(subset_positions.size(), 2u);
+  EXPECT_EQ(subset_positions[1], 2u);  // "c" is flat row 2
+  EXPECT_EQ(names[1], "c");
+
+  const auto never = [](std::size_t, const std::string&, std::uint64_t,
+                        std::uint64_t, const std::vector<std::uint64_t>*,
+                        const std::vector<std::string>*) { FAIL(); };
   // Version guard: a stale expected_version refuses the walk.
-  EXPECT_FALSE(registry
-                   .for_each_changed_since_filtered(
-                       0, version + 1, selection,
-                       [&](std::size_t, std::size_t, const std::string&,
-                           std::uint64_t, std::uint64_t,
-                           const std::vector<std::uint64_t>*) { FAIL(); })
+  EXPECT_FALSE(registry.for_each_changed_since(0, version + 1, never,
+                                               &selection)
                    .has_value());
   // An out-of-range selection index (built against some other table)
   // refuses too, rather than visiting a misaligned subset.
   const std::vector<std::uint64_t> bogus = {0, 99};
-  EXPECT_FALSE(registry
-                   .for_each_changed_since_filtered(
-                       0, version, bogus,
-                       [&](std::size_t, std::size_t, const std::string&,
-                           std::uint64_t, std::uint64_t,
-                           const std::vector<std::uint64_t>*) { FAIL(); })
-                   .has_value());
+  EXPECT_FALSE(
+      registry.for_each_changed_since(0, version, never, &bogus).has_value());
 }
 
 // Minimal in-test instruments for the vector-entry registry contracts
@@ -384,6 +391,70 @@ TEST(Registry, ReservedPrefixRejectedByPublicEntryPoints) {
   EXPECT_FALSE(invoked);
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_EQ(registry.lookup("__sys/server.ticks"), nullptr);
+}
+
+TEST(Registry, CrossKindNameCollisionsAreRejected) {
+  // One table owns every entry: a name held by one kind is refused by
+  // every other kind's adder (its factory never runs) and is invisible
+  // to the other kinds' lookups.
+  Registry registry(2);
+  AnyCounter* counter =
+      registry.get_or_create("c", {ErrorModel::kExact, 0, 1});
+  AnyHistogram* hist = registry.add_histogram(
+      "h", [] { return std::make_unique<FakeHistogram>(); });
+  AnyTopK* topk =
+      registry.add_topk("t", [] { return std::make_unique<FakeTopK>(); });
+  AnyHistogram* sys_hist = registry.add_histogram_reserved(
+      "__sys/h", [] { return std::make_unique<FakeHistogram>(); });
+  ASSERT_NE(counter, nullptr);
+  ASSERT_NE(hist, nullptr);
+  ASSERT_NE(topk, nullptr);
+  ASSERT_NE(sys_hist, nullptr);
+  const std::uint64_t version = registry.version();
+
+  bool invoked = false;
+  const auto hist_factory = [&] {
+    invoked = true;
+    return std::make_unique<FakeHistogram>();
+  };
+  const auto topk_factory = [&] {
+    invoked = true;
+    return std::make_unique<FakeTopK>();
+  };
+  const auto counter_factory = [&] {
+    invoked = true;
+    return std::unique_ptr<AnyCounter>();
+  };
+  EXPECT_EQ(registry.add_histogram("c", hist_factory), nullptr);
+  EXPECT_EQ(registry.add_topk("c", topk_factory), nullptr);
+  EXPECT_EQ(registry.get_or_create("h", {ErrorModel::kExact, 0, 1}), nullptr);
+  EXPECT_EQ(registry.add_topk("h", topk_factory), nullptr);
+  EXPECT_EQ(registry.get_or_create("t", {ErrorModel::kExact, 0, 1}), nullptr);
+  EXPECT_EQ(registry.add_histogram("t", hist_factory), nullptr);
+  EXPECT_EQ(registry.add_counter_reserved("__sys/h", counter_factory), nullptr);
+  EXPECT_EQ(registry.add_topk_reserved("__sys/h", topk_factory), nullptr);
+  EXPECT_FALSE(invoked);
+  EXPECT_EQ(registry.size(), 4u);
+  EXPECT_EQ(registry.version(), version);  // nothing was inserted
+
+  EXPECT_EQ(registry.lookup("c"), counter);
+  EXPECT_EQ(registry.lookup_histogram("c"), nullptr);
+  EXPECT_EQ(registry.lookup_topk("c"), nullptr);
+  EXPECT_EQ(registry.lookup("h"), nullptr);
+  EXPECT_EQ(registry.lookup_histogram("h"), hist);
+  EXPECT_EQ(registry.lookup_topk("h"), nullptr);
+  EXPECT_EQ(registry.lookup("t"), nullptr);
+  EXPECT_EQ(registry.lookup_histogram("t"), nullptr);
+  EXPECT_EQ(registry.lookup_topk("t"), topk);
+  EXPECT_EQ(registry.lookup("__sys/h"), nullptr);
+  EXPECT_EQ(registry.lookup_histogram("__sys/h"), sys_hist);
+
+  // Each kind's own adder still returns the held instrument.
+  EXPECT_EQ(registry.get_or_create("c", {ErrorModel::kAdditive, 4, 1}),
+            counter);
+  EXPECT_EQ(registry.add_histogram("h", hist_factory), hist);
+  EXPECT_EQ(registry.add_topk("t", topk_factory), topk);
+  EXPECT_FALSE(invoked);
 }
 
 TEST(Registry, ReservedAddersRequireTheReservedPrefix) {
@@ -500,7 +571,8 @@ TEST(Aggregator, SequencedCollectFeedsChangedSinceTracking) {
   auto upto = registry.for_each_changed_since(
       first.sequence, second.registry_version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
-          const std::vector<std::uint64_t>*) { ++visited; });
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 0u);
   EXPECT_EQ(upto.value_or(0), second.sequence);
   hits.increment(0);
@@ -508,7 +580,8 @@ TEST(Aggregator, SequencedCollectFeedsChangedSinceTracking) {
   upto = registry.for_each_changed_since(
       second.sequence, third.registry_version,
       [&](std::size_t index, const std::string& name, std::uint64_t value,
-          std::uint64_t changed_seq, const std::vector<std::uint64_t>*) {
+          std::uint64_t changed_seq, const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) {
         ++visited;
         EXPECT_EQ(index, 0u);
         EXPECT_EQ(name, "hits");
@@ -530,7 +603,8 @@ TEST(Aggregator, SequencedCollectFeedsChangedSinceTracking) {
   upto = registry.for_each_changed_since(
       third.sequence, third.registry_version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
-          const std::vector<std::uint64_t>*) { ++visited; });
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 0u);  // the new increment awaits a *sequenced* pass
   EXPECT_EQ(upto.value_or(0), third.sequence);  // last pass seq unmoved
 }

@@ -160,7 +160,8 @@ TEST(HistogramRegistry, CreateCollectAndChangeTracking) {
   cached = registry.snapshot_all_into_sequenced(1, out, cached, 1);
   int changed = 0;
   auto walk = [&](std::size_t, const std::string&, std::uint64_t,
-                  std::uint64_t, const std::vector<std::uint64_t>*) {
+                  std::uint64_t, const std::vector<std::uint64_t>*,
+                  const std::vector<std::string>*) {
     ++changed;
   };
   ASSERT_TRUE(registry.for_each_changed_since(1, cached, walk).has_value());
@@ -174,7 +175,8 @@ TEST(HistogramRegistry, CreateCollectAndChangeTracking) {
   int hist_changes = 0;
   auto walk2 = [&](std::size_t index, const std::string& name, std::uint64_t,
                    std::uint64_t changed_seq,
-                   const std::vector<std::uint64_t>* counts) {
+                   const std::vector<std::uint64_t>* counts,
+                   const std::vector<std::string>*) {
     ++hist_changes;
     EXPECT_EQ(index, 0u);
     EXPECT_EQ(name, "latency");

@@ -3,7 +3,7 @@
 // real-thread runs) must keep every bucket count inside the one-sided
 // composed band the layer reports (per_bucket_bound() = S·k), and the
 // quantile rank-error bound must hold END TO END — through a sequenced
-// registry collect, the v4 wire encode, and a decoded
+// registry collect, the wire encode, and a decoded
 // MaterializedView on the other side.
 #include <gtest/gtest.h>
 
@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistogramAccuracySweep,
                          ::testing::Range<std::uint64_t>(0, 12));
 
 /// End-to-end, deterministic: record a known distribution, collect a
-/// sequenced frame, encode it as v4 wire bytes, decode into a
+/// sequenced frame, encode it as wire bytes, decode into a
 /// MaterializedView, and pin the quantiles + error bounds on the far
 /// side. Then drive the DELTA path with fresh observations.
 TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
@@ -155,8 +155,6 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
   const shard::TelemetryFrame frame = aggregator.collect();
   std::string wire;
   svc::encode_full_frame(frame, 0, wire);
-  ASSERT_EQ(static_cast<unsigned char>(payload_of(wire)[2]),
-            svc::kVectorVersion);  // a vector entry stamps v4
 
   svc::MaterializedView view;
   ASSERT_EQ(view.apply(payload_of(wire)), svc::ApplyResult::kApplied);
@@ -180,7 +178,7 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
   EXPECT_EQ(quantiles.p99().upper_edge, 1000u);
   EXPECT_EQ(quantiles.p99().rank_error, 80u);
 
-  // Delta path: three overflow observations ride a v4 delta and move
+  // Delta path: three overflow observations ride a delta and move
   // only the decoded tail bucket.
   for (int i = 0; i < 3; ++i) hist->record(0, 5000);
   hist->flush(0);
@@ -191,7 +189,8 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
   const auto pass = registry.for_each_changed_since(
       frame.sequence, version,
       [&](std::size_t index, const std::string&, std::uint64_t value,
-          std::uint64_t, const std::vector<std::uint64_t>* counts) {
+          std::uint64_t, const std::vector<std::uint64_t>* counts,
+          const std::vector<std::string>*) {
         entries.emplace_back(index, value,
                              counts != nullptr
                                  ? *counts
@@ -202,8 +201,6 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
   std::string delta;
   svc::encode_delta_frame(frame.sequence + 1, version, 0, frame.sequence,
                           entries, delta);
-  ASSERT_EQ(static_cast<unsigned char>(payload_of(delta)[2]),
-            svc::kVectorVersion);
   ASSERT_EQ(view.apply(payload_of(delta)), svc::ApplyResult::kApplied);
   const shard::Sample& after = view.samples()[0];
   EXPECT_EQ(after.bucket_counts,
@@ -216,7 +213,7 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
 }
 
 /// The same end-to-end pipe under genuine concurrency: real threads
-/// hammer the histogram while sequenced collects stream v4 frames into
+/// hammer the histogram while sequenced collects stream frames into
 /// a view; every decoded bucket must stay in the one-sided band and
 /// the decoded total must honor the rank-error bound. After a global
 /// flush, the decoded view is exact.

@@ -288,7 +288,7 @@ TEST(SnapshotServer, AcksFeedObservability) {
 }
 
 TEST(SnapshotServer, FilteredSubscriberTracksSubsetLive) {
-  // Wire v2: SUBSCRIBE re-bases the stream onto the filter's subset —
+  // SUBSCRIBE re-bases the stream onto the filter's subset —
   // the view's table becomes exactly the matching counters and live
   // increments keep flowing; switching filters (including back to
   // pass-all) re-bases again.

@@ -1,4 +1,4 @@
-// Tests for the wire-v3 shared-memory snapshot ring transport
+// Tests for the shared-memory snapshot ring transport
 // (src/svc/shm.hpp + the server/client negotiation): a same-host
 // client that SHM_REQUESTs moves its data path onto the seqlock ring
 // — zero syscalls per frame, zero per-reader server work — while TCP

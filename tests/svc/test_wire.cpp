@@ -322,7 +322,7 @@ TEST(WireDelta, StaleAndDuplicateFramesAreSkipped) {
   EXPECT_EQ(view.samples()[0].value, frame.samples[0].value);  // untouched
 }
 
-// --- wire v2: subscription filters + control frames -------------------
+// --- subscription filters + control frames ----------------------------
 
 /// Payload view of a control record (skips the 0xC5 + u32le framing).
 std::string_view control_payload_of(const std::string& record) {
@@ -382,7 +382,7 @@ TEST(ControlFrame, SubscribeRoundTrip) {
   ASSERT_EQ(decoded.filter.prefixes.size(), 1u);
   EXPECT_EQ(decoded.filter.prefixes[0], "svc_");
 
-  // An empty filter (pass-all, "v1 mode again") round-trips too.
+  // An empty filter (pass-all) round-trips too.
   std::string empty_record;
   ASSERT_TRUE(encode_subscribe_record(SubscriptionFilter{}, empty_record));
   ControlFrame empty_decoded;
@@ -446,7 +446,7 @@ TEST(ControlFrame, MalformedFilterListsRejected) {
     std::string payload;
     payload.push_back(static_cast<char>(kWireMagic0));
     payload.push_back(static_cast<char>(kWireMagic1));
-    payload.push_back(static_cast<char>(kControlVersion));
+    payload.push_back(static_cast<char>(kWireVersion));
     payload.push_back(static_cast<char>(FrameKind::kSubscribe));
     return payload;
   };
@@ -481,13 +481,7 @@ TEST(ControlFrame, MalformedFilterListsRejected) {
   trailing.push_back('\0');
   EXPECT_FALSE(decode_control_payload(trailing, decoded));
 
-  // Wrong header version (control frames are v2) and a data kind in a
-  // control payload.
-  std::string v1_header = subscribe_header();
-  v1_header[2] = 0x01;
-  append_uvarint(v1_header, 0);
-  append_uvarint(v1_header, 0);
-  EXPECT_FALSE(decode_control_payload(v1_header, decoded));
+  // A data kind in a control payload.
   std::string data_kind = subscribe_header();
   data_kind[3] = static_cast<char>(FrameKind::kFull);
   EXPECT_FALSE(decode_control_payload(data_kind, decoded));
@@ -504,20 +498,95 @@ TEST(ControlFrame, MalformedFilterListsRejected) {
 
 TEST(ControlFrame, DataStreamRejectsControlKinds) {
   // A SUBSCRIBE/RESYNC payload arriving where data frames live (the
-  // server→client direction) must be kCorrupt, not misapplied — and a
-  // v2 version byte on a DATA frame is equally corrupt (the v1 data
-  // layout is frozen; see wire.hpp).
+  // server→client direction) must be kCorrupt, not misapplied.
   std::string record;
   encode_resync_record(record);
   MaterializedView view;
   EXPECT_EQ(view.apply(control_payload_of(record)), ApplyResult::kCorrupt);
+  SubscriptionFilter filter;
+  filter.prefixes = {"svc_"};
+  ASSERT_TRUE(encode_subscribe_record(filter, record));
+  EXPECT_EQ(view.apply(control_payload_of(record)), ApplyResult::kCorrupt);
+  EXPECT_TRUE(view.samples().empty());
+}
 
-  const TelemetryFrame frame = synthetic_frame(3, 9);
+TEST(WireVersion, EveryRecordCarriesSixAndEveryOtherByteIsRejected) {
+  // One protocol version: every encoder stamps kWireVersion, and every
+  // decoder rejects a record carrying any other version byte — a view
+  // keeps its table and sequence untouched.
+  ASSERT_EQ(kWireVersion, 6);
+  const TelemetryFrame frame = synthetic_frame(5, 11);
   std::string wire;
   encode_full_frame(frame, 0, wire);
-  std::string v2_data(payload_of(wire));
-  v2_data[2] = 0x02;  // version byte
-  EXPECT_EQ(view.apply(v2_data), ApplyResult::kCorrupt);
+  MaterializedView base;
+  ASSERT_EQ(base.apply(payload_of(wire)), ApplyResult::kApplied);
+
+  // Data channel (payload after the u32le stream prefix).
+  TelemetryFrame later = frame;
+  later.sequence = 6;
+  std::string full;
+  encode_full_frame(later, 0, full);
+  std::string delta;
+  encode_delta_frame(6, 11, 0, 5, {{0, 999}}, delta);
+  std::string metricsz;
+  encode_metricsz_frame(6, 11, 0, "approx_x 1\n", metricsz);
+  std::string offer;
+  ASSERT_TRUE(encode_shm_offer_frame({"/approx-ring-test", 3, 8, 4096}, offer));
+  // Control channel (payload after the 0xC5 + u32le framing).
+  std::vector<std::string> controls(5);
+  SubscriptionFilter filter;
+  filter.exact = {"stat_1"};
+  ASSERT_TRUE(encode_subscribe_record(filter, controls[0]));
+  encode_resync_record(controls[1]);
+  encode_shm_request_record(controls[2]);
+  encode_shm_accept_record(3, controls[3]);
+  encode_metricsz_request_record(controls[4]);
+
+  const auto with_version = [](std::string_view payload, int version) {
+    std::string copy(payload);
+    copy[2] = static_cast<char>(version);
+    return copy;
+  };
+  for (const std::string* data : {&full, &delta, &metricsz, &offer}) {
+    EXPECT_EQ(static_cast<unsigned char>(payload_of(*data)[2]), kWireVersion);
+  }
+  for (const std::string& record : controls) {
+    EXPECT_EQ(static_cast<unsigned char>(control_payload_of(record)[2]),
+              kWireVersion);
+  }
+
+  for (const int version : {6, 0, 1, 2, 3, 4, 5, 7, 255}) {
+    const bool ours = version == kWireVersion;
+    MaterializedView view = base;
+    EXPECT_EQ(view.apply(with_version(payload_of(delta), version)),
+              ours ? ApplyResult::kApplied : ApplyResult::kCorrupt)
+        << version;
+    EXPECT_EQ(view.apply(with_version(payload_of(full), version)),
+              ours ? ApplyResult::kApplied : ApplyResult::kCorrupt)
+        << version;
+    if (!ours) {
+      expect_view_matches(view, frame);
+      EXPECT_EQ(view.frames_applied(), base.frames_applied());
+    }
+    std::string text;
+    EXPECT_EQ(
+        decode_metricsz(with_version(payload_of(metricsz), version), text),
+        ours)
+        << version;
+    ShmOffer decoded_offer;
+    EXPECT_EQ(decode_shm_offer(with_version(payload_of(offer), version),
+                               decoded_offer),
+              ours)
+        << version;
+    for (const std::string& record : controls) {
+      ControlFrame control;
+      EXPECT_EQ(decode_control_payload(
+                    with_version(control_payload_of(record), version), control),
+                ours)
+          << version << " kind "
+          << static_cast<int>(record[kControlPrefixBytes + 3]);
+    }
+  }
 }
 
 TEST(WireFiltered, FilteredFullDefinesSubsetTableAndSubsetDeltasApply) {
@@ -596,7 +665,8 @@ TEST(WireIntegration, DeltaOnTopOfFullEqualsSnapshotAll) {
       full.sequence, next.registry_version,
       [&](std::size_t index, const std::string& /*name*/,
           std::uint64_t value, std::uint64_t changed_seq,
-          const std::vector<std::uint64_t>* /*counts*/) {
+          const std::vector<std::uint64_t>* /*counts*/,
+          const std::vector<std::string>* /*labels*/) {
         ASSERT_LE(changed_seq, next.sequence);
         entries.push_back({index, value});
       });

@@ -1,9 +1,8 @@
-// Wire v5 tests: labeled (top-k) registry entries riding FULL/DELTA
-// frames, the version-byte ratchet (5 iff a top-k entry rides), decode
-// hardening (row/label caps, rank-order enforcement, shape mismatches,
-// truncation), and the metricsz exposition pair (request control
-// record + text data frame) — an untrusted frame may be rejected,
-// never misdecoded.
+// Wire tests for labeled (top-k) registry entries riding FULL/DELTA
+// frames, their decode hardening (row/label caps, rank-order
+// enforcement, shape mismatches, truncation), and the metricsz
+// exposition pair (request control record + text data frame) — an
+// untrusted frame may be rejected, never misdecoded.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,13 +50,12 @@ TelemetryFrame topk_frame(std::uint64_t sequence,
 }
 
 /// Hand-assembled payload header (no stream prefix).
-std::string raw_header(std::uint8_t version, FrameKind kind,
-                       std::uint64_t sequence,
+std::string raw_header(FrameKind kind, std::uint64_t sequence,
                        std::uint64_t registry_version) {
   std::string out;
   out.push_back(static_cast<char>(kWireMagic0));
   out.push_back(static_cast<char>(kWireMagic1));
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(kind));
   append_uvarint(out, sequence);
   append_uvarint(out, registry_version);
@@ -65,12 +63,12 @@ std::string raw_header(std::uint8_t version, FrameKind kind,
   return out;
 }
 
-/// A hand-assembled v5 full carrying one top-k entry with the given
+/// A hand-assembled full carrying one top-k entry with the given
 /// rows; lets the hardening tests lie about counts and ordering.
 std::string raw_topk_full(
     std::uint64_t nrows_claim,
     const std::vector<std::pair<std::string, std::uint64_t>>& rows) {
-  std::string payload = raw_header(kTopKVersion, FrameKind::kFull, 1, 1);
+  std::string payload = raw_header(FrameKind::kFull, 1, 1);
   append_uvarint(payload, 1);  // entry count
   append_uvarint(payload, 1);  // name_len
   payload.push_back('t');
@@ -83,30 +81,6 @@ std::string raw_topk_full(
     append_uvarint(payload, value);
   }
   return payload;
-}
-
-TEST(WireObs, VersionByteIsV5IffTopKRides) {
-  TelemetryFrame frame = topk_frame(1, 1);
-  std::string wire;
-  encode_full_frame(frame, 0, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kTopKVersion);
-
-  // Without the top-k entry the ratchet relaxes back to v1.
-  TelemetryFrame scalars = topk_frame(1, 1);
-  scalars.samples.pop_back();
-  encode_full_frame(scalars, 0, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kWireVersion);
-
-  // Deltas: a labeled entry forces 5, buckets alone only 4.
-  std::vector<DeltaEntry> entries;
-  entries.emplace_back(0, 0, std::vector<std::uint64_t>{1, 2, 3},
-                       std::vector<std::string>{"a", "b", "c"});
-  encode_delta_frame(2, 1, 0, 1, entries, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kTopKVersion);
-  entries.clear();
-  entries.emplace_back(0, 0, std::vector<std::uint64_t>{1, 2, 3, 4, 5});
-  encode_delta_frame(2, 1, 0, 1, entries, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kVectorVersion);
 }
 
 TEST(WireObs, TopKFullRoundTrip) {
@@ -197,13 +171,6 @@ TEST(WireObs, TopKHardeningRejectsBadRowLists) {
     const std::string payload = raw_topk_full(2, {{"a", 5}, {"b", 5}});
     EXPECT_EQ(view.apply(payload), ApplyResult::kApplied);
   }
-  // A v4 frame may not carry the top-k model byte at all.
-  {
-    MaterializedView view;
-    std::string payload = raw_topk_full(1, {{"a", 5}});
-    payload[2] = static_cast<char>(kVectorVersion);
-    EXPECT_EQ(view.apply(payload), ApplyResult::kCorrupt);
-  }
 }
 
 TEST(WireObs, TopKDeltaShapeMismatchesAreCorruptAndAtomic) {
@@ -233,13 +200,22 @@ TEST(WireObs, TopKDeltaShapeMismatchesAreCorruptAndAtomic) {
   encode_delta_frame(2, 1, 0, 1, entries, wire);
   EXPECT_EQ(view.apply(payload_of(wire)), ApplyResult::kCorrupt);
 
+  // A valid scalar entry followed by an unranked row list: the frame is
+  // corrupt as a whole, so the earlier entry must not stick either.
+  entries.clear();
+  entries.emplace_back(0, 999);
+  entries.emplace_back(1, 0, std::vector<std::uint64_t>{1, 2},
+                       std::vector<std::string>{"a", "b"});
+  encode_delta_frame(2, 1, 0, 1, entries, wire);
+  EXPECT_EQ(view.apply(payload_of(wire)), ApplyResult::kCorrupt);
+
   // An EMPTY top-k row list in a delta is malformed by construction
-  // (hand-assembled: tag 1, nrows 0 — an unchanged directory simply
-  // does not ride the delta).
-  std::string payload = raw_header(kTopKVersion, FrameKind::kDelta, 2, 1);
+  // (hand-assembled: vector key, tag 1, nrows 0 — an unchanged
+  // directory simply does not ride the delta).
+  std::string payload = raw_header(FrameKind::kDelta, 2, 1);
   append_uvarint(payload, 1);  // base_seq
   append_uvarint(payload, 1);  // entry count
-  append_uvarint(payload, 1);  // index
+  append_uvarint(payload, 3);  // key: index 1, vector
   append_uvarint(payload, 1);  // tag: top-k
   append_uvarint(payload, 0);  // nrows 0
   EXPECT_EQ(view.apply(payload), ApplyResult::kCorrupt);
@@ -280,10 +256,6 @@ TEST(WireObs, MetricszRequestRecordRoundTrip) {
   std::string padded(payload);
   padded.push_back('\0');
   EXPECT_FALSE(decode_control_payload(padded, control));
-  // And it is a v5 record: any other version byte is rejected.
-  std::string skewed(payload);
-  skewed[2] = static_cast<char>(kControlVersion);
-  EXPECT_FALSE(decode_control_payload(skewed, control));
 }
 
 TEST(WireObs, MetricszFrameRoundTrip) {
@@ -295,7 +267,6 @@ TEST(WireObs, MetricszFrameRoundTrip) {
   ASSERT_GT(wire.size(), kFramePrefixBytes);
   EXPECT_EQ(read_u32le(wire.data()), wire.size() - kFramePrefixBytes);
   const std::string_view payload = payload_of(wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload[2]), kTopKVersion);
   EXPECT_EQ(static_cast<FrameKind>(payload[3]), FrameKind::kMetricsz);
 
   std::string decoded;
@@ -321,12 +292,9 @@ TEST(WireObs, MetricszDecodeRejectsForeignAndTruncatedPayloads) {
   for (std::size_t len = 0; len < 7; ++len) {
     EXPECT_FALSE(decode_metricsz(payload.substr(0, len), decoded)) << len;
   }
-  // Wrong kind / version / magic.
+  // Wrong kind / magic.
   std::string wrong = payload;
   wrong[3] = static_cast<char>(FrameKind::kFull);
-  EXPECT_FALSE(decode_metricsz(wrong, decoded));
-  wrong = payload;
-  wrong[2] = static_cast<char>(kVectorVersion);
   EXPECT_FALSE(decode_metricsz(wrong, decoded));
   wrong = payload;
   wrong[0] = 0;

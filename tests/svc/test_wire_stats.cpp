@@ -1,11 +1,12 @@
-// Decode-hardening and round-trip tests for the v4 vector (histogram)
-// wire entries (src/svc/wire.hpp): version-byte stamping, truncation
-// at every length, byte-flip fuzz, oversized bucket counts, bad edge
-// encodings, delta/row shape mismatches, and version skew — an
-// untrusted frame may be rejected, never misdecoded, and a rejected
-// frame leaves the view untouched.
+// Decode-hardening and round-trip tests for the vector (histogram)
+// wire entries (src/svc/wire.hpp): truncation at every length, byte-flip
+// fuzz of FULL and DELTA frames, oversized bucket counts, bad edge
+// encodings and delta/row shape mismatches — an untrusted frame may be
+// rejected, never misdecoded, and a rejected frame leaves the view
+// untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -39,7 +40,7 @@ Sample histogram_sample(const std::string& name) {
 }
 
 /// A mixed fleet: scalar, histogram, scalar — vector entries must
-/// interleave cleanly with the frozen scalar layout.
+/// interleave cleanly with scalar ones.
 TelemetryFrame mixed_frame(std::uint64_t sequence,
                            std::uint64_t registry_version) {
   TelemetryFrame frame;
@@ -61,39 +62,17 @@ TelemetryFrame mixed_frame(std::uint64_t sequence,
 }
 
 /// Hand-assembled payload header (no stream prefix).
-std::string raw_header(std::uint8_t version, FrameKind kind,
-                       std::uint64_t sequence, std::uint64_t registry_version) {
+std::string raw_header(FrameKind kind, std::uint64_t sequence,
+                       std::uint64_t registry_version) {
   std::string out;
   out.push_back(static_cast<char>(kWireMagic0));
   out.push_back(static_cast<char>(kWireMagic1));
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(kind));
   append_uvarint(out, sequence);
   append_uvarint(out, registry_version);
   append_uvarint(out, 0);  // collect_ns
   return out;
-}
-
-TEST(WireStats, VersionByteIsV4IffVectorsRide) {
-  TelemetryFrame frame = mixed_frame(1, 1);
-  std::string wire;
-  encode_full_frame(frame, 0, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kVectorVersion);
-
-  // Scalars only: the frozen v1 bytes, exactly.
-  TelemetryFrame scalars = mixed_frame(1, 1);
-  scalars.samples.erase(scalars.samples.begin() + 1);
-  encode_full_frame(scalars, 0, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kWireVersion);
-
-  // Same for deltas: vector entry ⇒ v4, scalar-only ⇒ v1.
-  std::vector<DeltaEntry> entries;
-  entries.emplace_back(0, 9);
-  encode_delta_frame(2, 1, 0, 1, entries, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kWireVersion);
-  entries.emplace_back(1, 0, std::vector<std::uint64_t>{1, 2, 3, 4, 5});
-  encode_delta_frame(2, 1, 0, 1, entries, wire);
-  EXPECT_EQ(static_cast<unsigned char>(payload_of(wire)[2]), kVectorVersion);
 }
 
 TEST(WireStats, MixedFullRoundTripIncludingExtremes) {
@@ -180,10 +159,128 @@ TEST(WireStats, ByteFlipFuzzNeverMisdecodes) {
   }
 }
 
+/// A 72-row table with a histogram at row 1, a top-k directory at row
+/// 2 and scalars everywhere else, plus one DELTA against it carrying a
+/// scalar at row 70 (a two-byte key), new histogram counts and a
+/// re-ranked row list.
+struct MixedDelta {
+  TelemetryFrame table;
+  std::string delta;  // payload, no stream prefix
+};
+
+MixedDelta mixed_delta() {
+  MixedDelta out;
+  out.table.sequence = 1;
+  out.table.registry_version = 1;
+  for (int i = 0; i < 72; ++i) {
+    Sample sample;
+    sample.name = "row_" + std::to_string(100 + i);
+    sample.model = ErrorModel::kMultiplicative;
+    sample.error_bound = 2;
+    sample.value = static_cast<std::uint64_t>(i);
+    out.table.samples.push_back(sample);
+  }
+  out.table.samples[1] = histogram_sample("row_101");
+  Sample& topk = out.table.samples[2];
+  topk.model = ErrorModel::kTopK;
+  topk.error_bound = 0;
+  topk.top_labels = {"10.0.0.1:1", "10.0.0.2:2"};
+  topk.bucket_counts = {900, 40};
+  topk.value = 900;
+  std::vector<DeltaEntry> entries;
+  entries.emplace_back(70, 12345678);
+  entries.emplace_back(1, 0, std::vector<std::uint64_t>{11, 90, 400, 500, 2});
+  entries.emplace_back(
+      2, 0, std::vector<std::uint64_t>{5000, 900, 40},
+      std::vector<std::string>{"10.0.0.3:3", "10.0.0.1:1", "10.0.0.2:2"});
+  std::string wire;
+  encode_delta_frame(2, 1, 0, 1, entries, wire);
+  out.delta = std::string(payload_of(wire));
+  return out;
+}
+
+/// True iff every row of `view` keeps the shape it has in `table`:
+/// scalars carry no vectors, histograms keep their bucket count and
+/// edges, top-k rows stay ranked with one value per label.
+bool shapes_intact(const MaterializedView& view, const TelemetryFrame& table) {
+  if (view.samples().size() != table.samples.size()) return false;
+  for (std::size_t i = 0; i < table.samples.size(); ++i) {
+    const Sample& got = view.samples()[i];
+    const Sample& want = table.samples[i];
+    if (got.model != want.model || got.bucket_bounds != want.bucket_bounds) {
+      return false;
+    }
+    if (want.model == ErrorModel::kTopK) {
+      if (got.top_labels.size() != got.bucket_counts.size() ||
+          !std::is_sorted(got.bucket_counts.rbegin(),
+                          got.bucket_counts.rend())) {
+        return false;
+      }
+    } else if (got.bucket_counts.size() != want.bucket_counts.size() ||
+               !got.top_labels.empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(WireStats, MixedDeltaAppliesAndTruncationAtEveryLengthIsCorrupt) {
+  const MixedDelta mixed = mixed_delta();
+  std::string wire;
+  encode_full_frame(mixed.table, 0, wire);
+  MaterializedView base;
+  ASSERT_EQ(base.apply(payload_of(wire)), ApplyResult::kApplied);
+
+  MaterializedView view = base;
+  ASSERT_EQ(view.apply(mixed.delta), ApplyResult::kApplied);
+  EXPECT_EQ(view.samples()[70].value, 12345678u);
+  EXPECT_EQ(view.samples()[1].value, 1003u);
+  EXPECT_EQ(view.samples()[2].top_labels[0], "10.0.0.3:3");
+  EXPECT_EQ(view.samples()[2].value, 5000u);
+  EXPECT_TRUE(shapes_intact(view, mixed.table));
+
+  for (std::size_t len = 0; len < mixed.delta.size(); ++len) {
+    MaterializedView copy = base;
+    EXPECT_EQ(copy.apply(std::string_view(mixed.delta).substr(0, len)),
+              ApplyResult::kCorrupt)
+        << "accepted a delta truncated to " << len << " bytes";
+    EXPECT_EQ(copy.sequence(), 1u);
+    EXPECT_EQ(copy.samples()[1].bucket_counts,
+              mixed.table.samples[1].bucket_counts);
+  }
+}
+
+TEST(WireStats, MixedDeltaByteFlipFuzzKeepsEveryRowShape) {
+  const MixedDelta mixed = mixed_delta();
+  std::string wire;
+  encode_full_frame(mixed.table, 0, wire);
+  MaterializedView base;
+  ASSERT_EQ(base.apply(payload_of(wire)), ApplyResult::kApplied);
+  for (std::size_t pos = 0; pos < mixed.delta.size(); ++pos) {
+    for (const unsigned char flip : {0x01, 0x80, 0xFF}) {
+      std::string mutated = mixed.delta;
+      mutated[pos] = static_cast<char>(
+          static_cast<unsigned char>(mutated[pos]) ^ flip);
+      MaterializedView view = base;
+      const ApplyResult result = view.apply(mutated);
+      EXPECT_TRUE(shapes_intact(view, mixed.table))
+          << "pos " << pos << " flip " << static_cast<int>(flip);
+      if (result != ApplyResult::kApplied) {
+        // Rejected: nothing may have moved.
+        EXPECT_EQ(view.sequence(), base.sequence()) << "pos " << pos;
+        for (std::size_t i = 0; i < base.samples().size(); ++i) {
+          ASSERT_EQ(view.samples()[i].value, base.samples()[i].value)
+              << "pos " << pos << " row " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(WireStats, OversizedBucketCountsRejectedBeforeAllocation) {
   for (const std::uint64_t nbuckets :
        {std::uint64_t{513}, std::uint64_t{1} << 20, std::uint64_t{1} << 60}) {
-    std::string payload = raw_header(kVectorVersion, FrameKind::kFull, 1, 1);
+    std::string payload = raw_header(FrameKind::kFull, 1, 1);
     append_uvarint(payload, 1);  // count
     append_uvarint(payload, 1);  // name_len
     payload.push_back('h');
@@ -199,7 +296,7 @@ TEST(WireStats, OversizedBucketCountsRejectedBeforeAllocation) {
   // nbuckets < 2 is equally meaningless (a histogram has an overflow
   // bucket and at least one finite edge).
   for (const std::uint64_t nbuckets : {std::uint64_t{0}, std::uint64_t{1}}) {
-    std::string payload = raw_header(kVectorVersion, FrameKind::kFull, 1, 1);
+    std::string payload = raw_header(FrameKind::kFull, 1, 1);
     append_uvarint(payload, 1);
     append_uvarint(payload, 1);
     payload.push_back('h');
@@ -215,7 +312,7 @@ TEST(WireStats, OversizedBucketCountsRejectedBeforeAllocation) {
 
 TEST(WireStats, BadEdgeEncodingsRejected) {
   // A zero edge diff (edges must strictly ascend)...
-  std::string payload = raw_header(kVectorVersion, FrameKind::kFull, 1, 1);
+  std::string payload = raw_header(FrameKind::kFull, 1, 1);
   append_uvarint(payload, 1);
   append_uvarint(payload, 1);
   payload.push_back('h');
@@ -229,7 +326,7 @@ TEST(WireStats, BadEdgeEncodingsRejected) {
   EXPECT_EQ(view.apply(payload), ApplyResult::kCorrupt);
 
   // ...and an overflowing diff (edge past 2^64) are both corrupt.
-  payload = raw_header(kVectorVersion, FrameKind::kFull, 1, 1);
+  payload = raw_header(FrameKind::kFull, 1, 1);
   append_uvarint(payload, 1);
   append_uvarint(payload, 1);
   payload.push_back('h');
@@ -242,35 +339,16 @@ TEST(WireStats, BadEdgeEncodingsRejected) {
   EXPECT_EQ(view.apply(payload), ApplyResult::kCorrupt);
 }
 
-TEST(WireStats, VersionSkewRejectedCleanly) {
-  // A v1 frame has no vector grammar: a histogram model byte inside it
-  // must be rejected, not guessed at.
-  std::string payload = raw_header(kWireVersion, FrameKind::kFull, 1, 1);
-  append_uvarint(payload, 1);
-  append_uvarint(payload, 1);
-  payload.push_back('h');
-  payload.push_back(static_cast<char>(ErrorModel::kHistogram));
-  append_uvarint(payload, 16);
-  append_uvarint(payload, 42);  // a v1 decoder would read this as value
-  MaterializedView view;
-  EXPECT_EQ(view.apply(payload), ApplyResult::kCorrupt);
-  EXPECT_TRUE(view.samples().empty());
-
-  // An unknown future version is corrupt for THIS decoder — the exact
-  // behavior a v1-era client shows a v4 frame (reject, never misread).
-  TelemetryFrame frame = mixed_frame(1, 1);
-  std::string wire;
-  encode_full_frame(frame, 0, wire);
-  std::string future(payload_of(wire));
-  future[2] = 6;  // one past kTopKVersion, the newest known revision
-  EXPECT_EQ(view.apply(future), ApplyResult::kCorrupt);
-
-  // And a v4 delta against a fresh view is kNeedFull, exactly like v1.
+TEST(WireStats, VectorDeltaWithoutABaseNeedsAFull) {
+  // A well-formed vector delta against a fresh view is kNeedFull, like
+  // any delta that has no agreed name table to land on.
   std::vector<DeltaEntry> entries;
   entries.emplace_back(0, 0, std::vector<std::uint64_t>{1, 2, 3, 4, 5});
+  std::string wire;
   encode_delta_frame(2, 1, 0, 1, entries, wire);
   MaterializedView fresh;
   EXPECT_EQ(fresh.apply(payload_of(wire)), ApplyResult::kNeedFull);
+  EXPECT_TRUE(fresh.samples().empty());
 }
 
 TEST(WireStats, DeltaShapeMismatchesAreCorruptAndAtomic) {
@@ -281,13 +359,13 @@ TEST(WireStats, DeltaShapeMismatchesAreCorruptAndAtomic) {
   ASSERT_EQ(view.apply(payload_of(wire)), ApplyResult::kApplied);
   const std::vector<Sample> before = view.samples();
 
-  // Scalar delta entry aimed at the histogram row.
+  // Scalar key (even) aimed at the histogram row.
   std::vector<DeltaEntry> entries;
   entries.emplace_back(1, 4242);
   encode_delta_frame(2, 1, 0, 1, entries, wire);
   EXPECT_EQ(view.apply(payload_of(wire)), ApplyResult::kCorrupt);
 
-  // Vector delta entry aimed at a scalar row.
+  // Vector key (odd) aimed at a scalar row.
   entries.clear();
   entries.emplace_back(0, 0, std::vector<std::uint64_t>{1, 2, 3, 4, 5});
   encode_delta_frame(2, 1, 0, 1, entries, wire);
@@ -299,11 +377,33 @@ TEST(WireStats, DeltaShapeMismatchesAreCorruptAndAtomic) {
   encode_delta_frame(2, 1, 0, 1, entries, wire);
   EXPECT_EQ(view.apply(payload_of(wire)), ApplyResult::kCorrupt);
 
-  // A single-count vector is never a histogram (nbuckets 1 < 2).
+  // A single-count vector is never a histogram (its tag 1 names top-k
+  // rows, and the count that follows is no row list).
   entries.clear();
   entries.emplace_back(1, 0, std::vector<std::uint64_t>{7});
   encode_delta_frame(2, 1, 0, 1, entries, wire);
   EXPECT_EQ(view.apply(payload_of(wire)), ApplyResult::kCorrupt);
+
+  // Hand-assembled vector keys on the histogram row (key = 1·2 + 1):
+  // tag 0 names no vector at all, and tag 1 (ranked top-k rows) is the
+  // wrong shape for a histogram row.
+  const auto vector_delta = [](std::uint64_t tag) {
+    std::string payload = raw_header(FrameKind::kDelta, 2, 1);
+    append_uvarint(payload, 1);  // base_seq
+    append_uvarint(payload, 1);  // entry count
+    append_uvarint(payload, 3);  // key: index 1, vector
+    append_uvarint(payload, tag);
+    return payload;
+  };
+  std::string tag0 = vector_delta(0);
+  append_uvarint(tag0, 5);  // would-be value
+  EXPECT_EQ(view.apply(tag0), ApplyResult::kCorrupt);
+  std::string tag1 = vector_delta(1);
+  append_uvarint(tag1, 1);  // nrows
+  append_uvarint(tag1, 1);  // label_len
+  tag1.push_back('a');
+  append_uvarint(tag1, 5);  // row value
+  EXPECT_EQ(view.apply(tag1), ApplyResult::kCorrupt);
 
   // A mixed delta where a LATER entry is malformed: nothing from the
   // earlier (valid) entries may stick — corrupt applies atomically.

@@ -1,4 +1,4 @@
-// obs_dump — fetch a live SnapshotServer's metricsz page (wire v5).
+// obs_dump — fetch a live SnapshotServer's metricsz page.
 //
 //   $ ./build/tools/obs_dump --port=9123
 //
