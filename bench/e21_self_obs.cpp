@@ -5,10 +5,12 @@
 //
 //   1. Tick overhead — a real SnapshotServer collecting a 1024-counter
 //      registry every 2 ms while 2 threads hammer the counters, run
-//      twice: self_metrics OFF (the seed behavior) and ON (23 "__sys/"
-//      instruments installed in the same registry, per-stage tick
-//      timings recorded into 3 histograms, 6 gauges stored, the
-//      overrun watchdog armed, a trace ring attached). The metric is
+//      twice: self_metrics OFF (no "__sys/" rows) and ON (23 read-only
+//      "__sys/" views of the server's own instruments in the same
+//      registry, a trace ring attached). The server counts its events,
+//      its 3 per-tick stage timings and its CPU clock the same way in
+//      both configs — one counter source — so ON pays only for
+//      collecting the 23 view rows and for the trace. The metric is
 //      collector CPU per tick (CLOCK_THREAD_CPUTIME_ID delta over the
 //      ticks it covered), median of interleaved repetitions so a noisy
 //      neighbor hits both configs alike. Acceptance (the CI guard,
@@ -117,16 +119,18 @@ const bench::Experiment kExperiment{
     "on (median collector CPU/tick over interleaved repetitions); "
     "section 2: rendering + encoding the metricsz page (23 internals + "
     "trace tail) from collected samples",
-    "the paper's counters are cheap enough to meter the meter: the "
-    "server's own event counts, stage timings and top-talker table are "
-    "k-additive counters, k-additive-bucket histograms and a max-register "
-    "top-k living in the served registry itself — the observability "
-    "plane rides the data plane's accuracy/cost contract instead of a "
-    "second mechanism",
-    "self_metrics ON within 5% of OFF (3 histogram records, 6 relaxed "
-    "gauge stores and one clock read per tick amortize against a "
-    "1024-entry collect); the metricsz page costs microseconds and only "
-    "on request — the exposition path never touches the tick loop",
+    "the paper's instruments are cheap enough to meter the meter: the "
+    "server counts its own events (exact atomics), stage timings "
+    "(k-additive-bucket histograms) and top talkers (exact per-peer "
+    "byte counts) once, and the served registry carries read-only "
+    "views of them — the observability plane rides the data plane's "
+    "wire and accuracy contract instead of a second mechanism",
+    "self_metrics ON within 5% of OFF (the only ON-side tick work is "
+    "collecting 23 view rows — one lock and one read each — against a "
+    "1024-entry collect; the 3 histogram records and one clock read "
+    "per tick are paid either way); the metricsz page costs "
+    "microseconds and only on request — the exposition path never "
+    "touches the tick loop",
     [](const bench::Options& options, bench::Report& report) {
       // --- section 1: tick overhead ----------------------------------
       const std::chrono::milliseconds warmup = bench::warmup_or(options, 200);
@@ -169,7 +173,7 @@ const bench::Experiment kExperiment{
       }
 
       // --- section 2: metricsz page cost -----------------------------
-      // A populated registry: the __sys/ instruments plus enough trace
+      // A populated registry: the __sys/ views plus enough trace
       // events to fill the page's tail, sampled once, then rendered
       // repeatedly — the per-request cost a scraper imposes.
       shard::RegistryT<base::DirectBackend> registry(2);

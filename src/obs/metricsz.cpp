@@ -105,9 +105,9 @@ std::size_t render_metricsz(const std::vector<shard::Sample>& samples,
         }
         break;
       default:
-        // Scalars: exact gauges and k-additive/multiplicative counters
-        // all render as one value line; the model comment above carries
-        // the interpretation.
+        // Scalars (the server's exact counters and gauges) render as
+        // one value line; the model comment above carries the
+        // interpretation.
         out.append("# TYPE ").append(name).append(" gauge\n");
         out.append(name).push_back(' ');
         append_u64(out, sample.value);

@@ -1,140 +1,159 @@
-// self_metrics.hpp — the server's own internals, published through the
-// server's own registry: self-observability without a second pipeline.
+// self_metrics.hpp — read-only `__sys/` registry rows over a live
+// server's own instruments: self-observability without a second count.
 //
 // The snapshot server (src/svc) already owns a distribution machine —
 // sequenced collects, FULL/DELTA encoding, prefix-filtered
 // subscriptions, shm fan-out. This header points that machine at the
-// server itself: every internal signal (accepted clients, frames sent,
-// per-stage tick timing, top talkers) becomes a registry entry under
-// the reserved `__sys/` prefix, so any existing client can subscribe
-// to `__sys/` and watch the server's vitals over the standard wire
-// with ZERO new wire format, and every reading inherits the paper's
-// error bounds (k-additive undercount ≤ S·k for event counters, exact
-// for gauges, per-bucket S·k for timing histograms, exact max-register
-// rows for the top-k directory).
+// server itself: with ServerOptions::self_metrics on, every internal
+// signal (accepted clients, frames sent, per-stage tick timing, top
+// talkers) appears as a registry entry under the reserved `__sys/`
+// prefix, so any existing client can subscribe to `__sys/` and watch
+// the server's vitals over the standard wire with ZERO new wire format.
 //
-// Two-face instruments: each entry is ONE object with two interfaces.
-//   * The registry face (shard::AnyCounter / AnyHistogram / AnyTopK)
-//     is what collects and describes the entry — but its public
-//     mutators NO-OP: a fleet worker that somehow obtained a `__sys/`
-//     handle cannot spoof server internals (and the registry's
-//     reserved-prefix guard stops it from creating one; see
-//     shard/registry.hpp kReservedPrefix).
-//   * The privileged face (SysCounter / SysGauge / SysHist / SysTopK)
-//     is handed only to the server core, which mutates through it.
-//
-// Pid discipline: the server's threads are NOT in the registry's pid
-// space (that space belongs to fleet workers + the aggregator). The
-// instruments here run over a private wpid space instead — wpid 0 is
-// the collector thread, wpid 1+i is io worker i — sized at install
-// time from the server's thread count. Registry-face reads always use
-// wpid 0: sharded reads sum shard cells and are pid-stateless, so any
-// in-range pid observes the same value.
+// One counter source: the server core counts every event once, into
+// its own block of instruments (exact atomics for event counters and
+// gauges, per-bucket S·k timing histograms, exact per-peer byte counts
+// for the top talkers), sized for its own threads and always fed.
+// ServerStats copies from that block, and each `__sys/` row is a VIEW
+// of one instrument in it:
+//   * a view reads the live server's instrument, and its writes
+//     (increment / record / update) do nothing, so a fleet worker that
+//     somehow obtained a `__sys/` handle cannot spoof server internals
+//     (and the registry's reserved-prefix guard stops it from creating
+//     one; see shard/registry.hpp kReservedPrefix);
+//   * a view shares ownership of the block it reads, so a row can never
+//     outlive its data;
+//   * a server started over a registry that already holds the rows (a
+//     restart) re-points them at its own block: its counts start from
+//     zero, and the rows never touch another server's thread slots.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "core/kadditive_counter.hpp"
+#include "base/backend.hpp"
 #include "shard/registry.hpp"
-#include "shard/sharded_counter.hpp"
 #include "stats/histogram.hpp"
-#include "stats/topk.hpp"
 
 namespace approx::obs {
 
-// ---------------------------------------------------------------------
-// Privileged faces: what the server core holds (concrete pointers, no
-// Backend parameter — the erasure lives in the instrument objects).
-// ---------------------------------------------------------------------
+/// The server block's histogram type. The server core is compiled once
+/// for every registry backend, so its block uses the relaxed production
+/// backend whatever the registry it serves.
+using ServerHistogram = stats::HistogramT<base::RelaxedDirectBackend>;
 
-/// Privileged event counter: one increment per event, from the thread
-/// that owns `wpid` (0 = collector, 1+i = io worker i).
-class SysCounter {
+/// Spec shared by every `__sys/` *_ns timing histogram: edges 1.024 µs …
+/// ~4.3 s, factor 4 (12 finite edges + overflow) — coarse on purpose,
+/// stage timings are order-of-magnitude signals — over one k-additive
+/// shard per bucket (a bucket undercounts by at most k, never over).
+inline stats::HistogramSpec timing_histogram_spec() {
+  stats::HistogramSpec spec;
+  spec.bounds = stats::exponential_bounds(1024, 4.0, 12);
+  spec.k = 4;
+  spec.shards = 1;
+  return spec;
+}
+
+/// Rows kept by `__sys/server.top_talkers`.
+inline constexpr std::size_t kTopTalkerRows = 16;
+
+/// The top-talkers directory: the first kTopTalkerRows peers, each with
+/// an exact count of the bytes flushed to it. A connection claims its
+/// row once (rows are never cleared), and every flush after that is one
+/// relaxed add, with no allocation and no label scan. (A labeled
+/// max-register top-k, stats/topk.hpp, allocates a fresh tree path for
+/// every new maximum, and a byte count reaches one per flush.)
+class TopTalkers {
  public:
-  virtual ~SysCounter() = default;
-  virtual void inc(unsigned wpid) = 0;
-};
-
-/// Privileged exact gauge, overwritten per tick by the collector only.
-class SysGauge {
- public:
-  virtual ~SysGauge() = default;
-  virtual void set(std::uint64_t value) = 0;
-};
-
-/// Privileged timing histogram (nanosecond observations).
-class SysHist {
- public:
-  virtual ~SysHist() = default;
-  virtual void rec(unsigned wpid, std::uint64_t value) = 0;
-};
-
-/// Privileged labeled max-register directory (label, cumulative value).
-class SysTopK {
- public:
-  virtual ~SysTopK() = default;
-  virtual void offer(unsigned wpid, std::string_view label,
-                     std::uint64_t value) = 0;
-};
-
-// ---------------------------------------------------------------------
-// The instrument implementations: registry face + privileged face on
-// one object, owned by the registry (lifetime = registry lifetime).
-// ---------------------------------------------------------------------
-
-namespace detail {
-
-/// Reserved event counter: sharded k-additive over the wpid space.
-template <typename Backend>
-class ReservedCounter final : public shard::AnyCounter, public SysCounter {
- public:
-  ReservedCounter(unsigned wpids, std::uint64_t k, unsigned shards)
-      : counter_(wpids, k, shards, shard::ShardPolicy::kHashPinned) {}
-
-  // Privileged face.
-  void inc(unsigned wpid) override { counter_.increment(wpid); }
-
-  // Registry face: public mutation no-ops (spoof-proof), reads real.
-  void increment(unsigned /*pid*/) override {}
-  std::uint64_t read(unsigned /*pid*/) override { return counter_.read(0); }
-  void flush(unsigned /*pid*/) override {}
-  [[nodiscard]] shard::ErrorModel error_model() const override {
-    return counter_.error_model();
+  /// `peer`'s byte counter, claiming a free row for a new peer; nullptr
+  /// when every row holds another peer.
+  std::atomic<std::uint64_t>* row_for(const std::string& peer) {
+    std::lock_guard lock(mutex_);
+    for (std::size_t i = 0; i < used_; ++i) {
+      if (labels_[i] == peer) return &bytes_[i];
+    }
+    if (used_ == kTopTalkerRows) return nullptr;
+    labels_[used_] = peer;
+    return &bytes_[used_++];
   }
-  [[nodiscard]] std::uint64_t error_bound() const override {
-    return counter_.error_bound();
-  }
-  [[nodiscard]] unsigned num_shards() const override {
-    return counter_.num_shards();
-  }
-  [[nodiscard]] bool accuracy_guaranteed() const override {
-    return counter_.accuracy_guaranteed();
+
+  /// The claimed rows, most bytes first (label-ascending ties, the
+  /// top-k wire order).
+  void snapshot_into(std::vector<std::string>& labels,
+                     std::vector<std::uint64_t>& values) const {
+    std::vector<std::pair<std::uint64_t, std::string>> rows;
+    {
+      std::lock_guard lock(mutex_);
+      for (std::size_t i = 0; i < used_; ++i) {
+        rows.emplace_back(bytes_[i].load(std::memory_order_relaxed),
+                          labels_[i]);
+      }
+    }
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    labels.clear();
+    values.clear();
+    for (auto& [bytes, label] : rows) {
+      values.push_back(bytes);
+      labels.push_back(std::move(label));
+    }
   }
 
  private:
-  shard::ShardedCounterT<core::KAdditiveCounterT, Backend> counter_;
+  mutable std::mutex mutex_;  // orders claims against snapshots
+  std::size_t used_ = 0;
+  std::array<std::string, kTopTalkerRows> labels_;
+  std::array<std::atomic<std::uint64_t>, kTopTalkerRows> bytes_{};
 };
 
-/// Reserved exact gauge: one atomic word, collector-overwritten per
-/// tick. Registry face reports kExact / bound 0 — the reading really is
-/// the last value the collector published.
-class ReservedGauge final : public shard::AnyCounter, public SysGauge {
+/// A registry row (`Face`) reading one server instrument (`Target`).
+/// The target pointer shares ownership of the server's block; the lock
+/// orders a restart's re-point against concurrent reads.
+template <typename Face, typename Target>
+class View : public Face {
  public:
-  // Privileged face.
-  void set(std::uint64_t value) override {
-    value_.store(value, std::memory_order_relaxed);
+  using face_type = Face;
+  using target_type = Target;
+
+  explicit View(std::shared_ptr<Target> target) : target_(std::move(target)) {}
+
+  /// Points the row at another server's instrument.
+  void repoint(std::shared_ptr<Target> target) {
+    std::lock_guard lock(mutex_);
+    target_ = std::move(target);
   }
 
-  // Registry face.
+ protected:
+  /// The current instrument; the copy keeps it alive across a re-point.
+  [[nodiscard]] std::shared_ptr<Target> target() const {
+    std::lock_guard lock(mutex_);
+    return target_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::shared_ptr<Target> target_;
+};
+
+/// An exact event counter or gauge: one atomic word of the block.
+class CounterView final
+    : public View<shard::AnyCounter, const std::atomic<std::uint64_t>> {
+ public:
+  using View::View;
+
   void increment(unsigned /*pid*/) override {}
   std::uint64_t read(unsigned /*pid*/) override {
-    return value_.load(std::memory_order_relaxed);
+    return target()->load(std::memory_order_relaxed);
   }
   void flush(unsigned /*pid*/) override {}
   [[nodiscard]] shard::ErrorModel error_model() const override {
@@ -143,228 +162,68 @@ class ReservedGauge final : public shard::AnyCounter, public SysGauge {
   [[nodiscard]] std::uint64_t error_bound() const override { return 0; }
   [[nodiscard]] unsigned num_shards() const override { return 1; }
   [[nodiscard]] bool accuracy_guaranteed() const override { return true; }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
 };
 
-/// Reserved timing histogram over the wpid space.
-template <typename Backend>
-class ReservedHistogram final : public shard::AnyHistogram, public SysHist {
+/// A timing histogram. Reads use the block's thread slot 0: sharded
+/// k-additive reads sum shard cells and are slot-stateless.
+class HistogramView final : public View<shard::AnyHistogram, ServerHistogram> {
  public:
-  ReservedHistogram(unsigned wpids, const stats::HistogramSpec& spec)
-      : histogram_(wpids, spec) {}
+  explicit HistogramView(std::shared_ptr<ServerHistogram> target)
+      : View(target),
+        bounds_(target->bounds()),
+        per_bucket_bound_(target->per_bucket_bound()) {}
 
-  // Privileged face.
-  void rec(unsigned wpid, std::uint64_t value) override {
-    histogram_.record(wpid, value);
-  }
-
-  // Registry face.
   void record(unsigned /*pid*/, std::uint64_t /*value*/) override {}
   void snapshot_into(unsigned /*pid*/,
                      std::vector<std::uint64_t>& counts) override {
-    histogram_.snapshot_into(0, counts);
+    target()->snapshot_into(0, counts);
   }
   void flush(unsigned /*pid*/) override {}
+  // Every block's histograms share one spec, so the row keeps its own
+  // copy: a re-point never invalidates a returned reference.
   [[nodiscard]] const std::vector<std::uint64_t>& bucket_bounds()
       const override {
-    return histogram_.bounds();
+    return bounds_;
   }
   [[nodiscard]] std::uint64_t per_bucket_bound() const override {
-    return histogram_.per_bucket_bound();
+    return per_bucket_bound_;
   }
 
  private:
-  stats::HistogramT<Backend> histogram_;
+  const std::vector<std::uint64_t> bounds_;
+  const std::uint64_t per_bucket_bound_;
 };
 
-/// Reserved top-k directory over the wpid space.
-template <typename Backend>
-class ReservedTopK final : public shard::AnyTopK, public SysTopK {
+/// The top-talkers directory. Public updates are unconditionally
+/// rejected (the AnyTopK contract documents this for reserved entries).
+class TopKView final : public View<shard::AnyTopK, TopTalkers> {
  public:
-  ReservedTopK(unsigned wpids, std::size_t capacity)
-      : topk_(wpids, capacity) {}
+  using View::View;
 
-  // Privileged face.
-  void offer(unsigned wpid, std::string_view label,
-             std::uint64_t value) override {
-    (void)topk_.update(wpid, label, value);
-  }
-
-  // Registry face: public update unconditionally rejected (the AnyTopK
-  // contract documents this for reserved entries).
   bool update(unsigned /*pid*/, std::string_view /*label*/,
               std::uint64_t /*value*/) override {
     return false;
   }
   void snapshot_into(std::vector<std::string>& labels,
                      std::vector<std::uint64_t>& values) override {
-    rows_.clear();
-    topk_.collect(topk_.capacity(), rows_);
-    labels.resize(rows_.size());
-    values.resize(rows_.size());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      labels[i] = std::move(rows_[i].label);
-      values[i] = rows_[i].value;
-    }
+    target()->snapshot_into(labels, values);
   }
   [[nodiscard]] std::size_t capacity() const override {
-    return topk_.capacity();
-  }
-
- private:
-  stats::TopKT<Backend> topk_;
-  std::vector<stats::TopEntry> rows_;  // collect scratch (single reader)
-};
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------
-// The catalog: every `__sys/server.*` entry, as privileged handles.
-// ---------------------------------------------------------------------
-
-/// The server core's handle bundle. All pointers are non-owning (the
-/// registry owns the instruments) and non-null after a successful
-/// install; the struct is cheap to copy.
-struct ServerInstruments {
-  // Event counters — k-additive (k=4, 1 shard): undercount ≤ 4, never
-  // overcount; one inc per event from the thread that saw it.
-  SysCounter* clients_accepted = nullptr;
-  SysCounter* clients_closed = nullptr;
-  SysCounter* clients_evicted = nullptr;
-  SysCounter* full_frames_sent = nullptr;
-  SysCounter* delta_frames_sent = nullptr;
-  SysCounter* catchup_deltas_sent = nullptr;
-  SysCounter* acks_received = nullptr;
-  SysCounter* subscribes_received = nullptr;
-  SysCounter* resyncs_received = nullptr;
-  SysCounter* shm_offers_sent = nullptr;
-  SysCounter* shm_accepts_received = nullptr;
-  SysCounter* ticks_overrun = nullptr;
-  // Per-tick gauges — exact, set by the collector at end of tick.
-  SysGauge* frames_in_flight = nullptr;
-  SysGauge* frames_collected = nullptr;
-  SysGauge* bytes_sent = nullptr;
-  SysGauge* frames_coalesced = nullptr;
-  SysGauge* shm_frames_published = nullptr;
-  SysGauge* collector_cpu_ns = nullptr;
-  // Stage timing histograms — ns observations, exponential edges.
-  SysHist* tick_collect_ns = nullptr;
-  SysHist* tick_encode_ns = nullptr;
-  SysHist* tick_flush_ns = nullptr;
-  SysHist* apply_lag_ns = nullptr;
-  // Top talkers — label = peer address, value = cumulative bytes
-  // flushed to that peer (monotone, so the max-register fold is exact).
-  SysTopK* top_talkers = nullptr;
-
-  /// True iff the full catalog is wired (install succeeded).
-  [[nodiscard]] bool complete() const noexcept {
-    return clients_accepted && clients_closed && clients_evicted &&
-           full_frames_sent && delta_frames_sent && catchup_deltas_sent &&
-           acks_received && subscribes_received && resyncs_received &&
-           shm_offers_sent && shm_accepts_received && ticks_overrun &&
-           frames_in_flight && frames_collected && bytes_sent &&
-           frames_coalesced && shm_frames_published && collector_cpu_ns &&
-           tick_collect_ns && tick_encode_ns && tick_flush_ns &&
-           apply_lag_ns && top_talkers;
+    return kTopTalkerRows;
   }
 };
 
-/// Timing-histogram edges shared by every `__sys/` *_ns instrument:
-/// 1.024 µs … ~4.3 s, factor 4 (12 finite edges + overflow). Coarse on
-/// purpose — stage timings are order-of-magnitude signals.
-inline std::vector<std::uint64_t> sys_histogram_bounds() {
-  return stats::exponential_bounds(1024, 4.0, 12);
-}
-
-/// Per-shard slack of the `__sys/` event counters (and the per-bucket
-/// slack of the timing histograms): a reading undercounts by at most
-/// this, and never overcounts.
-inline constexpr std::uint64_t kSysCounterK = 4;
-
-/// Rows kept by `__sys/server.top_talkers`.
-inline constexpr std::size_t kTopTalkerRows = 16;
-
-/// Installs the full `__sys/server.*` catalog into `registry` (via the
-/// privileged reserved adders) over a private wpid space of
-/// `1 + io_threads` threads, and returns the privileged handles.
-/// Idempotent per registry: a second install finds the existing
-/// instruments and returns handles to them (the wpid space of the
-/// FIRST install wins — callers reusing a registry across server
-/// restarts must keep io_threads stable, which the service layer's
-/// single-options construction guarantees).
-template <typename Backend>
-ServerInstruments install_self_metrics(shard::RegistryT<Backend>& registry,
-                                       unsigned io_threads) {
-  const unsigned wpids = 1 + (io_threads < 1 ? 1 : io_threads);
-  ServerInstruments out;
-
-  const auto counter = [&](const char* name) -> SysCounter* {
-    shard::AnyCounter* entry = registry.add_counter_reserved(
-        std::string(name), [&] {
-          return std::make_unique<detail::ReservedCounter<Backend>>(
-              wpids, kSysCounterK, 1u);
-        });
-    // Reserved names are only ever populated by this installer, so the
-    // concrete type is known; a kind collision yields nullptr instead.
-    return dynamic_cast<detail::ReservedCounter<Backend>*>(entry);
-  };
-  const auto gauge = [&](const char* name) -> SysGauge* {
-    shard::AnyCounter* entry = registry.add_counter_reserved(
-        std::string(name),
-        [&] { return std::make_unique<detail::ReservedGauge>(); });
-    return dynamic_cast<detail::ReservedGauge*>(entry);
-  };
-  const auto hist = [&](const char* name) -> SysHist* {
-    shard::AnyHistogram* entry = registry.add_histogram_reserved(
-        std::string(name), [&] {
-          stats::HistogramSpec spec;
-          spec.bounds = sys_histogram_bounds();
-          spec.k = kSysCounterK;
-          spec.shards = 1;
-          return std::make_unique<detail::ReservedHistogram<Backend>>(wpids,
-                                                                      spec);
-        });
-    return dynamic_cast<detail::ReservedHistogram<Backend>*>(entry);
-  };
-
-  out.clients_accepted = counter("__sys/server.clients_accepted");
-  out.clients_closed = counter("__sys/server.clients_closed");
-  out.clients_evicted = counter("__sys/server.clients_evicted");
-  out.full_frames_sent = counter("__sys/server.full_frames_sent");
-  out.delta_frames_sent = counter("__sys/server.delta_frames_sent");
-  out.catchup_deltas_sent = counter("__sys/server.catchup_deltas_sent");
-  out.acks_received = counter("__sys/server.acks_received");
-  out.subscribes_received = counter("__sys/server.subscribes_received");
-  out.resyncs_received = counter("__sys/server.resyncs_received");
-  out.shm_offers_sent = counter("__sys/server.shm_offers_sent");
-  out.shm_accepts_received = counter("__sys/server.shm_accepts_received");
-  out.ticks_overrun = counter("__sys/server.ticks_overrun");
-
-  out.frames_in_flight = gauge("__sys/server.frames_in_flight");
-  out.frames_collected = gauge("__sys/server.frames_collected");
-  out.bytes_sent = gauge("__sys/server.bytes_sent");
-  out.frames_coalesced = gauge("__sys/server.frames_coalesced");
-  out.shm_frames_published = gauge("__sys/server.shm_frames_published");
-  out.collector_cpu_ns = gauge("__sys/server.collector_cpu_ns");
-
-  out.tick_collect_ns = hist("__sys/server.tick.collect_ns");
-  out.tick_encode_ns = hist("__sys/server.tick.encode_ns");
-  out.tick_flush_ns = hist("__sys/server.tick.flush_ns");
-  out.apply_lag_ns = hist("__sys/server.client.apply_lag_ns");
-
-  {
-    shard::AnyTopK* entry = registry.add_topk_reserved(
-        std::string("__sys/server.top_talkers"), [&] {
-          return std::make_unique<detail::ReservedTopK<Backend>>(
-              wpids, kTopTalkerRows);
-        });
-    out.top_talkers = dynamic_cast<detail::ReservedTopK<Backend>*>(entry);
-  }
-
-  assert(out.complete() && "self-metrics install hit a kind collision");
-  return out;
+/// Registers the reserved row `name` as a `ViewT` of `target`, or
+/// re-points the view already registered under that name.
+template <typename ViewT, typename Backend>
+void install_view(shard::RegistryT<Backend>& registry, const std::string& name,
+                  std::shared_ptr<typename ViewT::target_type> target) {
+  using Face = typename ViewT::face_type;
+  Face* row = registry.template add_reserved<Face>(
+      name, [&] { return std::make_unique<ViewT>(target); });
+  auto* view = dynamic_cast<ViewT*>(row);
+  assert(view != nullptr && "`__sys/` name held by another instrument");
+  if (view != nullptr) view->repoint(std::move(target));
 }
 
 }  // namespace approx::obs

@@ -11,16 +11,20 @@
 // a scratch frame whose sample storage is refreshed in place by the
 // registry's flat-table pass (names/models/bounds are re-copied only
 // when the registry version changed), so a frame costs one read per
-// counter plus the publication copy for latest().
+// counter — plus, for collect() and background mode, the publication
+// copy for latest(). collect_into() refreshes the caller's frame and
+// publishes only the sequence: its caller already holds the frame (the
+// snapshot server serves its own copy), so latest() is not touched.
 //
-// Publication ordering: the sequence number is *released last*. collect()
-// stores the frame into latest_ (under latest_mutex_) and only then
-// release-stores next_sequence_; frames_collected() loads it with
+// Publication ordering: the sequence number is *released last*. Every
+// pass release-stores next_sequence_ after the registry pass finished —
+// and collect() and background mode only after storing the frame into
+// latest_ (under latest_mutex_); frames_collected() loads it with
 // acquire. A consumer that observes frames_collected() ≥ N therefore
-// synchronizes with frame N's publication, and a subsequent latest()
-// returns a frame with sequence ≥ N. (The previous fetch_add(relaxed)
-// *before* the payload store ordered nothing: the counter could read N
-// while latest_ still held frame N−1.)
+// synchronizes with pass N, and after a collect() or a background pass
+// a subsequent latest() returns a frame with sequence ≥ N. (A
+// fetch_add(relaxed) *before* the payload store would order nothing:
+// the counter could read N while latest_ still held frame N−1.)
 //
 // Two modes:
 //
@@ -97,29 +101,32 @@ class AggregatorT {
   /// storage (see the header).
   TelemetryFrame collect() {
     std::lock_guard collect_lock(collect_mutex_);
-    collect_locked(scratch_);
+    collect_locked(scratch_, /*publish_latest=*/true);
     return scratch_;
   }
 
   /// The zero-allocation form: refreshes `out` in place (values every
   /// pass; names/models/bounds only when the registry grew) and
-  /// publishes it exactly like collect(). Callers that loop — the
-  /// background thread, scrapers — reuse one frame and pay no per-frame
-  /// allocation at steady state.
+  /// publishes only its sequence — latest() keeps the last frame
+  /// collect() or background mode published. Callers that loop —
+  /// scrapers, the snapshot server — reuse one frame and pay no
+  /// per-frame allocation or copy at steady state.
   void collect_into(TelemetryFrame& out) {
     std::lock_guard collect_lock(collect_mutex_);
-    collect_locked(out);
+    collect_locked(out, /*publish_latest=*/false);
   }
 
-  /// Newest published frame (sequence 0 with no samples before the
-  /// first collect()).
+  /// Newest frame collect() or background mode published (sequence 0
+  /// with no samples before the first one).
   [[nodiscard]] TelemetryFrame latest() const {
     std::lock_guard lock(latest_mutex_);
     return latest_;
   }
 
-  /// Frames published so far. Pairs (acquire) with collect()'s release
-  /// store: after observing N here, latest() returns sequence ≥ N.
+  /// Passes completed so far, by any form. Pairs (acquire) with each
+  /// pass's release store: after observing N here, pass N's effects are
+  /// visible — after collect() or background mode, latest() returns
+  /// sequence ≥ N.
   [[nodiscard]] std::uint64_t frames_collected() const noexcept {
     return next_sequence_.load(std::memory_order_acquire);
   }
@@ -132,9 +139,11 @@ class AggregatorT {
     if (thread_.joinable()) return;
     stop_.store(false, std::memory_order_relaxed);
     thread_ = std::thread([this, period] {
-      TelemetryFrame frame;  // reused across the thread's lifetime
       while (!stop_.load(std::memory_order_acquire)) {
-        collect_into(frame);
+        {
+          std::lock_guard collect_lock(collect_mutex_);
+          collect_locked(scratch_, /*publish_latest=*/true);
+        }
         // Sleep in small slices so stop() stays responsive at long
         // periods.
         const auto deadline = std::chrono::steady_clock::now() + period;
@@ -155,14 +164,16 @@ class AggregatorT {
   [[nodiscard]] unsigned pid() const noexcept { return pid_; }
 
  private:
-  /// One single-pass frame refresh + publication; collect_mutex_ held.
+  /// One single-pass frame refresh + publication (of the frame into
+  /// latest_ when `publish_latest`, then of its sequence); collect_mutex_
+  /// held.
   /// In sequenced mode (see the constructor) the registry additionally
   /// records which counters this pass changed, keyed by the frame's own
   /// sequence number, so delta consumers (src/svc) can later ask for
   /// exactly the entries that moved since a subscriber's acknowledged
   /// frame; collect_mutex_ serializes the passes, making this
   /// aggregator the registry's single sequencer.
-  void collect_locked(TelemetryFrame& frame) {
+  void collect_locked(TelemetryFrame& frame, bool publish_latest) {
     // next_sequence_ is only written under collect_mutex_, so a plain
     // relaxed load reads our own last publication.
     frame.sequence = next_sequence_.load(std::memory_order_relaxed) + 1;
@@ -172,12 +183,12 @@ class AggregatorT {
                          frame.sequence)
                    : registry_.snapshot_all_into(pid_, frame.samples,
                                                  frame.registry_version);
-    {
+    if (publish_latest) {
       std::lock_guard lock(latest_mutex_);
       latest_ = frame;
     }
     // Payload first, sequence last (release): an observer of sequence N
-    // via frames_collected() sees N's frame published (header comment).
+    // via frames_collected() sees pass N complete (header comment).
     next_sequence_.store(frame.sequence, std::memory_order_release);
   }
 
@@ -185,7 +196,7 @@ class AggregatorT {
   unsigned pid_;
   bool sequenced_;            // stamp change tracking? (constructor doc)
   std::mutex collect_mutex_;  // serializes collect() passes (see above)
-  TelemetryFrame scratch_;    // collect()'s reused storage (collect_mutex_)
+  TelemetryFrame scratch_;    // collect()/background storage (collect_mutex_)
   std::atomic<std::uint64_t> next_sequence_{0};
   mutable std::mutex latest_mutex_;
   TelemetryFrame latest_;

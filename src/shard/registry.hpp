@@ -86,7 +86,7 @@ namespace approx::shard {
 /// self-observability entries (src/obs): user-facing registration
 /// (get_or_create / add_histogram / add_topk) rejects them with an
 /// error return, so fleet counters can never collide with or spoof
-/// server internals. The privileged *_reserved adders require it.
+/// server internals. The privileged add_reserved adder requires it.
 inline constexpr std::string_view kReservedPrefix = "__sys/";
 
 /// True iff `name` lives under the reserved self-observability prefix.
@@ -145,8 +145,8 @@ class AnyTopK {
   virtual ~AnyTopK() = default;
   /// Raises `label`'s value to at least `value`. Returns false when the
   /// directory is full and the label absent (the update is dropped) —
-  /// or unconditionally for server-owned reserved entries, whose
-  /// updates flow through a privileged handle instead.
+  /// or unconditionally for server-owned reserved entries, which are
+  /// read-only views of the server's own instruments.
   virtual bool update(unsigned pid, std::string_view label,
                       std::uint64_t value) = 0;
   /// Ranked snapshot: rows value-descending (label-ascending ties) into
@@ -219,7 +219,7 @@ class RegistryT {
   /// wins). The pointer stays valid for the registry's lifetime.
   /// Returns nullptr — never UB — when the name is rejected: it lives
   /// under the reserved `__sys/` prefix (self-observability entries go
-  /// through the privileged *_reserved adders) or is already taken by a
+  /// through the privileged add_reserved) or is already taken by a
   /// different instrument kind.
   AnyCounter* get_or_create(const std::string& name, const CounterSpec& spec) {
     if (is_reserved_name(name)) return nullptr;
@@ -239,16 +239,17 @@ class RegistryT {
     return *counter;
   }
 
-  /// Privileged get-or-create for a reserved `__sys/` counter (the
-  /// self-observability layer's entry point; requires a reserved name).
+  /// Privileged get-or-create for a reserved `__sys/` entry of kind
+  /// `Instrument` (AnyCounter, AnyHistogram or AnyTopK) — the
+  /// self-observability layer's entry point; requires a reserved name.
   /// `make` is invoked under the exclusive lock only when the name is
-  /// new and must return a std::unique_ptr<AnyCounter>. Returns nullptr
-  /// iff the name is not reserved or is taken by another kind.
-  template <typename Factory>
-  AnyCounter* add_counter_reserved(const std::string& name, Factory&& make) {
+  /// new and must return a std::unique_ptr to an `Instrument`. Returns
+  /// nullptr iff the name is not reserved or is taken by another kind.
+  template <typename Instrument, typename Factory>
+  Instrument* add_reserved(const std::string& name, Factory&& make) {
     if (!is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
-    return insert_locked<AnyCounter>(name, std::forward<Factory>(make));
+    return insert_locked<Instrument>(name, std::forward<Factory>(make));
   }
 
   /// The counter registered under `name`, or nullptr.
@@ -270,16 +271,6 @@ class RegistryT {
     return insert_locked<AnyHistogram>(name, std::forward<Factory>(make));
   }
 
-  /// Privileged add_histogram for a reserved `__sys/` name (nullptr iff
-  /// the name is not reserved or taken by another kind).
-  template <typename Factory>
-  AnyHistogram* add_histogram_reserved(const std::string& name,
-                                       Factory&& make) {
-    if (!is_reserved_name(name)) return nullptr;
-    std::unique_lock lock(mutex_);
-    return insert_locked<AnyHistogram>(name, std::forward<Factory>(make));
-  }
-
   /// The histogram registered under `name`, or nullptr.
   [[nodiscard]] AnyHistogram* lookup_histogram(const std::string& name) const {
     std::shared_lock lock(mutex_);
@@ -293,15 +284,6 @@ class RegistryT {
   template <typename Factory>
   AnyTopK* add_topk(const std::string& name, Factory&& make) {
     if (is_reserved_name(name)) return nullptr;
-    std::unique_lock lock(mutex_);
-    return insert_locked<AnyTopK>(name, std::forward<Factory>(make));
-  }
-
-  /// Privileged add_topk for a reserved `__sys/` name (nullptr iff the
-  /// name is not reserved or taken by another kind).
-  template <typename Factory>
-  AnyTopK* add_topk_reserved(const std::string& name, Factory&& make) {
-    if (!is_reserved_name(name)) return nullptr;
     std::unique_lock lock(mutex_);
     return insert_locked<AnyTopK>(name, std::forward<Factory>(make));
   }

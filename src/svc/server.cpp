@@ -13,6 +13,11 @@
 // group gets at most one delta encode per tick, at most one full encode
 // per tick (lazily, when a member or its ring needs one) and, once a
 // same-host member asks, its own shm ring.
+//
+// One counter source: the core counts every event once, into its own
+// block of instruments (kCounterTable names every slot). stats() copies
+// from the block, and with ServerOptions::self_metrics each `__sys/` row
+// is a read-only view of it (obs/self_metrics.hpp).
 #include "svc/server.hpp"
 
 #include <arpa/inet.h>
@@ -24,9 +29,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <ctime>
 #include <functional>
@@ -52,10 +59,10 @@ namespace {
 /// Longest ack record: type byte + 10-byte varint.
 constexpr std::size_t kMaxAckBytes = 11;
 
-/// This thread's slot in the self-metrics instruments' private wpid
-/// space: 0 = the collector, 1 + i = io worker i (assigned at the top
-/// of each loop). The obs instruments keep the repo-wide one-thread-
-/// per-pid discipline without borrowing fleet pids.
+/// This thread's slot in the server's instrument block: 0 = the
+/// collector, 1 + i = io worker i (assigned at the top of each loop).
+/// The block's histograms keep the repo-wide one-thread-per-pid
+/// discipline over these slots without borrowing fleet pids.
 thread_local unsigned t_wpid = 0;
 
 /// CPU time this thread has burned so far (ns) — the per-thread clock,
@@ -67,6 +74,107 @@ std::uint64_t thread_cpu_ns() {
   return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
+
+/// The core's counters: one exact atomic slot each, bumped once per
+/// event by the thread that saw it. kFramesInFlight is a gauge (moves
+/// both ways); kFramesCollected and kCollectorCpuNs are stored.
+enum Counter : std::size_t {
+  kFramesCollected,  // the newest collected sequence
+  kClientsAccepted,
+  kClientsClosed,
+  kClientsEvicted,
+  kFramesInFlight,
+  kFullFramesSent,
+  kDeltaFramesSent,
+  kCatchupDeltasSent,
+  kFramesCoalesced,
+  kBytesSent,
+  kAcksReceived,
+  kSubscribesReceived,
+  kResyncsReceived,
+  kGroupFullEncodes,
+  kGroupDeltaEncodes,
+  kGroupDeltasSuppressed,
+  kShmRequestsReceived,
+  kShmOffersSent,
+  kShmAcceptsReceived,
+  kShmFramesPublished,
+  kShmPublishFailures,
+  kCollectorCpuNs,
+  kRetiredIoCpuNs,  // exited workers' sum; stats() adds the live ones
+  kTicksOverrun,
+  kCounters
+};
+
+/// The one counter table: each slot, the ServerStats field stats()
+/// copies it into, and its `__sys/server.` row name when self_metrics
+/// exports it (nullptr: ServerStats only).
+struct CounterRow {
+  Counter slot;
+  std::uint64_t ServerStats::*field;
+  const char* sys_name;
+};
+
+constexpr CounterRow kCounterTable[] = {
+    {kFramesCollected, &ServerStats::frames_collected, "frames_collected"},
+    {kClientsAccepted, &ServerStats::clients_accepted, "clients_accepted"},
+    {kClientsClosed, &ServerStats::clients_closed, "clients_closed"},
+    {kClientsEvicted, &ServerStats::clients_evicted_idle, "clients_evicted"},
+    {kFramesInFlight, &ServerStats::frames_in_flight, "frames_in_flight"},
+    {kFullFramesSent, &ServerStats::full_frames_sent, "full_frames_sent"},
+    {kDeltaFramesSent, &ServerStats::delta_frames_sent, "delta_frames_sent"},
+    {kCatchupDeltasSent, &ServerStats::catchup_deltas_sent,
+     "catchup_deltas_sent"},
+    {kFramesCoalesced, &ServerStats::frames_coalesced, "frames_coalesced"},
+    {kBytesSent, &ServerStats::bytes_sent, "bytes_sent"},
+    {kAcksReceived, &ServerStats::acks_received, "acks_received"},
+    {kSubscribesReceived, &ServerStats::subscribes_received,
+     "subscribes_received"},
+    {kResyncsReceived, &ServerStats::resyncs_received, "resyncs_received"},
+    {kGroupFullEncodes, &ServerStats::filtered_full_encodes, nullptr},
+    {kGroupDeltaEncodes, &ServerStats::filtered_delta_encodes, nullptr},
+    {kGroupDeltasSuppressed, &ServerStats::group_deltas_suppressed, nullptr},
+    {kShmRequestsReceived, &ServerStats::shm_requests_received, nullptr},
+    {kShmOffersSent, &ServerStats::shm_offers_sent, "shm_offers_sent"},
+    {kShmAcceptsReceived, &ServerStats::shm_accepts_received,
+     "shm_accepts_received"},
+    {kShmFramesPublished, &ServerStats::shm_frames_published,
+     "shm_frames_published"},
+    {kShmPublishFailures, &ServerStats::shm_publish_failures, nullptr},
+    {kCollectorCpuNs, &ServerStats::collector_cpu_ns, "collector_cpu_ns"},
+    {kRetiredIoCpuNs, &ServerStats::io_cpu_ns, nullptr},
+    {kTicksOverrun, &ServerStats::ticks_overrun, "ticks_overrun"},
+};
+static_assert(std::size(kCounterTable) == kCounters, "one row per slot");
+
+/// The timing histograms (ns observations) and their `__sys/server.`
+/// row names.
+enum Timing : std::size_t {
+  kTickCollect,
+  kTickEncode,
+  kTickFlush,
+  kApplyLag,
+  kTimings
+};
+
+constexpr const char* kTimingNames[kTimings] = {
+    "tick.collect_ns", "tick.encode_ns", "tick.flush_ns",
+    "client.apply_lag_ns"};
+
+/// The server's one block of instruments, sized for its own threads (see
+/// t_wpid) and fed whether or not self_metrics exports it.
+struct Instruments {
+  explicit Instruments(unsigned threads)
+      : timings{{{threads, obs::timing_histogram_spec()},
+                 {threads, obs::timing_histogram_spec()},
+                 {threads, obs::timing_histogram_spec()},
+                 {threads, obs::timing_histogram_spec()}}} {}
+
+  std::array<std::atomic<std::uint64_t>, kCounters> counters{};
+  std::array<obs::ServerHistogram, kTimings> timings;
+  /// Label = peer address, value = bytes flushed to that peer.
+  obs::TopTalkers top_talkers;
+};
 
 }  // namespace
 
@@ -102,6 +210,7 @@ class ServerCore {
     }
     if (options_.shm_slots == 0) options_.shm_slots = 1;
     if (options_.shm_slot_bytes == 0) options_.shm_slot_bytes = 4096;
+    instruments_ = std::make_shared<Instruments>(1 + options_.io_threads);
     group_table_.store(new_table(), std::memory_order_relaxed);
   }
 
@@ -159,9 +268,13 @@ class ServerCore {
 
   void stop() {
     std::lock_guard lifecycle(lifecycle_mutex_);
-    if (!running_.exchange(false, std::memory_order_acq_rel)) {
-      return;  // never started or already stopped
+    {
+      std::lock_guard tick_lock(tick_mutex_);  // the tick wait reads running_
+      if (!running_.exchange(false, std::memory_order_acq_rel)) {
+        return;  // never started or already stopped
+      }
     }
+    tick_cv_.notify_all();
     for (auto& worker : workers_) wake(*worker);
     if (collector_.joinable()) collector_.join();
     for (auto& worker : workers_) {
@@ -190,48 +303,16 @@ class ServerCore {
 
   [[nodiscard]] ServerStats stats() const {
     // Serialized against start()/stop() (which rebuild/free workers_);
-    // the per-worker atomics keep the counters themselves race-free
-    // against the running threads.
+    // the instrument block's atomics keep the counters themselves
+    // race-free against the running threads.
     std::lock_guard lifecycle(lifecycle_mutex_);
     ServerStats out;
-    out.frames_collected = frames_collected_.load(std::memory_order_relaxed);
-    out.clients_accepted = clients_accepted_.load(std::memory_order_relaxed);
-    out.clients_closed = clients_closed_.load(std::memory_order_relaxed);
-    out.clients_evicted_idle =
-        clients_evicted_idle_.load(std::memory_order_relaxed);
-    out.frames_in_flight = inflight_frames_.load(std::memory_order_relaxed);
-    out.full_frames_sent = full_frames_sent_.load(std::memory_order_relaxed);
-    out.delta_frames_sent = delta_frames_sent_.load(std::memory_order_relaxed);
-    out.catchup_deltas_sent =
-        catchup_deltas_sent_.load(std::memory_order_relaxed);
-    out.frames_coalesced = frames_coalesced_.load(std::memory_order_relaxed);
-    out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    out.acks_received = acks_received_.load(std::memory_order_relaxed);
-    out.subscribes_received =
-        subscribes_received_.load(std::memory_order_relaxed);
-    out.resyncs_received = resyncs_received_.load(std::memory_order_relaxed);
-    out.filtered_full_encodes =
-        group_full_encodes_.load(std::memory_order_relaxed);
-    out.filtered_delta_encodes =
-        group_delta_encodes_.load(std::memory_order_relaxed);
-    out.group_deltas_suppressed =
-        group_deltas_suppressed_.load(std::memory_order_relaxed);
-    out.shm_requests_received =
-        shm_requests_received_.load(std::memory_order_relaxed);
-    out.shm_offers_sent = shm_offers_sent_.load(std::memory_order_relaxed);
-    out.shm_accepts_received =
-        shm_accepts_received_.load(std::memory_order_relaxed);
-    out.shm_frames_published =
-        shm_frames_published_.load(std::memory_order_relaxed);
-    out.shm_publish_failures =
-        shm_publish_failures_.load(std::memory_order_relaxed);
-    out.collector_cpu_ns = collector_cpu_ns_.load(std::memory_order_relaxed);
-    out.io_cpu_ns = retired_io_cpu_ns_.load(std::memory_order_relaxed);
-    for (const auto& worker : workers_) {
-      out.io_cpu_ns += worker->cpu_ns.load(std::memory_order_relaxed);
+    for (const CounterRow& row : kCounterTable) {
+      out.*row.field = count(row.slot);
     }
     std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
     for (const auto& worker : workers_) {
+      out.io_cpu_ns += worker->cpu_ns.load(std::memory_order_relaxed);
       floor = std::min(floor,
                        worker->min_acked.load(std::memory_order_relaxed));
     }
@@ -240,15 +321,27 @@ class ServerCore {
     return out;
   }
 
-  /// Arms the `__sys/` self-metrics handles (obs/self_metrics.hpp).
-  /// Must be called before start(); the instruments (registry-owned)
-  /// must outlive the server.
-  void set_instruments(const obs::ServerInstruments& sys) {
-    sys_ = sys;
-    sys_on_ = sys.complete();
+  /// The instrument block the `__sys/` views read.
+  [[nodiscard]] const std::shared_ptr<Instruments>& instruments() const {
+    return instruments_;
   }
 
  private:
+  void bump(Counter counter, std::uint64_t n = 1) noexcept {
+    instruments_->counters[counter].fetch_add(n, std::memory_order_relaxed);
+  }
+  void set(Counter counter, std::uint64_t value) noexcept {
+    instruments_->counters[counter].store(value, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t count(Counter counter) const noexcept {
+    return instruments_->counters[counter].load(std::memory_order_relaxed);
+  }
+  /// Records a duration into one of the timing histograms.
+  void record_ns(Timing timing, std::chrono::nanoseconds elapsed) {
+    instruments_->timings[timing].record(
+        t_wpid, static_cast<std::uint64_t>(elapsed.count()));
+  }
+
   /// Flight-recorder shorthand: no-op without a ring.
   void trace(obs::TraceKind kind, std::uint64_t a = 0,
              std::uint64_t b = 0) noexcept {
@@ -396,11 +489,9 @@ class ServerCore {
     std::uint64_t ack_wait_since = 0;
     std::uint64_t ack_wait_acked = 0;  // acked_seq when armed
     std::size_t ack_wait_off = 0;      // in-flight drain offset when armed
-    /// Self-metrics bookkeeping: "ip:port" of the peer (the
-    /// top_talkers label) and cumulative bytes flushed to it — monotone
-    /// by construction, so the top-k max-register fold is exact.
-    std::string peer;
-    std::uint64_t bytes_flushed = 0;
+    /// The peer's top-talker byte count, claimed at adoption; null once
+    /// the directory's rows all hold other peers.
+    std::atomic<std::uint64_t>* talker = nullptr;
     /// kMetricszRequest pending: set when the control record is read,
     /// served once a metricsz page rendered at or after the request
     /// (req_seq = the newest tick at the first service round that saw
@@ -480,7 +571,7 @@ class ServerCore {
   }
 
   void collector_loop() {
-    t_wpid = 0;  // the collector's slot in the obs wpid space
+    t_wpid = 0;  // the collector's slot in the instrument block
     shard::TelemetryFrame frame;  // reused; zero-alloc at steady state
     std::shared_ptr<const shard::TelemetryFrame> names;  // per version
     std::vector<DeltaEntry> changed;
@@ -540,36 +631,19 @@ class ServerCore {
         metricsz_page_ = std::move(page);
         metricsz_seq_ = frame.sequence;
       }
-      last_pub_seq_.store(frame.sequence, std::memory_order_relaxed);
+      // The sequences start at 1 and step by 1, so the newest collected
+      // sequence is also the count of frames collected.
+      set(kFramesCollected, frame.sequence);
       last_pub_collect_ns_.store(collect_ns, std::memory_order_relaxed);
-      frames_collected_.fetch_add(1, std::memory_order_relaxed);
       for (auto& worker : workers_) wake(*worker);
       const auto flush_done = std::chrono::steady_clock::now();
       prev_seq = frame.sequence;
-      collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
-      // Self-metrics: per-stage timings into the `__sys/` histograms and
-      // the tick's gauge refresh (next tick's collect pass picks both
-      // up, so the vitals ride the very stream they describe).
-      if (sys_on_) {
-        const auto ns = [](auto duration) {
-          return static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(duration)
-                  .count());
-        };
-        sys_.tick_collect_ns->rec(0, ns(collect_done - tick_start));
-        sys_.tick_encode_ns->rec(0, ns(encode_done - collect_done));
-        sys_.tick_flush_ns->rec(0, ns(flush_done - encode_done));
-        sys_.frames_in_flight->set(
-            inflight_frames_.load(std::memory_order_relaxed));
-        sys_.frames_collected->set(
-            frames_collected_.load(std::memory_order_relaxed));
-        sys_.bytes_sent->set(bytes_sent_.load(std::memory_order_relaxed));
-        sys_.frames_coalesced->set(
-            frames_coalesced_.load(std::memory_order_relaxed));
-        sys_.shm_frames_published->set(
-            shm_frames_published_.load(std::memory_order_relaxed));
-        sys_.collector_cpu_ns->set(thread_cpu_ns());
-      }
+      set(kCollectorCpuNs, thread_cpu_ns());
+      // Per-stage timings: the next tick's collect pass picks them up, so
+      // with self_metrics the vitals ride the very stream they describe.
+      record_ns(kTickCollect, collect_done - tick_start);
+      record_ns(kTickEncode, encode_done - collect_done);
+      record_ns(kTickFlush, flush_done - encode_done);
       // Slow-tick watchdog: the work above outran the period — the
       // serving cadence is slipping and subscribers will see coalesced
       // ticks. Counted (and traced) rather than "handled": the honest
@@ -577,7 +651,7 @@ class ServerCore {
       const auto deadline = tick_start + options_.period;
       const auto now = std::chrono::steady_clock::now();
       if (now > deadline) {
-        if (sys_on_) sys_.ticks_overrun->inc(0);
+        bump(kTicksOverrun);
         trace(obs::TraceKind::kTickOverrun,
               static_cast<std::uint64_t>(
                   std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -588,17 +662,17 @@ class ServerCore {
                       options_.period)
                       .count()));
       }
-      // Sleep out the tick in 1 ms slices so stop() stays responsive.
-      while (running_.load(std::memory_order_acquire) &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      // Wait out the tick on the clock itself; stop() wakes us early.
+      std::unique_lock tick_lock(tick_mutex_);
+      tick_cv_.wait_until(tick_lock, deadline, [this] {
+        return !running_.load(std::memory_order_acquire);
+      });
     }
-    collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
+    set(kCollectorCpuNs, thread_cpu_ns());
   }
 
   void worker_loop(unsigned index) {
-    t_wpid = 1 + index;  // this worker's slot in the obs wpid space
+    t_wpid = 1 + index;  // this worker's slot in the instrument block
     Worker& worker = *workers_[index];
     std::vector<pollfd> pfds;
     std::vector<DeltaEntry> changed_scratch;
@@ -659,7 +733,7 @@ class ServerCore {
     // workers' cpu_ns on top; zero ours first so it never double
     // counts).
     worker.cpu_ns.store(0, std::memory_order_relaxed);
-    retired_io_cpu_ns_.fetch_add(thread_cpu_ns(), std::memory_order_relaxed);
+    bump(kRetiredIoCpuNs, thread_cpu_ns());
   }
 
   /// New connections join the pass-all group: until a SUBSCRIBE says
@@ -671,7 +745,7 @@ class ServerCore {
     for (int fd : worker.inbox) {
       Client client;
       client.fd = fd;
-      client.peer = peer_label(fd);
+      client.talker = instruments_->top_talkers.row_for(peer_label(fd));
       join_group_writer_locked(client, SubscriptionFilter{});
       worker.clients.push_back(std::move(client));
     }
@@ -719,8 +793,7 @@ class ServerCore {
         ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf,
                      sizeof(options_.sndbuf));
       }
-      clients_accepted_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.clients_accepted->inc(t_wpid);
+      bump(kClientsAccepted);
       trace(obs::TraceKind::kClientConnect,
             static_cast<std::uint64_t>(fd));
       Worker& target =
@@ -742,14 +815,15 @@ class ServerCore {
                     std::shared_ptr<const std::string> frame) {
     client.out = std::move(frame);
     client.off = 0;
-    inflight_frames_.fetch_add(1, std::memory_order_relaxed);
+    bump(kFramesInFlight);
   }
 
   void drop_inflight(Client& client) {
     if (!client.out) return;
     client.out.reset();
     client.off = 0;
-    inflight_frames_.fetch_sub(1, std::memory_order_relaxed);
+    instruments_->counters[kFramesInFlight].fetch_sub(
+        1, std::memory_order_relaxed);
   }
 
   /// The ack-deadline eviction check (ServerOptions::ack_deadline_ticks;
@@ -787,8 +861,7 @@ class ServerCore {
     if (head - client.ack_wait_since < options_.ack_deadline_ticks) {
       return false;
     }
-    clients_evicted_idle_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.clients_evicted->inc(t_wpid);
+    bump(kClientsEvicted);
     trace(obs::TraceKind::kClientEvict,
           static_cast<std::uint64_t>(client.fd),
           (head - client.ack_wait_since) *
@@ -810,8 +883,7 @@ class ServerCore {
       std::lock_guard wlock(groups_writer_mutex_);
       release_group_writer_locked(client);
     }
-    clients_closed_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.clients_closed->inc(t_wpid);
+    bump(kClientsClosed);
     trace(obs::TraceKind::kClientDisconnect, static_cast<std::uint64_t>(fd));
   }
 
@@ -907,21 +979,17 @@ class ServerCore {
           return client.inbuf.size() < kMaxAckBytes;
         }
         client.acked_seq = std::max(client.acked_seq, seq);
-        acks_received_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) {
-          sys_.acks_received->inc(t_wpid);
-          // Apply-lag proxy: collect-stamp → ack-receipt for the newest
-          // published frame (older acks are skipped — their stamp is
-          // gone; the racy seq/ns pair is at worst one tick stale,
-          // noise at histogram granularity).
-          if (seq != 0 &&
-              seq == last_pub_seq_.load(std::memory_order_relaxed)) {
-            const std::uint64_t collected =
-                last_pub_collect_ns_.load(std::memory_order_relaxed);
-            const std::uint64_t now = steady_now_ns();
-            if (now > collected) {
-              sys_.apply_lag_ns->rec(t_wpid, now - collected);
-            }
+        bump(kAcksReceived);
+        // Apply-lag proxy: collect-stamp → ack-receipt for the newest
+        // published frame (older acks are skipped — their stamp is
+        // gone; the racy seq/ns pair is at worst one tick stale, noise
+        // at histogram granularity).
+        if (seq != 0 && seq == count(kFramesCollected)) {
+          const std::uint64_t collected =
+              last_pub_collect_ns_.load(std::memory_order_relaxed);
+          const std::uint64_t now = steady_now_ns();
+          if (now > collected) {
+            record_ns(kApplyLag, std::chrono::nanoseconds(now - collected));
           }
         }
         client.inbuf.erase(0, static_cast<std::size_t>(cursor -
@@ -948,8 +1016,7 @@ class ServerCore {
           // SUBSCRIBE. It may request the new group's ring afterwards.
           client.shm_consuming = false;
           client.shm_offer_pending = false;
-          subscribes_received_.fetch_add(1, std::memory_order_relaxed);
-          if (sys_on_) sys_.subscribes_received->inc(t_wpid);
+          bump(kSubscribesReceived);
         } else if (control.kind == FrameKind::kMetricszRequest) {
           // Solicited exposition: flag the client and ask the collector
           // to render at its next tick; service_client ships the page
@@ -957,7 +1024,7 @@ class ServerCore {
           client.metricsz_pending = true;
           metricsz_wanted_.store(true, std::memory_order_relaxed);
         } else if (control.kind == FrameKind::kShmRequest) {
-          shm_requests_received_.fetch_add(1, std::memory_order_relaxed);
+          bump(kShmRequestsReceived);
           // Answered by service_client with the client's group ring —
           // unless shm is disabled or the ring cannot be made, in which
           // case the requester silently stays on TCP.
@@ -972,8 +1039,7 @@ class ServerCore {
               !ring->broken.load(std::memory_order_relaxed) &&
               control.shm_generation == ring->writer.generation()) {
             client.shm_consuming = true;
-            shm_accepts_received_.fetch_add(1, std::memory_order_relaxed);
-            if (sys_on_) sys_.shm_accepts_received->inc(t_wpid);
+            bump(kShmAcceptsReceived);
             trace(obs::TraceKind::kShmAccept,
                   static_cast<std::uint64_t>(client.fd),
                   control.shm_generation);
@@ -989,8 +1055,7 @@ class ServerCore {
           // ring frame applies cleanly again, which re-freezes this
           // stream (sent_seq stays stale-low for the next demotion).
           client.shm_consuming = false;
-          resyncs_received_.fetch_add(1, std::memory_order_relaxed);
-          if (sys_on_) sys_.resyncs_received->inc(t_wpid);
+          bump(kResyncsReceived);
           trace(obs::TraceKind::kResync,
                 static_cast<std::uint64_t>(client.fd));
         }
@@ -1013,13 +1078,10 @@ class ServerCore {
                  client.out->size() - client.off, MSG_NOSIGNAL);
       if (n > 0) {
         client.off += static_cast<std::size_t>(n);
-        bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
-                              std::memory_order_relaxed);
-        client.bytes_flushed += static_cast<std::uint64_t>(n);
-        if (sys_on_) {
-          // Cumulative per-peer bytes only grow, so the max-register
-          // fold keeps the directory exact.
-          sys_.top_talkers->offer(t_wpid, client.peer, client.bytes_flushed);
+        bump(kBytesSent, static_cast<std::uint64_t>(n));
+        if (client.talker != nullptr) {
+          client.talker->fetch_add(static_cast<std::uint64_t>(n),
+                                   std::memory_order_relaxed);
         }
         continue;
       }
@@ -1079,7 +1141,7 @@ class ServerCore {
     if (client.fd < 0) return;
     // The eviction clock runs whether or not the flush is blocked — a
     // half-open peer IS a permanently blocked flush.
-    const std::uint64_t head = last_pub_seq_.load(std::memory_order_relaxed);
+    const std::uint64_t head = count(kFramesCollected);
     if (evict_if_ack_stalled(client, head)) return;
     if (!drained) return;  // blocked mid-frame
     FilterGroup& group = *client.group;
@@ -1096,8 +1158,7 @@ class ServerCore {
       const GroupRing* ring = ring_for(group);
       if (ring != nullptr && !ring->broken.load(std::memory_order_relaxed)) {
         set_inflight(client, ring->offer);
-        shm_offers_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.shm_offers_sent->inc(t_wpid);
+        bump(kShmOffersSent);
         trace(obs::TraceKind::kShmOffer,
               static_cast<std::uint64_t>(client.fd),
               ring->writer.generation());
@@ -1154,8 +1215,7 @@ class ServerCore {
         // In step (or covered): the group's one shared encode this tick.
         set_inflight(client, std::move(tick.delta));
         client.sent_seq = tick.pass_seq;
-        delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
+        bump(kDeltaFramesSent);
         flush(client);
         return;
       }
@@ -1168,8 +1228,7 @@ class ServerCore {
     client.sent_seq = tick.pass_seq;
     client.sent_regver = tick.wire_regver;
     client.force_full = false;
-    full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
+    bump(kFullFramesSent);
     flush(client);
   }
 
@@ -1189,8 +1248,7 @@ class ServerCore {
         tick.selection.get(), changed_scratch);
     if (!upto.has_value()) return false;
     if (tick.pass_seq > client.sent_seq + 1) {
-      frames_coalesced_.fetch_add(tick.pass_seq - client.sent_seq - 1,
-                                  std::memory_order_relaxed);
+      bump(kFramesCoalesced, tick.pass_seq - client.sent_seq - 1);
     }
     // tick.collect_ns dates pass tick.pass_seq only; when the walk ran
     // ahead, stamping it would date newer values with an older clock
@@ -1206,8 +1264,7 @@ class ServerCore {
                        changed_scratch, *buf);
     set_inflight(client, std::move(buf));
     client.sent_seq = std::max(client.sent_seq, *upto);
-    catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
+    bump(kCatchupDeltasSent);
     flush(client);
     return true;
   }
@@ -1246,7 +1303,7 @@ class ServerCore {
     encode_full_frame(rows, tick.collect_ns, *buf);
     group.full = std::move(buf);
     group.full_seq = tick.pass_seq;
-    group_full_encodes_.fetch_add(1, std::memory_order_relaxed);
+    bump(kGroupFullEncodes);
     return group.full;
   }
 
@@ -1347,7 +1404,7 @@ class ServerCore {
       // by a head that stops moving, so a ring group ships every tick.
       if (entries->empty() && ring == nullptr &&
           ++group.ticks_suppressed < options_.group_heartbeat_ticks) {
-        group_deltas_suppressed_.fetch_add(1, std::memory_order_relaxed);
+        bump(kGroupDeltasSuppressed);
       } else {
         auto buf = std::make_shared<std::string>();
         // Labeled with the group's pinned wire version (== the registry
@@ -1360,7 +1417,7 @@ class ServerCore {
         delta_base = group.sent_seq;
         group.sent_seq = frame.sequence;
         group.ticks_suppressed = 0;
-        group_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
+        bump(kGroupDeltaEncodes);
       }
     }
     // else: the changed walk was unusable this tick (registry version
@@ -1385,9 +1442,9 @@ class ServerCore {
           delta ? delta : group_full(group, *tick);
       if (ring->writer.publish(
               std::string_view(*bytes).substr(kFramePrefixBytes))) {
-        shm_frames_published_.fetch_add(1, std::memory_order_relaxed);
+        bump(kShmFramesPublished);
       } else {
-        shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
+        bump(kShmPublishFailures);
         ring->broken.store(true, std::memory_order_relaxed);
         trace(obs::TraceKind::kShmDemote, ring->writer.generation());
       }
@@ -1410,6 +1467,10 @@ class ServerCore {
   Hooks hooks_;
   mutable std::mutex lifecycle_mutex_;  // start/stop/stats (see start())
   std::atomic<bool> running_{false};
+  /// The collector waits out each tick on tick_cv_ until running_ drops;
+  /// stop() drops it under tick_mutex_, so the wake-up cannot be lost.
+  std::mutex tick_mutex_;
+  std::condition_variable tick_cv_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -1431,34 +1492,9 @@ class ServerCore {
   /// ticks). The collector drives reclaim() once per tick; stop()
   /// drains the backlog after the joins.
   base::EpochDomain epochs_;
-  std::atomic<std::uint64_t> frames_collected_{0};
-  std::atomic<std::uint64_t> clients_accepted_{0};
-  std::atomic<std::uint64_t> clients_closed_{0};
-  std::atomic<std::uint64_t> clients_evicted_idle_{0};
-  std::atomic<std::uint64_t> inflight_frames_{0};  // gauge, not monotonic
-  std::atomic<std::uint64_t> full_frames_sent_{0};
-  std::atomic<std::uint64_t> delta_frames_sent_{0};
-  std::atomic<std::uint64_t> catchup_deltas_sent_{0};
-  std::atomic<std::uint64_t> frames_coalesced_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> acks_received_{0};
-  std::atomic<std::uint64_t> subscribes_received_{0};
-  std::atomic<std::uint64_t> resyncs_received_{0};
-  std::atomic<std::uint64_t> group_full_encodes_{0};
-  std::atomic<std::uint64_t> group_delta_encodes_{0};
-  std::atomic<std::uint64_t> group_deltas_suppressed_{0};
-  std::atomic<std::uint64_t> shm_requests_received_{0};
-  std::atomic<std::uint64_t> shm_offers_sent_{0};
-  std::atomic<std::uint64_t> shm_accepts_received_{0};
-  std::atomic<std::uint64_t> shm_frames_published_{0};
-  std::atomic<std::uint64_t> shm_publish_failures_{0};
-  std::atomic<std::uint64_t> collector_cpu_ns_{0};
-  std::atomic<std::uint64_t> retired_io_cpu_ns_{0};  // exited workers' sum
-  // --- Self-observability (src/obs) ---------------------------------
-  /// Privileged handles into the registry's `__sys/server.*` entries;
-  /// sys_on_ iff the catalog is armed (set_instruments before start()).
-  obs::ServerInstruments sys_{};
-  bool sys_on_ = false;
+  /// The one counter source: ServerStats copies from it, and the
+  /// `__sys/` views share its ownership (see kCounterTable).
+  std::shared_ptr<Instruments> instruments_;
   /// Flight recorder; null = tracing off. Not owned.
   obs::TraceRing* trace_ = nullptr;
   /// Set by any worker that read a kMetricszRequest; the collector
@@ -1470,11 +1506,11 @@ class ServerCore {
   std::mutex metricsz_mutex_;
   std::shared_ptr<const std::string> metricsz_page_;
   std::uint64_t metricsz_seq_ = 0;
-  /// Newest collected (seq, collect stamp) pair: the eviction clock and
-  /// the apply-lag proxy read it with relaxed loads. The pair can be
-  /// torn across a tick boundary — at worst one tick of skew in a
-  /// histogram sample, which the bucket width swallows.
-  std::atomic<std::uint64_t> last_pub_seq_{0};
+  /// The newest collect stamp, paired with the kFramesCollected slot
+  /// (the newest sequence): the apply-lag proxy reads both with relaxed
+  /// loads. The pair can be torn across a tick boundary — at worst one
+  /// tick of skew in a histogram sample, which the bucket width
+  /// swallows.
   std::atomic<std::uint64_t> last_pub_collect_ns_{0};
 };
 
@@ -1482,9 +1518,8 @@ class ServerCore {
 
 template <typename Backend>
   requires(!Backend::kInstrumented)
-SnapshotServerT<Backend>::SnapshotServerT(
-    const shard::RegistryT<Backend>& registry, unsigned pid,
-    ServerOptions options)
+SnapshotServerT<Backend>::SnapshotServerT(shard::RegistryT<Backend>& registry,
+                                          unsigned pid, ServerOptions options)
     : aggregator_(registry, pid, /*sequenced=*/true), registry_(registry) {
   typename detail::ServerCore::Hooks hooks;
   hooks.collect = [this](shard::TelemetryFrame& frame) {
@@ -1509,19 +1544,26 @@ SnapshotServerT<Backend>::SnapshotServerT(
         selection);
   };
   core_ = std::make_unique<detail::ServerCore>(options, std::move(hooks));
-}
-
-template <typename Backend>
-  requires(!Backend::kInstrumented)
-SnapshotServerT<Backend>::SnapshotServerT(shard::RegistryT<Backend>& registry,
-                                          unsigned pid, ServerOptions options)
-    : SnapshotServerT(
-          static_cast<const shard::RegistryT<Backend>&>(registry), pid,
-          options) {
-  if (options.self_metrics) {
-    core_->set_instruments(
-        obs::install_self_metrics(registry, options.io_threads));
+  if (!options.self_metrics) return;
+  // The `__sys/` rows: one view per exported instrument of this server's
+  // block (a restart re-points the rows a previous server left).
+  const std::shared_ptr<detail::Instruments>& block = core_->instruments();
+  const std::string prefix = "__sys/server.";
+  for (const detail::CounterRow& row : detail::kCounterTable) {
+    if (row.sys_name == nullptr) continue;
+    obs::install_view<obs::CounterView>(
+        registry, prefix + row.sys_name,
+        std::shared_ptr<const std::atomic<std::uint64_t>>(
+            block, &block->counters[row.slot]));
   }
+  for (std::size_t t = 0; t < detail::kTimings; ++t) {
+    obs::install_view<obs::HistogramView>(
+        registry, prefix + detail::kTimingNames[t],
+        std::shared_ptr<obs::ServerHistogram>(block, &block->timings[t]));
+  }
+  obs::install_view<obs::TopKView>(
+      registry, prefix + "top_talkers",
+      std::shared_ptr<obs::TopTalkers>(block, &block->top_talkers));
 }
 
 template <typename Backend>

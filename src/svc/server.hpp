@@ -13,13 +13,14 @@
 //     deltas. The pass-all group is an ordinary group that
 //     simply outlives its members, so there is one serving path.
 //
-//   * collector thread — every `period`, one sequenced collect_into
-//     pass into a reused frame (zero collect allocations at steady
-//     state; the pass feeds the registry's changed-since tracking), then
-//     one pass over the groups: per group at most ONE delta encode,
-//     shared by every in-step member (ServerStats::
-//     filtered_delta_encodes), and nothing at all on a tick where the
-//     group's subset did not change (ServerStats::
+//   * collector thread — every `period` (a tick waits on a condition
+//     variable until its start + period; stop() wakes it early), one
+//     sequenced collect_into pass into a reused frame (zero collect
+//     allocations at steady state; the pass feeds the registry's
+//     changed-since tracking), then one pass over the groups: per group
+//     at most ONE delta encode, shared by every in-step member
+//     (ServerStats::filtered_delta_encodes), and nothing at all on a
+//     tick where the group's subset did not change (ServerStats::
 //     group_deltas_suppressed) until a heartbeat is due
 //     (ServerOptions::group_heartbeat_ticks) — a subscriber's receive
 //     cost scales with its subset's activity, not the fleet's. Fulls
@@ -65,6 +66,15 @@
 //     control, liveness and recovery: an overrun reader RESYNCs and the
 //     full goes over TCP; a SUBSCRIBE moves it to TCP frames of its new
 //     group (whose ring it may then request).
+//
+//   * one counter source — the server counts every event once, into its
+//     own block of instruments sized for its own threads: an exact
+//     atomic per ServerStats counter, the stage timing histograms and
+//     the top-talker directory. stats() copies from the block; with
+//     ServerOptions::self_metrics each `__sys/server.*` registry row is
+//     a read-only view of it that shares the block's ownership, and a
+//     restarted server re-points the rows at its own block
+//     (obs/self_metrics.hpp).
 //
 // Catch-up deltas are encoded from the registry's tracking columns via
 // the version-guarded changed-since walk: if a create shifted the
@@ -146,21 +156,24 @@ struct ServerOptions {
   /// ring — wait-free, allocation-free, cheap enough to leave on. The
   /// ring must outlive the server. Null: no tracing (the default).
   obs::TraceRing* trace = nullptr;
-  /// Self-metrics (src/obs): when true — requires the non-const
-  /// registry constructor — the server installs the `__sys/server.*`
-  /// catalog into the registry it serves and keeps it live: its own
-  /// counters, per-stage tick timing histograms and top-talker
-  /// directory then ride the standard wire like any fleet entry
-  /// (subscribe with a `__sys/` prefix filter), and the kind-7/kind-8
-  /// metricsz exchange renders them as text. Off by default: a server
-  /// over a const registry cannot (and does not) self-report.
+  /// Self-metrics (src/obs): when true the server exports its own
+  /// instruments into the registry it serves as the 23 read-only
+  /// `__sys/server.*` rows — exact event counters and gauges, per-stage
+  /// tick timing histograms and the top-talker directory — which then
+  /// ride the standard wire like any fleet entry (subscribe with a
+  /// `__sys/` prefix filter), and the kind-7/kind-8 metricsz exchange
+  /// renders them as text. The server counts the same either way
+  /// (stats() reads the same instruments); off by default, so a
+  /// registry served without it carries no `__sys/` rows.
   bool self_metrics = false;
 };
 
 /// Monotonic counters describing a server's life so far. stats() may be
 /// called from any thread at any time (it is serialized against
 /// start()/stop() internally); while the server runs the counters are a
-/// racy-but-coherent snapshot, exact once stop() returned.
+/// racy-but-coherent snapshot, exact once stop() returned. Each counter
+/// is counted once, in the server's own instruments — the same ones its
+/// `__sys/` rows read (ServerOptions::self_metrics).
 struct ServerStats {
   std::uint64_t frames_collected = 0;
   std::uint64_t clients_accepted = 0;
@@ -210,6 +223,8 @@ struct ServerStats {
   /// consumer adds none (E19 pins server CPU flat in shm-swarm size).
   std::uint64_t collector_cpu_ns = 0;
   std::uint64_t io_cpu_ns = 0;
+  /// Ticks whose work outran the period (the slow-tick watchdog).
+  std::uint64_t ticks_overrun = 0;
 };
 
 namespace detail {
@@ -223,16 +238,12 @@ template <typename Backend>
   requires(!Backend::kInstrumented)
 class SnapshotServerT {
  public:
-  /// @param registry fleet to serve (must outlive the server).
+  /// @param registry fleet to serve (must outlive the server). With
+  ///   ServerOptions::self_metrics the `__sys/server.*` rows are
+  ///   installed into it here, before serving begins — or, when a
+  ///   previous server left them, re-pointed at this server.
   /// @param pid dedicated aggregation slot in the registry's pid space;
   ///   no worker may share it (one thread per pid, repo-wide).
-  SnapshotServerT(const shard::RegistryT<Backend>& registry, unsigned pid,
-                  ServerOptions options = {});
-
-  /// Mutable-registry overload: additionally honors
-  /// ServerOptions::self_metrics by installing the `__sys/server.*`
-  /// self-observability catalog into `registry` before serving begins
-  /// (the const overload ignores that flag — it cannot create entries).
   SnapshotServerT(shard::RegistryT<Backend>& registry, unsigned pid,
                   ServerOptions options = {});
   ~SnapshotServerT();

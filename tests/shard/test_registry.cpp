@@ -404,7 +404,7 @@ TEST(Registry, CrossKindNameCollisionsAreRejected) {
       "h", [] { return std::make_unique<FakeHistogram>(); });
   AnyTopK* topk =
       registry.add_topk("t", [] { return std::make_unique<FakeTopK>(); });
-  AnyHistogram* sys_hist = registry.add_histogram_reserved(
+  AnyHistogram* sys_hist = registry.add_reserved<AnyHistogram>(
       "__sys/h", [] { return std::make_unique<FakeHistogram>(); });
   ASSERT_NE(counter, nullptr);
   ASSERT_NE(hist, nullptr);
@@ -431,8 +431,9 @@ TEST(Registry, CrossKindNameCollisionsAreRejected) {
   EXPECT_EQ(registry.add_topk("h", topk_factory), nullptr);
   EXPECT_EQ(registry.get_or_create("t", {ErrorModel::kExact, 0, 1}), nullptr);
   EXPECT_EQ(registry.add_histogram("t", hist_factory), nullptr);
-  EXPECT_EQ(registry.add_counter_reserved("__sys/h", counter_factory), nullptr);
-  EXPECT_EQ(registry.add_topk_reserved("__sys/h", topk_factory), nullptr);
+  EXPECT_EQ(registry.add_reserved<AnyCounter>("__sys/h", counter_factory),
+            nullptr);
+  EXPECT_EQ(registry.add_reserved<AnyTopK>("__sys/h", topk_factory), nullptr);
   EXPECT_FALSE(invoked);
   EXPECT_EQ(registry.size(), 4u);
   EXPECT_EQ(registry.version(), version);  // nothing was inserted
@@ -458,12 +459,12 @@ TEST(Registry, CrossKindNameCollisionsAreRejected) {
 }
 
 TEST(Registry, ReservedAddersRequireTheReservedPrefix) {
-  // The privileged adders are the mirror image: they accept ONLY
-  // reserved names (a non-reserved name through the privileged path
-  // would bypass the public kind-collision story) and their entries
+  // The privileged adder is the mirror image: it accepts ONLY reserved
+  // names, of every kind (a non-reserved name through the privileged
+  // path would bypass the public kind-collision story), and its entries
   // collect like any other.
   Registry registry(2);
-  AnyCounter* gauge = registry.add_counter_reserved(
+  AnyCounter* gauge = registry.add_reserved<AnyCounter>(
       "__sys/server.ticks",
       [] {
         return std::make_unique<detail::ErasedSharded<
@@ -471,15 +472,15 @@ TEST(Registry, ReservedAddersRequireTheReservedPrefix) {
             2u, std::uint64_t{4}, 1u, ShardPolicy::kHashPinned);
       });
   ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(registry.add_counter_reserved("app/requests", [] {
+  EXPECT_EQ(registry.add_reserved<AnyCounter>("app/requests", [] {
     return std::unique_ptr<AnyCounter>();
   }),
             nullptr);
-  EXPECT_EQ(registry.add_histogram_reserved("app/h", [] {
+  EXPECT_EQ(registry.add_reserved<AnyHistogram>("app/h", [] {
     return std::make_unique<FakeHistogram>();
   }),
             nullptr);
-  EXPECT_EQ(registry.add_topk_reserved("app/t", [] {
+  EXPECT_EQ(registry.add_reserved<AnyTopK>("app/t", [] {
     return std::make_unique<FakeTopK>();
   }),
             nullptr);

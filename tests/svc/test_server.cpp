@@ -9,14 +9,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/backend.hpp"
+#include "obs/self_metrics.hpp"
 #include "shard/registry.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
@@ -1250,6 +1253,299 @@ TEST(SnapshotServer, GroupChurnWithSixtyFourStreamersResolvesCleanly) {
   }
   EXPECT_TRUE(drained) << "in-flight frames leaked after group churn";
   server.stop();
+}
+
+// --- self-metrics: the `__sys/` rows -----------------------------------
+
+/// The view's value for `name`, or nullopt while the name is absent.
+std::optional<std::uint64_t> view_value(const MaterializedView& view,
+                                        const std::string& name) {
+  for (const shard::Sample& sample : view.samples()) {
+    if (sample.name == name) return sample.value;
+  }
+  return std::nullopt;
+}
+
+/// A client subscribed to the `__sys/` subtree, its filtered full
+/// applied.
+void subscribe_sys(TelemetryClient& client, std::uint16_t port) {
+  ASSERT_TRUE(client.connect(port));
+  SubscriptionFilter filter;
+  filter.prefixes = {"__sys/"};
+  ASSERT_TRUE(client.subscribe(filter));
+  for (int i = 0; i < 400 && client.view().rebase_pending(); ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  ASSERT_FALSE(client.view().rebase_pending());
+}
+
+TEST(SnapshotServer, SysRowsReachExactlyTheServersOwnCounts) {
+  // One counter source: each `__sys/` event row is a view of the atomic
+  // stats() reads, so a `__sys/` subscriber's view reaches exactly
+  // stats(). The counts are odd on purpose: a batching row (k = 4
+  // k-additive over three thread slots publishes a slot's events in
+  // pairs) could stay one below for good.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("fleet/c", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.self_metrics = true;
+  options.ack_deadline_ticks = 0;  // idle clients stay until closed
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient sys;  // connect 1, SUBSCRIBE 1
+  ASSERT_NO_FATAL_FAILURE(subscribe_sys(sys, server.port()));
+  TelemetryClient others[4];  // connects 2–5
+  for (TelemetryClient& client : others) {
+    ASSERT_TRUE(client.connect(server.port()));
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  // SUBSCRIBEs 2 and 3: a re-based view means the server took the
+  // record (the fleet-only table is not the pass-all table).
+  SubscriptionFilter fleet;
+  fleet.prefixes = {"fleet/"};
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(others[c].subscribe(fleet));
+    for (int i = 0; i < 400 && others[c].view().rebase_pending(); ++i) {
+      ASSERT_TRUE(others[c].poll_frame(kFrameTimeout));
+    }
+    ASSERT_FALSE(others[c].view().rebase_pending());
+  }
+  // The RESYNC: no table change happens here, so a new full means the
+  // server took it.
+  const std::uint64_t fulls = others[2].view().full_frames();
+  ASSERT_TRUE(others[2].request_resync());
+  for (int i = 0; i < 400 && others[2].view().full_frames() == fulls; ++i) {
+    ASSERT_TRUE(others[2].poll_frame(kFrameTimeout));
+  }
+  ASSERT_GT(others[2].view().full_frames(), fulls);
+  for (int c = 0; c < 3; ++c) others[c].close();  // closes 1–3
+
+  const std::uint64_t accepted = 5;
+  const std::uint64_t closed = 3;
+  const std::uint64_t subscribes = 3;
+  const std::uint64_t resyncs = 1;
+  const auto row = [&](const char* name) {
+    return view_value(sys.view(), std::string("__sys/server.") + name);
+  };
+  bool reached = false;
+  for (int i = 0; i < 2000 && !reached; ++i) {
+    ASSERT_TRUE(sys.poll_frame(kFrameTimeout));
+    reached = row("clients_accepted") == accepted &&
+              row("clients_closed") == closed &&
+              row("subscribes_received") == subscribes &&
+              row("resyncs_received") == resyncs;
+  }
+  EXPECT_TRUE(reached) << "accepted " << row("clients_accepted").value_or(0)
+                       << " closed " << row("clients_closed").value_or(0)
+                       << " subscribes "
+                       << row("subscribes_received").value_or(0)
+                       << " resyncs " << row("resyncs_received").value_or(0);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.clients_accepted, accepted);
+  EXPECT_EQ(stats.clients_closed, closed);
+  EXPECT_EQ(stats.subscribes_received, subscribes);
+  EXPECT_EQ(stats.resyncs_received, resyncs);
+  server.stop();
+}
+
+TEST(SnapshotServer, SysRowsIgnoreWritesThroughRegistryHandles) {
+  // A `__sys/` row is read-only: increment, record and update through
+  // the registry's own lookups change nothing. The catalog is exactly
+  // the 23 rows, each read from the server's instruments.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("fleet/c", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.self_metrics = true;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  server.stop();  // every instrument is quiescent from here on
+  const ServerStats stats = server.stats();
+
+  const std::vector<std::string> catalog = {
+      "__sys/server.acks_received",
+      "__sys/server.bytes_sent",
+      "__sys/server.catchup_deltas_sent",
+      "__sys/server.client.apply_lag_ns",
+      "__sys/server.clients_accepted",
+      "__sys/server.clients_closed",
+      "__sys/server.clients_evicted",
+      "__sys/server.collector_cpu_ns",
+      "__sys/server.delta_frames_sent",
+      "__sys/server.frames_coalesced",
+      "__sys/server.frames_collected",
+      "__sys/server.frames_in_flight",
+      "__sys/server.full_frames_sent",
+      "__sys/server.resyncs_received",
+      "__sys/server.shm_accepts_received",
+      "__sys/server.shm_frames_published",
+      "__sys/server.shm_offers_sent",
+      "__sys/server.subscribes_received",
+      "__sys/server.tick.collect_ns",
+      "__sys/server.tick.encode_ns",
+      "__sys/server.tick.flush_ns",
+      "__sys/server.ticks_overrun",
+      "__sys/server.top_talkers",
+  };
+  std::vector<std::string> names;
+  for (const shard::Sample& sample : registry.snapshot_all(0)) {
+    if (shard::is_reserved_name(sample.name)) names.push_back(sample.name);
+  }
+  EXPECT_EQ(names, catalog);
+
+  shard::AnyCounter* accepted =
+      registry.lookup("__sys/server.clients_accepted");
+  shard::AnyCounter* bytes = registry.lookup("__sys/server.bytes_sent");
+  ASSERT_NE(accepted, nullptr);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(accepted->error_model(), ErrorModel::kExact);
+  EXPECT_EQ(accepted->read(0), stats.clients_accepted);
+  EXPECT_EQ(bytes->read(1), stats.bytes_sent);
+  for (int i = 0; i < 100; ++i) {
+    accepted->increment(0);
+    bytes->increment(1);
+  }
+  accepted->flush(0);
+  bytes->flush(1);
+  EXPECT_EQ(accepted->read(0), stats.clients_accepted);
+  EXPECT_EQ(bytes->read(1), stats.bytes_sent);
+
+  shard::AnyHistogram* collect =
+      registry.lookup_histogram("__sys/server.tick.collect_ns");
+  ASSERT_NE(collect, nullptr);
+  std::vector<std::uint64_t> counts_before;
+  std::vector<std::uint64_t> counts_after;
+  collect->snapshot_into(0, counts_before);
+  for (int i = 0; i < 100; ++i) collect->record(0, 5000);
+  collect->flush(0);
+  collect->snapshot_into(0, counts_after);
+  EXPECT_EQ(counts_after, counts_before);
+
+  shard::AnyTopK* talkers = registry.lookup_topk("__sys/server.top_talkers");
+  ASSERT_NE(talkers, nullptr);
+  std::vector<std::string> labels_before;
+  std::vector<std::uint64_t> values_before;
+  talkers->snapshot_into(labels_before, values_before);
+  ASSERT_EQ(labels_before.size(), 1u);  // the one client's peer address
+  EXPECT_EQ(values_before[0], stats.bytes_sent);
+  EXPECT_FALSE(talkers->update(0, "spoof", std::uint64_t{1} << 40));
+  EXPECT_FALSE(talkers->update(0, labels_before[0], std::uint64_t{1} << 40));
+  std::vector<std::string> labels_after;
+  std::vector<std::uint64_t> values_after;
+  talkers->snapshot_into(labels_after, values_after);
+  EXPECT_EQ(labels_after, labels_before);
+  EXPECT_EQ(values_after, values_before);
+}
+
+TEST(SnapshotServer, RestartedServerRepointsTheSysRowsAtItsOwnCounts) {
+  // Two servers in turn over one registry, the second with more I/O
+  // threads. The rows the first installed must report the second's own
+  // stats() — its counts start from zero, and its workers write only
+  // into its own block (sized for its threads), never past the first's.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("fleet/c", {ErrorModel::kExact, 0, 1});
+  for (const unsigned io_threads : {1u, 4u}) {
+    SCOPED_TRACE(io_threads);
+    ServerOptions options;
+    options.period = 5ms;
+    options.io_threads = io_threads;
+    options.self_metrics = true;
+    options.ack_deadline_ticks = 0;
+    SnapshotServer server(registry, 1, options);
+    ASSERT_TRUE(server.start());
+    // Connections are dealt round-robin, so every worker flushes frames
+    // (bytes_sent, top_talkers) from its own thread slot.
+    std::vector<TelemetryClient> clients(2 * io_threads);
+    for (TelemetryClient& client : clients) {
+      ASSERT_TRUE(client.connect(server.port()));
+      ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    }
+    TelemetryClient sys;
+    ASSERT_NO_FATAL_FAILURE(subscribe_sys(sys, server.port()));
+    const std::uint64_t accepted = 2 * io_threads + 1;
+    bool reached = false;
+    for (int i = 0; i < 2000 && !reached; ++i) {
+      ASSERT_TRUE(sys.poll_frame(kFrameTimeout));
+      reached = view_value(sys.view(), "__sys/server.clients_accepted") ==
+                accepted;
+    }
+    EXPECT_TRUE(reached);
+    EXPECT_EQ(server.stats().clients_accepted, accepted);
+    for (TelemetryClient& client : clients) client.close();
+    sys.close();
+    server.stop();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(registry.lookup("__sys/server.clients_accepted")->read(0),
+              stats.clients_accepted);
+    EXPECT_EQ(registry.lookup("__sys/server.bytes_sent")->read(0),
+              stats.bytes_sent);
+    EXPECT_EQ(registry.lookup("__sys/server.frames_collected")->read(0),
+              stats.frames_collected);
+  }
+  EXPECT_EQ(registry.size(), 24u);  // the rows were re-pointed, not added
+}
+
+TEST(SnapshotServer, TopTalkersKeepTheirFirstPeersPastCapacity) {
+  // More peers than top-talker rows: the first 16 keep their rows (rows
+  // are never cleared or re-assigned) and keep counting, and the peers
+  // past capacity are served as usual without a row.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  shard::AnyCounter& counter =
+      registry.create("fleet/c", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.io_threads = 2;
+  options.self_metrics = true;
+  options.ack_deadline_ticks = 0;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+  std::vector<TelemetryClient> clients(obs::kTopTalkerRows + 4);
+  for (TelemetryClient& client : clients) {
+    ASSERT_TRUE(client.connect(server.port()));
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  shard::AnyTopK* talkers = registry.lookup_topk("__sys/server.top_talkers");
+  ASSERT_NE(talkers, nullptr);
+  std::vector<std::string> labels_before;
+  std::vector<std::uint64_t> values_before;
+  talkers->snapshot_into(labels_before, values_before);
+  ASSERT_EQ(labels_before.size(), obs::kTopTalkerRows);
+
+  counter.increment(0);  // every peer is sent a frame carrying it
+  for (TelemetryClient& client : clients) {
+    for (int i = 0; i < 400 && view_value(client.view(), "fleet/c") != 1u;
+         ++i) {
+      ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    }
+    ASSERT_EQ(view_value(client.view(), "fleet/c"), 1u);
+  }
+  server.stop();
+  std::vector<std::string> labels;
+  std::vector<std::uint64_t> values;
+  talkers->snapshot_into(labels, values);
+  ASSERT_EQ(labels.size(), obs::kTopTalkerRows);
+  std::vector<std::string> sorted_before = labels_before;
+  std::vector<std::string> sorted_after = labels;
+  std::sort(sorted_before.begin(), sorted_before.end());
+  std::sort(sorted_after.begin(), sorted_after.end());
+  EXPECT_EQ(sorted_after, sorted_before);
+  EXPECT_EQ(std::adjacent_find(sorted_after.begin(), sorted_after.end()),
+            sorted_after.end());  // one row per peer
+  std::uint64_t listed = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const auto before = std::find(labels_before.begin(), labels_before.end(),
+                                  labels[i]) -
+                        labels_before.begin();
+    EXPECT_GT(values[i], values_before[static_cast<std::size_t>(before)])
+        << labels[i];  // still counting
+    listed += values[i];
+  }
+  EXPECT_LT(listed, server.stats().bytes_sent);  // 4 peers have no row
 }
 
 }  // namespace
