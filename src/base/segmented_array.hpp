@@ -3,20 +3,30 @@
 // Algorithm 1 assumes an infinite sequence of switch bits
 // switch_0, switch_1, ... that exist from the initial configuration.
 // A real process cannot pre-allocate infinitely many bits, so we realize
-// the sequence as a segmented array: a two-level directory of fixed-size
-// segments allocated on first touch and published with a single CAS per
-// level. After publication every access is wait-free; each allocation
+// the sequence as a segmented array of fixed-size segments. Segment 0 is
+// a member of the array itself; every later segment lives on the heap,
+// behind a two-level directory (root → chunk → segment) whose three
+// levels are each allocated on first touch and published with a single
+// CAS. After publication every access is wait-free; each allocation
 // race is resolved by its CAS (the loser frees its candidate), so growth
 // is lock-free.
 //
-// The directory is two-level so that *capacity costs nothing until
+// Segment 0 is inline because that is where counters live: a k-mult
+// switch index grows like k·log_k(count), so for k ≤ 64 every count
+// below 2^64 stays within the first 1024 switches, and at(i) for
+// i < kSegmentSize is an address computation — no atomic load, no
+// allocation, no pointer chase off the owner's cache lines.
+// The price is that segment 0 is paid at construction, elements
+// included: 1 KiB per array for one-byte elements (TasBitT on the
+// direct backends), 16 KiB for InstrumentedBackend bits, which also
+// draw their ObjectIds at construction rather than on first touch.
+//
+// The heap directory is two-level so that *capacity costs nothing until
 // touched*: a flat directory of kMaxSegments slots would itself be
-// megabytes per array (the default capacity is 2^20 segments), paid
-// eagerly by every counter that embeds one — a fleet of thousands of
-// counters would burn gigabytes on empty directories alone. The root
-// holds at most kChunkSlots pointers to lazily-allocated chunks of
-// kChunkSlots segment pointers each; an untouched array owns exactly one
-// root allocation of at most 8 KiB.
+// megabytes per array (the default capacity is 2^20 segments). The root
+// holds pointers to lazily-allocated chunks of segment pointers, both
+// about √kMaxSegments slots (≤ 8 KiB each); an array that never passes
+// index kSegmentSize owns no heap at all.
 //
 // Step accounting charges only the primitives applied to the *elements*,
 // never the directory bookkeeping: in the paper's model the infinite
@@ -24,78 +34,71 @@
 // therefore Backend-policy transparent (base/backend.hpp): instantiate it
 // with TasBitT<B> / Register<T, B> elements and the element operations
 // carry the policy — including their memory-order roles; the directory
-// itself costs the same under every backend. Both publication levels are
-// already the weakest sound ordering (acquire load, acq_rel CAS: a
-// reader of a published pointer must see the pointee's zero-initialized
-// slots/elements), so they need no role mapping.
+// itself costs the same under every backend. Its publication is already
+// the weakest sound ordering (acquire load, acq_rel CAS: a reader of a
+// published pointer must see the pointee's null slots or value-
+// initialized elements), so it needs no role mapping.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <memory>
-#include <new>
 
 namespace approx::base {
 
-/// Unbounded array of default-constructed, non-movable elements (base
+/// Unbounded array of value-initialized, non-movable elements (base
 /// objects such as TasBit or Register). Elements are never destroyed
 /// before the array itself; references remain valid for the array's
 /// lifetime.
 ///
 /// @tparam T element type (default-constructible; need not be movable)
-/// @tparam kSegmentSize elements per segment (power of two)
-/// @tparam kMaxSegments directory capacity; the array can hold
-///   kSegmentSize * kMaxSegments elements, far beyond any reachable index
-///   in practice (indices grow at most linearly in the number of
-///   operations performed).
+/// @tparam kSegmentSize elements per segment (power of two); the first
+///   segment is stored inline
+/// @tparam kMaxSegments capacity in segments, the inline one included;
+///   the array can hold kSegmentSize * kMaxSegments elements, far beyond
+///   any reachable index in practice (indices grow at most linearly in
+///   the number of operations performed).
 template <typename T, std::size_t kSegmentSize = 1024,
           std::size_t kMaxSegments = 1 << 20>
 class SegmentedArray {
   static_assert((kSegmentSize & (kSegmentSize - 1)) == 0,
                 "kSegmentSize must be a power of two");
+  static_assert(kMaxSegments >= 2,
+                "capacity is the inline segment plus at least one more");
 
  public:
-  SegmentedArray() : root_(new std::atomic<Chunk*>[kRootSlots]) {
-    for (std::size_t i = 0; i < kRootSlots; ++i) {
-      root_[i].store(nullptr, std::memory_order_relaxed);
-    }
-  }
+  SegmentedArray() = default;
 
   ~SegmentedArray() {
-    for (std::size_t i = 0; i < kRootSlots; ++i) {
-      Chunk* chunk = root_[i].load(std::memory_order_relaxed);
+    Root* root = root_.load(std::memory_order_relaxed);
+    if (root == nullptr) return;
+    for (auto& chunk_slot : root->slots) {
+      Chunk* chunk = chunk_slot.load(std::memory_order_relaxed);
       if (chunk == nullptr) continue;
-      for (std::size_t j = 0; j < kChunkSlots; ++j) {
-        delete chunk->slots[j].load(std::memory_order_relaxed);
+      for (auto& segment_slot : chunk->slots) {
+        delete segment_slot.load(std::memory_order_relaxed);
       }
       delete chunk;
     }
+    delete root;
   }
 
   SegmentedArray(const SegmentedArray&) = delete;
   SegmentedArray& operator=(const SegmentedArray&) = delete;
 
-  /// Returns the element at `index`, allocating its directory chunk and
-  /// segment if this is the first touch of either. Wait-free once both
+  /// Returns the element at `index`. Below kSegmentSize this is plain
+  /// indexing into the inline segment; beyond it, the directory levels
+  /// on the path are allocated on first touch. Wait-free once they
   /// exist; lock-free otherwise.
   T& at(std::size_t index) {
-    const std::size_t seg_idx = index / kSegmentSize;
-    assert(seg_idx < kMaxSegments && "SegmentedArray directory exhausted");
-    std::atomic<Segment*>& slot =
-        chunk_at(seg_idx / kChunkSlots)->slots[seg_idx % kChunkSlots];
-    Segment* seg = slot.load(std::memory_order_acquire);
-    if (seg == nullptr) {
-      auto fresh = std::make_unique<Segment>();
-      if (slot.compare_exchange_strong(seg, fresh.get(),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        seg = fresh.release();
-      }
-      // else: another thread published first; `seg` now holds the winner
-      // and `fresh` frees the loser.
-    }
-    return seg->elems[index % kSegmentSize];
+    if (index < kSegmentSize) return head_.elems[index];
+    // Heap segment `seg` is segment seg + 1 of the array (0 is head_).
+    const std::size_t seg = index / kSegmentSize - 1;
+    assert(seg < kHeapSegments && "SegmentedArray directory exhausted");
+    Chunk* chunk = publish_once(publish_once(root_)->slots[seg / kChunkSlots]);
+    return publish_once(chunk->slots[seg % kChunkSlots])
+        ->elems[index % kSegmentSize];
   }
 
   /// Read-only variant; same allocation semantics (reading an untouched
@@ -104,16 +107,18 @@ class SegmentedArray {
     return const_cast<SegmentedArray*>(this)->at(index);
   }
 
-  /// Number of segments currently allocated (diagnostics).
+  /// Number of heap segments currently allocated (diagnostics). The
+  /// inline segment 0 is not counted: touching only indices below
+  /// kSegmentSize leaves this at 0.
   [[nodiscard]] std::size_t allocated_segments() const noexcept {
+    const Root* root = root_.load(std::memory_order_acquire);
+    if (root == nullptr) return 0;
     std::size_t count = 0;
-    for (std::size_t i = 0; i < kRootSlots; ++i) {
-      const Chunk* chunk = root_[i].load(std::memory_order_acquire);
+    for (const auto& chunk_slot : root->slots) {
+      const Chunk* chunk = chunk_slot.load(std::memory_order_acquire);
       if (chunk == nullptr) continue;
-      for (std::size_t j = 0; j < kChunkSlots; ++j) {
-        if (chunk->slots[j].load(std::memory_order_relaxed) != nullptr) {
-          ++count;
-        }
+      for (const auto& segment_slot : chunk->slots) {
+        if (segment_slot.load(std::memory_order_relaxed) != nullptr) ++count;
       }
     }
     return count;
@@ -126,46 +131,54 @@ class SegmentedArray {
     T elems[kSegmentSize];
   };
 
-  /// Second directory level: chunks split kMaxSegments roughly evenly
-  /// between the two levels (√kMaxSegments each, capped so tiny test
-  /// capacities stay single-chunk) — the root and one chunk together
-  /// cost kilobytes where a flat directory would cost megabytes.
+  /// One directory level: kSlots pointers, null until published.
+  template <typename Child, std::size_t kSlots>
+  struct Directory {
+    std::atomic<Child*> slots[kSlots];
+    Directory() {
+      for (auto& slot : slots) slot.store(nullptr, std::memory_order_relaxed);
+    }
+  };
+
+  /// The heap segments split roughly evenly between the two levels
+  /// (√kHeapSegments each, capped so tiny test capacities stay
+  /// single-chunk): the root and one chunk together cost kilobytes where
+  /// a flat directory would cost megabytes.
+  static constexpr std::size_t kHeapSegments = kMaxSegments - 1;
   static constexpr std::size_t chunk_slots() noexcept {
     std::size_t slots = 1;
-    while (slots * slots < kMaxSegments) slots *= 2;
+    while (slots * slots < kHeapSegments) slots *= 2;
     return slots;
   }
   static constexpr std::size_t kChunkSlots = chunk_slots();
   static constexpr std::size_t kRootSlots =
-      (kMaxSegments + kChunkSlots - 1) / kChunkSlots;
+      (kHeapSegments + kChunkSlots - 1) / kChunkSlots;
 
-  struct Chunk {
-    std::atomic<Segment*> slots[kChunkSlots];
-    Chunk() {
-      for (std::size_t i = 0; i < kChunkSlots; ++i) {
-        slots[i].store(nullptr, std::memory_order_relaxed);
-      }
-    }
-  };
+  using Chunk = Directory<Segment, kChunkSlots>;
+  using Root = Directory<Chunk, kRootSlots>;
 
-  /// The chunk for root slot `root_idx`, allocating and publishing it on
-  /// first touch (same CAS recipe as segments; the acquire load pairs
-  /// with the winner's release so readers see zero-initialized slots).
-  Chunk* chunk_at(std::size_t root_idx) {
-    std::atomic<Chunk*>& slot = root_[root_idx];
-    Chunk* chunk = slot.load(std::memory_order_acquire);
-    if (chunk == nullptr) {
-      auto fresh = std::make_unique<Chunk>();
-      if (slot.compare_exchange_strong(chunk, fresh.get(),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        chunk = fresh.release();
-      }
+  /// The object `slot` points to, value-initializing and publishing a
+  /// fresh one on first touch — the one CAS recipe of all three levels.
+  /// The acquire load pairs with the winner's acq_rel CAS, so a reader
+  /// of a published pointer sees the pointee fully constructed; a losing
+  /// candidate is freed and the winner returned.
+  template <typename Node>
+  static Node* publish_once(std::atomic<Node*>& slot) {
+    Node* node = slot.load(std::memory_order_acquire);
+    if (node != nullptr) return node;
+    auto fresh = std::make_unique<Node>();
+    if (slot.compare_exchange_strong(node, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      node = fresh.release();
     }
-    return chunk;
+    return node;
   }
 
-  std::unique_ptr<std::atomic<Chunk*>[]> root_;
+  // Segment 0 first, so an owner that declares the array after its own
+  // hot fields shares a cache line with the first elements.
+  Segment head_{};
+  std::atomic<Root*> root_{nullptr};
 };
 
 }  // namespace approx::base

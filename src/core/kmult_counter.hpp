@@ -136,6 +136,8 @@ class KMultCounterT {
  private:
   struct alignas(64) Local {
     std::uint64_t last = 0;      // last_i: scan cursor over the switches
+    std::uint64_t memo_h = 0;    // last switch this reader returned through,
+    std::uint64_t memo_value = 0;  // and its ReturnValue
     std::uint64_t lcounter = 0;  // unannounced increments
     std::uint64_t limit = 1;     // announce threshold, always a power of k
     std::uint64_t sn = 0;        // successful test&sets by this process
@@ -144,11 +146,19 @@ class KMultCounterT {
     std::vector<std::uint64_t> help;  // baseline seq numbers (helping scan)
   };
 
+  // ReturnValue(h mod k, h div k) through the reader's memo: a read that
+  // stops at the same switch as this reader's previous one skips the
+  // arithmetic (local computation either way).
+  [[nodiscard]] std::uint64_t memoized_value(Local& me, std::uint64_t h) const;
+
+  // switches_ comes last: its inline first segment then starts on the
+  // cache line that holds the fields above, so a read of a young counter
+  // touches that line and its reader's Local, nothing else.
   unsigned n_;
   std::uint64_t k_;
-  base::SegmentedArray<base::TasBitT<Backend>> switches_;
   std::unique_ptr<base::Register<std::uint64_t, Backend>[]> h_;  // H[n]
   std::unique_ptr<Local[]> locals_;
+  base::SegmentedArray<base::TasBitT<Backend>> switches_;
 };
 
 /// The model-faithful default instantiation (pre-policy class name).
@@ -170,6 +180,7 @@ KMultCounterT<Backend>::KMultCounterT(unsigned num_processes, std::uint64_t k)
   check_help_pack_k(k);
   for (unsigned i = 0; i < num_processes; ++i) {
     locals_[i].help.assign(num_processes, 0);
+    locals_[i].memo_value = return_value(0, 0);
   }
 }
 
@@ -181,14 +192,29 @@ bool KMultCounterT<Backend>::accuracy_guaranteed() const noexcept {
 // Lines 30–34: ReturnValue(p, q) = k · (1 + p·k^{q+1} + Σ_{l=1}^{q} k^{l+1}).
 // Saturating arithmetic: a saturated return still satisfies the band
 // (see base/kmath.hpp), and reaching it would need ≥ 2^64 increments.
+// One pass with a running power, which stops once the power saturates:
+// the sum has saturated with it.
 template <typename Backend>
 std::uint64_t KMultCounterT<Backend>::return_value(std::uint64_t p,
                                                    std::uint64_t q) const {
-  std::uint64_t ret = base::sat_add(1, base::sat_mul(p, base::pow_k(k_, q + 1)));
-  for (std::uint64_t l = 1; l <= q; ++l) {                    // line 33
-    ret = base::sat_add(ret, base::pow_k(k_, l + 1));
+  std::uint64_t ret = 1;
+  std::uint64_t power = k_;  // k^{l+1} after iteration l of line 33
+  for (std::uint64_t l = 1; l <= q && power != base::kU64Max; ++l) {
+    power = base::sat_mul(power, k_);
+    ret = base::sat_add(ret, power);
   }
+  ret = base::sat_add(ret, base::sat_mul(p, power));  // power = k^{q+1}
   return base::sat_mul(k_, ret);                              // line 34
+}
+
+template <typename Backend>
+std::uint64_t KMultCounterT<Backend>::memoized_value(Local& me,
+                                                     std::uint64_t h) const {
+  if (h != me.memo_h) {
+    me.memo_h = h;
+    me.memo_value = return_value(h % k_, h / k_);
+  }
+  return me.memo_value;
 }
 
 template <typename Backend>
@@ -230,13 +256,11 @@ std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
   assert(pid < n_);
   Local& me = locals_[pid];
   std::uint64_t c = 0;                                        // line 36
-  std::uint64_t p = 0;
-  std::uint64_t q = 0;
+  std::uint64_t h = 0;  // p = h mod k, q = h div k
   bool advanced = false;  // did the while loop run in *this* call?
   while (switches_.at(me.last).read()) {                      // line 37
     advanced = true;
-    p = me.last % k_;                                         // line 38
-    q = me.last / k_;                                         // line 39
+    h = me.last;                                              // lines 38–39
     // Scan only the first (qk+1) and last ((q+1)k) switch per interval.
     if (me.last % k_ == 0) {                                  // line 40
       me.last += 1;                                           // line 41
@@ -256,8 +280,7 @@ std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
             // Process i completed a full announce inside this read; its
             // switch index is a safe linearization witness (Lemma III.3).
             me.helping_returns += 1;
-            const std::uint64_t val = unpack_help_position(pair);
-            return return_value(val % k_, val / k_);          // lines 53–55
+            return memoized_value(me, unpack_help_position(pair));  // 53–55
           }
         }
       }
@@ -269,12 +292,9 @@ std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
     // be reconstructed from the last switch observed set, which is the
     // scan-predecessor of last (scanned positions are ≡ 0 or 1 mod k, and
     // each was seen set when the cursor moved past it).
-    const std::uint64_t h =
-        (me.last % k_ == 1) ? me.last - 1 : me.last - (k_ - 1);
-    p = h % k_;
-    q = h / k_;
+    h = (me.last % k_ == 1) ? me.last - 1 : me.last - (k_ - 1);
   }
-  return return_value(p, q);                                  // line 58
+  return memoized_value(me, h);                               // line 58
 }
 
 template <typename Backend>

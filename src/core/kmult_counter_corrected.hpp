@@ -124,6 +124,8 @@ class KMultCounterCorrectedT {
  private:
   struct alignas(64) Local {
     std::uint64_t last = 0;       // read cursor over scan positions
+    std::uint64_t memo_h = 0;     // last position this reader returned,
+    std::uint64_t memo_value = 0;  // and value_at_position(memo_h)
     std::uint64_t lcounter = 0;   // unannounced increments
     std::uint64_t limit = 1;      // announce threshold (1 or a power of k)
     std::uint64_t sn = 0;         // successful announces
@@ -146,11 +148,18 @@ class KMultCounterCorrectedT {
   void capture_help_baseline(Local& me);
   [[nodiscard]] bool check_helped_return(Local& me, std::uint64_t& value);
 
+  // value_at_position(h) through the reader's memo: a read that stops at
+  // the same switch as this reader's previous one skips the arithmetic.
+  [[nodiscard]] std::uint64_t memoized_value(Local& me, std::uint64_t h) const;
+
+  // switches_ comes last: its inline first segment then starts on the
+  // cache line that holds the fields above, so a read of a young counter
+  // touches that line and its reader's Local, nothing else.
   unsigned n_;
   std::uint64_t k_;
-  base::SegmentedArray<base::TasBitT<Backend>> switches_;
   std::unique_ptr<base::Register<std::uint64_t, Backend>[]> h_;
   std::unique_ptr<Local[]> locals_;
+  base::SegmentedArray<base::TasBitT<Backend>> switches_;
 };
 
 /// The model-faithful default instantiation (pre-policy class name).
@@ -172,6 +181,7 @@ KMultCounterCorrectedT<Backend>::KMultCounterCorrectedT(unsigned num_processes,
   check_help_pack_k(k);
   for (unsigned i = 0; i < num_processes; ++i) {
     locals_[i].help.assign(num_processes, 0);
+    locals_[i].memo_value = value_at_position(0);
   }
 }
 
@@ -183,22 +193,32 @@ bool KMultCounterCorrectedT<Backend>::accuracy_guaranteed() const noexcept {
 template <typename Backend>
 std::uint64_t KMultCounterCorrectedT<Backend>::value_at_position(
     std::uint64_t position) const {
-  std::uint64_t announced;
-  if (position <= k_) {
-    // Singles: position h set ⇒ h+1 increments announced (prefix).
-    announced = position + 1;
-  } else {
-    // position = qk + p in I_q (q ≥ 1, p ∈ [1, k]): all singles, all of
-    // I_1..I_{q−1} (k^{l+1} each), and p switches of I_q (k^q each).
-    const std::uint64_t q = (position - 1) / k_;
-    const std::uint64_t p = position - q * k_;
-    announced = k_ + 1;
-    for (std::uint64_t l = 1; l < q; ++l) {
-      announced = base::sat_add(announced, base::pow_k(k_, l + 1));
-    }
-    announced = base::sat_add(announced, base::sat_mul(p, base::pow_k(k_, q)));
+  // Singles: position h set ⇒ h+1 increments announced (prefix).
+  if (position <= k_) return base::sat_mul(k_, position + 1);
+  // position = qk + p in I_q (q ≥ 1, p ∈ [1, k]): all singles, all of
+  // I_1..I_{q−1} (k^{l+1} each), and p switches of I_q (k^q each). One
+  // pass with a running power, which stops once the power saturates:
+  // the sum has saturated with it.
+  const std::uint64_t q = (position - 1) / k_;
+  const std::uint64_t p = position - q * k_;
+  std::uint64_t announced = k_ + 1;
+  std::uint64_t power = k_;  // k^l
+  for (std::uint64_t l = 1; l < q && power != base::kU64Max; ++l) {
+    power = base::sat_mul(power, k_);
+    announced = base::sat_add(announced, power);
   }
+  announced = base::sat_add(announced, base::sat_mul(p, power));
   return base::sat_mul(k_, announced);
+}
+
+template <typename Backend>
+std::uint64_t KMultCounterCorrectedT<Backend>::memoized_value(
+    Local& me, std::uint64_t h) const {
+  if (h != me.memo_h) {
+    me.memo_h = h;
+    me.memo_value = value_at_position(h);
+  }
+  return me.memo_value;
 }
 
 template <typename Backend>
@@ -279,7 +299,7 @@ bool KMultCounterCorrectedT<Backend>::check_helped_return(
     const std::uint64_t pair = h_[i].read();
     if (unpack_help_sn(pair) >= me.help[i] + 2) {
       me.helping_returns += 1;
-      value = value_at_position(unpack_help_position(pair));
+      value = memoized_value(me, unpack_help_position(pair));
       return true;
     }
   }
@@ -309,7 +329,7 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read(unsigned pid) {
   }
   if (me.last == 0) return 0;
   if (!advanced) h = previous_scan_position(me.last);
-  return value_at_position(h);
+  return memoized_value(me, h);
 }
 
 template <typename Backend>
@@ -351,7 +371,7 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read_fast(unsigned pid) {
     // observations holding in this order pins a configuration where the
     // set prefix is exactly [0, h] (switches only ever rise).
     if (switches_.at(lo).read() && !switches_.at(lo + 1).read()) {
-      return value_at_position(lo);
+      return memoized_value(me, lo);
     }
     // The boundary moved past lo+1: writers are announcing. Baseline
     // the helping array on the first failure, then watch for a ≥ 2

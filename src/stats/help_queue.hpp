@@ -27,9 +27,10 @@
 // memory until the owning structure is destroyed. Reclamation is
 // deliberately deferred that far: helpers may hold an op pointer after
 // the owner retracts it, and the slow path runs once per *new* label
-// (plus rare races), so the backlog is bounded by the number of
-// distinct labels ever inserted — no hazard pointers needed for a
-// telemetry directory. The full simulator machinery (per-op sequence
+// (plus rare races; TopKT refuses a label its scan proves can never
+// get a slot before announcing it), so the backlog is bounded by the
+// number of distinct labels ever inserted — no hazard pointers needed
+// for a telemetry directory. The full simulator machinery (per-op sequence
 // numbers, bounded recycling) is not needed at this op rate.
 //
 // The announcement cells are raw std::atomic publication bookkeeping
@@ -41,6 +42,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <memory>
 
 namespace approx::stats {
@@ -101,6 +103,19 @@ class HelpQueueT {
   }
 
   [[nodiscard]] unsigned num_processes() const noexcept { return n_; }
+
+  /// Ops announced so far, all still pinned (diagnostic; walks the
+  /// owner-only retire lists, so call only while no pid announces).
+  [[nodiscard]] std::size_t pinned() const {
+    std::size_t count = 0;
+    for (unsigned pid = 0; pid < n_; ++pid) {
+      for (const Op* op = cells_[pid].retired; op != nullptr;
+           op = op->retire_next) {
+        ++count;
+      }
+    }
+    return count;
+  }
 
  private:
   struct alignas(64) Cell {

@@ -34,7 +34,10 @@
 // Every path is a bounded number of bounded passes: wait-free. When
 // the directory is full and the label absent, update returns false
 // and counts the overflow (dropped_updates()); capacity is a
-// provisioning decision, not a liveness hazard.
+// provisioning decision, not a liveness hazard. The fast-path scan
+// usually proves that outcome on its own — every slot held another
+// label, and slots are never cleared — so such an update is refused
+// before it announces anything and pins no op (see HelpQueueT).
 #pragma once
 
 #include <algorithm>
@@ -87,9 +90,14 @@ class TopKT {
   /// Wait-free; at most one thread per pid. False iff the directory is
   /// full and `label` absent (the update is dropped and counted).
   bool update(unsigned pid, std::string_view label, std::uint64_t value) {
-    if (Cell* cell = find(label)) {  // fast path: label already present
+    bool full = false;
+    if (Cell* cell = find(label, &full)) {  // fast path: label present
       cell->value.write(value);
       return true;
+    }
+    if (full) {  // every slot holds another label, for good
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return false;
     }
     // Slow path: announce, help own op, help everyone else's, retract.
     Op* op = new Op{std::string(label), value};
@@ -154,6 +162,10 @@ class TopKT {
     return dropped_.load(std::memory_order_relaxed);
   }
 
+  /// Announced ops pinned until destruction (diagnostic; call only
+  /// while no update runs).
+  [[nodiscard]] std::size_t pinned_ops() const { return queue_.pinned(); }
+
  private:
   /// One directory cell: immutable label + its exact max register.
   /// Published by a release CAS; never unpublished.
@@ -183,13 +195,16 @@ class TopKT {
   }
 
   /// Bounded directory scan for `label` (slots fill front-to-back and
-  /// are never cleared, so the first null ends the directory).
-  Cell* find(std::string_view label) const {
+  /// are never cleared, so the first null ends the directory). Sets
+  /// `*full` when it read every slot non-null without a match: the
+  /// directory is full and the label absent, permanently.
+  Cell* find(std::string_view label, bool* full = nullptr) const {
     for (std::size_t i = 0; i < capacity_; ++i) {
       Cell* cell = slots_[i].load(std::memory_order_acquire);
       if (cell == nullptr) return nullptr;
       if (cell->label == label) return cell;
     }
+    if (full != nullptr) *full = true;
     return nullptr;
   }
 

@@ -74,6 +74,24 @@ TEST(TopK, FullDirectoryDropsNewLabelsAndCounts) {
   EXPECT_EQ(out[1].label, "b");
 }
 
+TEST(TopK, FullDirectoryRefusesAbsentLabelsBeforeAnnouncing) {
+  // Slots are never cleared, so a scan that finds every slot holding
+  // another label proves the update can never land: it is refused
+  // before an op is allocated, announced and pinned for the directory's
+  // lifetime.
+  TopKT<base::DirectBackend> top(kN, 2);
+  ASSERT_TRUE(top.update(0, "a", 1));
+  ASSERT_TRUE(top.update(1, "b", 2));
+  const std::size_t pinned = top.pinned_ops();
+  EXPECT_EQ(pinned, 2u);  // one announced op per inserted label
+  for (unsigned i = 0; i < 10000; ++i) {
+    EXPECT_FALSE(top.update(i % kN, "absent-" + std::to_string(i), i));
+  }
+  EXPECT_EQ(top.dropped_updates(), 10000u);
+  EXPECT_EQ(top.pinned_ops(), pinned);
+  EXPECT_EQ(top.size(), 2u);
+}
+
 /// The adversarial insert race: every pid tries to insert an
 /// OVERLAPPING label set concurrently under the deterministic step
 /// scheduler. The announce-then-help path must (a) never create two
