@@ -126,13 +126,13 @@ double record_throughput_mops(unsigned recorders, std::uint64_t ops_per_thread,
 /// One sequenced collect + changed-since walk + delta encode against
 /// the running pass sequence; returns the encoded stream frame size.
 std::size_t delta_bytes_for_tick(shard::RegistryT<base::DirectBackend>& registry,
-                                 unsigned pid, std::vector<shard::Sample>& scratch,
+                                 unsigned pid, shard::TickRecord& record,
                                  std::uint64_t& version, std::uint64_t& pass_seq,
                                  std::size_t& entries_out) {
   const std::uint64_t prev_seq = pass_seq;
   ++pass_seq;
-  version = registry.snapshot_all_into_sequenced(pid, scratch, version,
-                                                 pass_seq);
+  registry.collect_tick(pid, pass_seq, record);
+  version = record.registry_version;
   std::vector<svc::DeltaEntry> entries;
   registry.for_each_changed_since(
       prev_seq, version,
@@ -239,16 +239,16 @@ const bench::Experiment kExperiment{
             registry, "fleet_hist_" + std::to_string(i), spec));
       }
 
-      std::vector<shard::Sample> scratch;
+      shard::TickRecord record;
       std::uint64_t version = 0;
       std::uint64_t pass_seq = 0;
       std::size_t entries = 0;
       // Prime the tracking columns; also record the full-frame cost once.
-      delta_bytes_for_tick(registry, 0, scratch, version, pass_seq, entries);
+      delta_bytes_for_tick(registry, 0, record, version, pass_seq, entries);
       shard::TelemetryFrame full_frame;
       full_frame.sequence = pass_seq;
       full_frame.registry_version = version;
-      full_frame.samples = scratch;
+      record.rows_into(nullptr, full_frame.samples);
       std::string full_wire;
       svc::encode_full_frame(full_frame, 0, full_wire);
 
@@ -282,7 +282,7 @@ const bench::Experiment kExperiment{
             }
             histograms[i]->flush(0);  // k=64: force the counts visible
           }
-          bytes += delta_bytes_for_tick(registry, 0, scratch, version,
+          bytes += delta_bytes_for_tick(registry, 0, record, version,
                                         pass_seq, entries);
           entry_count += entries;
         }

@@ -13,8 +13,9 @@
 // when the registry version changed), so a frame costs one read per
 // counter — plus, for collect() and background mode, the publication
 // copy for latest(). collect_into() refreshes the caller's frame and
-// publishes only the sequence: its caller already holds the frame (the
-// snapshot server serves its own copy), so latest() is not touched.
+// collect_tick() fills the caller's tick record (the sequenced sweep the
+// snapshot server serves from); both publish only the sequence, so
+// latest() is not touched.
 //
 // Publication ordering: the sequence number is *released last*. Every
 // pass release-stores next_sequence_ after the registry pass finished —
@@ -72,19 +73,18 @@ class AggregatorT {
   /// @param registry fleet to aggregate (must outlive the aggregator).
   /// @param pid the aggregator's dedicated slot in the registry's pid
   ///   space; no worker may share it.
-  /// @param sequenced opt-in to *sequenced* passes: each collect also
-  ///   stamps the registry's change-tracking columns with the frame's
-  ///   sequence (the for_each_changed_since feed the service layer's
-  ///   delta frames walk). Sequenced passes take the registry's
-  ///   exclusive lock and make this aggregator the registry's single
-  ///   sequencer — at most ONE sequenced aggregator per registry, and
-  ///   its sequence domain is the only one delta consumers may use.
-  ///   Plain aggregators (the default) keep the shared-lock read pass
-  ///   and leave the tracking columns untouched, so any number may
-  ///   coexist.
-  AggregatorT(const RegistryT<Backend>& registry, unsigned pid,
-              bool sequenced = false)
-      : registry_(registry), pid_(pid), sequenced_(sequenced) {}
+  ///
+  /// Single-sequencer contract: calling collect_tick() makes this
+  /// aggregator the registry's sequencer — each call stamps the
+  /// registry's change-tracking columns with the pass's sequence (the
+  /// for_each_changed_since feed the service layer's delta frames walk)
+  /// under the registry's exclusive lock. At most ONE aggregator per
+  /// registry may call it, and its sequence domain is the only one delta
+  /// consumers may use. Aggregators that only collect()/collect_into()
+  /// keep the shared-lock read pass and leave the tracking columns
+  /// untouched, so any number may coexist.
+  AggregatorT(const RegistryT<Backend>& registry, unsigned pid)
+      : registry_(registry), pid_(pid) {}
 
   ~AggregatorT() { stop(); }
 
@@ -109,11 +109,23 @@ class AggregatorT {
   /// pass; names/models/bounds only when the registry grew) and
   /// publishes only its sequence — latest() keeps the last frame
   /// collect() or background mode published. Callers that loop —
-  /// scrapers, the snapshot server — reuse one frame and pay no
-  /// per-frame allocation or copy at steady state.
+  /// scrapers, benches — reuse one frame and pay no per-frame
+  /// allocation or copy at steady state.
   void collect_into(TelemetryFrame& out) {
     std::lock_guard collect_lock(collect_mutex_);
     collect_locked(out, /*publish_latest=*/false);
+  }
+
+  /// The sequenced pass (see the constructor's single-sequencer
+  /// contract): one registry sweep into `tick` (RegistryT::collect_tick)
+  /// under the next sequence, which it then publishes — latest() is not
+  /// touched. The snapshot server's collector drives this every tick.
+  void collect_tick(TickRecord& tick) {
+    std::lock_guard collect_lock(collect_mutex_);
+    const std::uint64_t sequence =
+        next_sequence_.load(std::memory_order_relaxed) + 1;
+    registry_.collect_tick(pid_, sequence, tick);
+    next_sequence_.store(sequence, std::memory_order_release);
   }
 
   /// Newest frame collect() or background mode published (sequence 0
@@ -167,22 +179,12 @@ class AggregatorT {
   /// One single-pass frame refresh + publication (of the frame into
   /// latest_ when `publish_latest`, then of its sequence); collect_mutex_
   /// held.
-  /// In sequenced mode (see the constructor) the registry additionally
-  /// records which counters this pass changed, keyed by the frame's own
-  /// sequence number, so delta consumers (src/svc) can later ask for
-  /// exactly the entries that moved since a subscriber's acknowledged
-  /// frame; collect_mutex_ serializes the passes, making this
-  /// aggregator the registry's single sequencer.
   void collect_locked(TelemetryFrame& frame, bool publish_latest) {
     // next_sequence_ is only written under collect_mutex_, so a plain
     // relaxed load reads our own last publication.
     frame.sequence = next_sequence_.load(std::memory_order_relaxed) + 1;
-    frame.registry_version =
-        sequenced_ ? registry_.snapshot_all_into_sequenced(
-                         pid_, frame.samples, frame.registry_version,
-                         frame.sequence)
-                   : registry_.snapshot_all_into(pid_, frame.samples,
-                                                 frame.registry_version);
+    frame.registry_version = registry_.snapshot_all_into(
+        pid_, frame.samples, frame.registry_version);
     if (publish_latest) {
       std::lock_guard lock(latest_mutex_);
       latest_ = frame;
@@ -194,7 +196,6 @@ class AggregatorT {
 
   const RegistryT<Backend>& registry_;
   unsigned pid_;
-  bool sequenced_;            // stamp change tracking? (constructor doc)
   std::mutex collect_mutex_;  // serializes collect() passes (see above)
   TelemetryFrame scratch_;    // collect()/background storage (collect_mutex_)
   std::atomic<std::uint64_t> next_sequence_{0};

@@ -27,16 +27,20 @@
 //     of every counter and zero allocations, instead of the string
 //     copies + virtual metadata hops the allocating form pays (E16
 //     measures the difference);
-//   * snapshot_all_into_sequenced / for_each_changed_since — the delta
-//     channel the service layer (src/svc) consumes: the flat table
-//     additionally carries two tracking columns (last collected value,
-//     sequence of the pass that last changed it), refreshed by the
-//     sequenced collect, so a delta encoder can walk exactly the
-//     counters that moved since a subscriber's acknowledged sequence
-//     instead of re-encoding the whole fleet every tick; given a
+//   * collect_tick / for_each_changed_since — the delta channel the
+//     service layer (src/svc) consumes. The sequenced collect is one
+//     sweep of the flat table into a TickRecord: every row's value, the
+//     vector rows' readings, the ascending rows whose value moved since
+//     the previous sequenced pass, and the immutable name table of this
+//     registry version (built once per create, shared by every pass
+//     after it). The same sweep stamps two tracking columns per row
+//     (last collected value, sequence of the pass that last changed
+//     it), so a delta encoder can take one pass's changes straight from
+//     the record, and a lagging subscriber's catch-up can walk exactly
+//     the counters that moved since its acknowledged sequence; given a
 //     selection of rows (a subscription filter's matches) the walk
 //     reports subset positions, the index space of a filtered wire
-//     name table.
+//     name table. Both collect forms share one per-row reader.
 //
 // Counter kinds are erased behind `AnyCounter` so one fleet can mix
 // multiplicative, additive and exact striping; the virtual hop is
@@ -118,6 +122,49 @@ struct Sample {
   std::vector<std::uint64_t> bucket_bounds;  // constant per entry
   std::vector<std::uint64_t> bucket_counts;  // refreshed every pass
   std::vector<std::string> top_labels;       // kTopK rows, refreshed
+};
+
+/// One sequenced collect pass (RegistryT::collect_tick) over the
+/// registry's name table at `registry_version`. Nothing in it changes
+/// after the pass, so one record can be shared by every consumer of the
+/// pass (the snapshot server hands it to each filter group).
+struct TickRecord {
+  /// A vector row's reading: histogram bucket counts, or top-k row
+  /// values in `counts` with the matching ranked `labels`.
+  struct Reading {
+    std::uint64_t row = 0;
+    std::vector<std::uint64_t> counts;
+    std::vector<std::string> labels;  // top-k rows only
+  };
+
+  std::uint64_t pass_seq = 0;
+  std::uint64_t registry_version = 0;
+  /// Name, model, bound and histogram edges of every row, values unset;
+  /// shared by every pass until the next create.
+  std::shared_ptr<const std::vector<Sample>> names;
+  std::vector<std::uint64_t> values;   // every row's value
+  std::vector<Reading> vectors;        // histogram and top-k rows, ascending
+  std::vector<std::uint64_t> changed;  // rows this pass changed, ascending
+
+  /// Materializes rows as Samples into `out`: every row, or only the
+  /// rows of `selection` (ascending) — names from the table, values and
+  /// readings from this pass.
+  void rows_into(const std::vector<std::uint64_t>* selection,
+                 std::vector<Sample>& out) const {
+    out.resize(selection != nullptr ? selection->size() : values.size());
+    auto reading = vectors.begin();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::size_t row =
+          selection != nullptr ? static_cast<std::size_t>((*selection)[i]) : i;
+      out[i] = (*names)[row];
+      out[i].value = values[row];
+      while (reading != vectors.end() && reading->row < row) ++reading;
+      if (reading != vectors.end() && reading->row == row) {
+        out[i].bucket_counts = reading->counts;
+        out[i].top_labels = reading->labels;
+      }
+    }
+  }
 };
 
 /// Type-erased vector-valued instrument (histogram) held by the
@@ -311,14 +358,24 @@ class RegistryT {
   std::uint64_t snapshot_all_into(unsigned pid, std::vector<Sample>& out,
                                   std::uint64_t cached_version) const {
     std::shared_lock lock(mutex_);
-    return refresh_locked(pid, out, cached_version, nullptr);
+    if (cached_version != version_ || out.size() != flat_.size()) {
+      out.resize(flat_.size());
+      for (std::size_t i = 0; i < flat_.size(); ++i) describe(flat_[i], out[i]);
+    }
+    for (std::size_t i = 0; i < flat_.size(); ++i) {
+      out[i].value = read_row(flat_[i], pid, &out[i].bucket_counts,
+                              &out[i].top_labels);
+    }
+    return version_;
   }
 
-  /// Sequenced form of snapshot_all_into: additionally records, per
-  /// flat-table entry, the collected value and `pass_seq` when the value
-  /// differs from the previous sequenced pass — the state
-  /// for_each_changed_since serves. Takes the exclusive lock (it writes
-  /// the tracking columns); the plain shared-lock passes are unaffected.
+  /// The sequenced collect (see header): one sweep reading every row as
+  /// process `pid` into `tick`, which it overwrites. A row whose reading
+  /// differs from the previous sequenced pass — a row created since that
+  /// pass does, unless it is a still-empty top-k (see Entry) — is listed
+  /// in tick.changed and stamped with `pass_seq` in the columns
+  /// for_each_changed_since reads. Takes the exclusive lock (it writes
+  /// those columns); the plain shared-lock passes are unaffected.
   ///
   /// Single-sequencer contract: the tracking columns form ONE change
   /// stream, so exactly one party (in practice the serving AggregatorT,
@@ -327,12 +384,47 @@ class RegistryT {
   /// sequenced collects from independent sequence domains are memory-safe
   /// (exclusive lock) but interleave their seqs into one meaningless
   /// stream.
-  std::uint64_t snapshot_all_into_sequenced(unsigned pid,
-                                            std::vector<Sample>& out,
-                                            std::uint64_t cached_version,
-                                            std::uint64_t pass_seq) const {
+  void collect_tick(unsigned pid, std::uint64_t pass_seq,
+                    TickRecord& tick) const {
     std::unique_lock lock(mutex_);
-    return refresh_locked(pid, out, cached_version, &pass_seq);
+    if (!names_) {  // the first sweep since a create
+      auto names = std::make_shared<std::vector<Sample>>(flat_.size());
+      for (std::size_t i = 0; i < flat_.size(); ++i) {
+        describe(flat_[i], (*names)[i]);
+      }
+      names_ = std::move(names);
+    }
+    tick.pass_seq = pass_seq;
+    tick.registry_version = version_;
+    tick.names = names_;
+    tick.values.resize(flat_.size());
+    tick.vectors.clear();
+    tick.changed.clear();
+    for (std::size_t row = 0; row < flat_.size(); ++row) {
+      const Entry& entry = flat_[row];
+      TickRecord::Reading* reading = nullptr;
+      if (entry.template as<AnyCounter>() == nullptr) {
+        reading = &tick.vectors.emplace_back();
+        reading->row = row;
+      }
+      const std::uint64_t value =
+          read_row(entry, pid, reading ? &reading->counts : nullptr,
+                   reading ? &reading->labels : nullptr);
+      tick.values[row] = value;
+      if (reading == nullptr ? value == entry.last_value
+                             : reading->counts == entry.last_counts &&
+                                   reading->labels == entry.last_labels) {
+        continue;
+      }
+      if (reading != nullptr) {
+        entry.last_counts = reading->counts;
+        entry.last_labels = reading->labels;
+      }
+      entry.last_value = value;
+      entry.changed_seq = pass_seq;
+      tick.changed.push_back(row);
+    }
+    last_pass_seq_ = pass_seq;
   }
 
   /// Invokes `fn(index, name, value, changed_seq, counts, labels)` for
@@ -446,74 +538,42 @@ class RegistryT {
     }
   };
 
-  /// The one collect pass both snapshot_all_into forms share. Caller
-  /// holds mutex_: shared suffices for a plain pass (pass_seq ==
-  /// nullptr, nothing written but the caller's frame), exclusive is
-  /// required for a sequenced one (the tracking columns are stamped).
-  std::uint64_t refresh_locked(unsigned pid, std::vector<Sample>& out,
-                               std::uint64_t cached_version,
-                               const std::uint64_t* pass_seq) const {
-    if (cached_version != version_ || out.size() != flat_.size()) {
-      out.resize(flat_.size());
-      for (std::size_t i = 0; i < flat_.size(); ++i) {
-        out[i].name = flat_[i].name;
-        out[i].model = flat_[i].model;
-        out[i].error_bound = flat_[i].error_bound;
-        out[i].top_labels.clear();  // kTopK rows are refreshed per pass
-        if (const AnyHistogram* hist = flat_[i].template as<AnyHistogram>()) {
-          out[i].bucket_bounds = hist->bucket_bounds();
-        } else {
-          out[i].bucket_bounds.clear();
-          if (flat_[i].template as<AnyTopK>() == nullptr) {
-            out[i].bucket_counts.clear();
-          }
-        }
-      }
+  /// The per-row reader both collect forms share: a counter row's value,
+  /// or a vector row's reading into *counts (and *labels for a top-k
+  /// row; both non-null for vector rows) and the value derived from it —
+  /// a histogram's saturated count sum, a top-k's top row (0 when
+  /// empty).
+  static std::uint64_t read_row(const Entry& entry, unsigned pid,
+                                std::vector<std::uint64_t>* counts,
+                                std::vector<std::string>* labels) {
+    if (AnyCounter* counter = entry.template as<AnyCounter>()) {
+      return counter->read(pid);
     }
-    for (std::size_t i = 0; i < flat_.size(); ++i) {
-      const Entry& entry = flat_[i];
-      if (AnyTopK* topk = entry.template as<AnyTopK>()) {
-        // Labeled vector entry: ranked rows straight into the caller's
-        // storage; the scalar value is the top row's (0 when empty).
-        topk->snapshot_into(out[i].top_labels, out[i].bucket_counts);
-        out[i].value =
-            out[i].bucket_counts.empty() ? 0 : out[i].bucket_counts.front();
-        if (pass_seq != nullptr &&
-            (out[i].bucket_counts != entry.last_counts ||
-             out[i].top_labels != entry.last_labels)) {
-          entry.last_counts = out[i].bucket_counts;
-          entry.last_labels = out[i].top_labels;
-          entry.last_value = out[i].value;
-          entry.changed_seq = *pass_seq;
-        }
-        continue;
-      }
-      if (AnyHistogram* hist = entry.template as<AnyHistogram>()) {
-        // Vector entry: snapshot straight into the caller's storage (a
-        // plain shared-lock pass must not touch the flat table), then
-        // derive the scalar value as the saturated count sum.
-        hist->snapshot_into(pid, out[i].bucket_counts);
-        std::uint64_t total = 0;
-        for (const std::uint64_t count : out[i].bucket_counts) {
-          total = base::sat_add(total, count);
-        }
-        out[i].value = total;
-        if (pass_seq != nullptr && out[i].bucket_counts != entry.last_counts) {
-          entry.last_counts = out[i].bucket_counts;
-          entry.last_value = total;
-          entry.changed_seq = *pass_seq;
-        }
-        continue;
-      }
-      const std::uint64_t value = entry.template as<AnyCounter>()->read(pid);
-      out[i].value = value;
-      if (pass_seq != nullptr && value != entry.last_value) {
-        entry.last_value = value;
-        entry.changed_seq = *pass_seq;
-      }
+    if (AnyTopK* topk = entry.template as<AnyTopK>()) {
+      topk->snapshot_into(*labels, *counts);
+      return counts->empty() ? 0 : counts->front();
     }
-    if (pass_seq != nullptr) last_pass_seq_ = *pass_seq;
-    return version_;
+    entry.template as<AnyHistogram>()->snapshot_into(pid, *counts);
+    std::uint64_t total = 0;
+    for (const std::uint64_t count : *counts) {
+      total = base::sat_add(total, count);
+    }
+    return total;
+  }
+
+  /// A row's constant fields (name, model, bound, histogram edges), with
+  /// the per-pass fields cleared.
+  static void describe(const Entry& entry, Sample& out) {
+    out.name = entry.name;
+    out.model = entry.model;
+    out.error_bound = entry.error_bound;
+    if (const AnyHistogram* hist = entry.template as<AnyHistogram>()) {
+      out.bucket_bounds = hist->bucket_bounds();
+    } else {
+      out.bucket_bounds.clear();
+    }
+    out.bucket_counts.clear();
+    out.top_labels.clear();
   }
 
   /// Index of `name`'s row in flat_, or of where it would be inserted.
@@ -564,6 +624,7 @@ class RegistryT {
     flat_.insert(flat_.begin() + static_cast<std::ptrdiff_t>(pos),
                  std::move(entry));
     ++version_;
+    names_.reset();  // the next sequenced collect rebuilds it
     return handle;
   }
 
@@ -600,6 +661,9 @@ class RegistryT {
   std::vector<Entry> flat_;  // name-sorted; each row owns its instrument
   std::uint64_t version_;    // nonce-seeded, bumped per create (never 0)
   mutable std::uint64_t last_pass_seq_ = 0;  // newest completed sequenced pass
+  /// The name table of version_ that sequenced collects hand out: built
+  /// by the first one after a create (exclusive lock), null until then.
+  mutable std::shared_ptr<const std::vector<Sample>> names_;
 };
 
 /// The model-faithful default instantiation (matches the repo-wide

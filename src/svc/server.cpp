@@ -1,10 +1,16 @@
 // server.cpp — SnapshotServer internals: collector + poll() I/O workers.
 //
 // Layout: detail::ServerCore is the backend-agnostic machinery (sockets,
-// threads, frame fan-out) driven through two hooks — "collect a frame"
-// and "list entries changed since" — that the thin SnapshotServerT
+// threads, frame fan-out) driven through two hooks — "collect a tick"
+// and "name the rows changed since" — that the thin SnapshotServerT
 // template binds to its AggregatorT / RegistryT pair. Everything
 // socket-ish therefore compiles exactly once.
+//
+// One sweep per tick: the sequenced collect is the only pass over the
+// registry. Its TickRecord (values, vector readings, changed rows, name
+// table) is shared by every group's tick, and every delta — a group's
+// shared one and a lagging client's catch-up — encodes straight from it
+// as (wire position, flat row) pairs.
 //
 // One serving path: every subscriber is a member of exactly one filter
 // group. A client that never subscribes sits in the pass-all group,
@@ -39,7 +45,6 @@
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -181,21 +186,18 @@ struct Instruments {
 class ServerCore {
  public:
   struct Hooks {
-    /// Runs one sequenced aggregator pass into the reused frame.
-    std::function<void(shard::TelemetryFrame&)> collect;
-    /// Appends (index, value) for entries changed in passes > `since`,
-    /// valid against the name table of `expected_version`. A null
-    /// `selection` visits every flat-table entry (index = flat index);
-    /// otherwise only the flat indices in `selection` are visited and
-    /// index = position within it — the index space of that group's
-    /// filtered name table. Returns the sequence the reported values are
-    /// complete up to — the delta's label — or nullopt when the
-    /// registry's version moved on (indices shifted: the caller must
-    /// fall back to a full frame).
-    std::function<std::optional<std::uint64_t>(
-        std::uint64_t since, std::uint64_t expected_version,
-        const std::vector<std::uint64_t>* selection,
-        std::vector<DeltaEntry>& out)>
+    /// Runs one sequenced aggregator pass into a fresh tick record.
+    std::function<void(shard::TickRecord&)> collect;
+    /// Appends a (wire position, flat row) pair for every entry changed
+    /// in a pass > `since`, against the name table of
+    /// `expected_version`. A null `selection` visits every flat-table
+    /// row (position = row); otherwise only the rows in `selection`, at
+    /// their positions within it — the index space of that group's
+    /// filtered name table. False when the registry's version moved on
+    /// (indices shifted: the caller must fall back to a full frame).
+    std::function<bool(std::uint64_t since, std::uint64_t expected_version,
+                       const std::vector<std::uint64_t>* selection,
+                       std::vector<DeltaRow>& out)>
         changed_since;
   };
 
@@ -348,24 +350,6 @@ class ServerCore {
     if (trace_ != nullptr) trace_->record(kind, a, b);
   }
 
-  /// One vector entry's reading in a TickValues (histogram buckets or
-  /// top-k rows).
-  struct VectorReading {
-    std::size_t index = 0;
-    std::vector<std::uint64_t> counts;
-    std::vector<std::string> labels;
-  };
-
-  /// One collector pass's readings, shared by every group's tick — the
-  /// input lazy fulls encode from. Names, models and bounds change only
-  /// with the registry version, so they live in `names`, an immutable
-  /// table built once per version; a tick copies values alone.
-  struct TickValues {
-    std::shared_ptr<const shard::TelemetryFrame> names;  // values unset
-    std::vector<std::uint64_t> values;                   // per entry
-    std::vector<VectorReading> vectors;  // vector entries, ascending index
-  };
-
   /// One group's published per-tick state: an immutable record the
   /// collector builds each pass and swings into FilterGroup::tick by
   /// RCU pointer swap, retiring the superseded one through the epoch
@@ -385,9 +369,10 @@ class ServerCore {
     /// null when suppressed, re-based or memberless.
     std::shared_ptr<const std::string> delta;
     std::uint64_t delta_base = 0;
-    /// The pass's readings and the group's selection of them (null: every
-    /// entry) — the coherent pair a lazy full encodes from.
-    std::shared_ptr<const TickValues> values;
+    /// The pass's tick record (shared by every group) and the group's
+    /// selection of its rows (null: every row) — the coherent pair lazy
+    /// fulls and catch-up deltas encode from.
+    std::shared_ptr<const shard::TickRecord> record;
     std::shared_ptr<const std::vector<std::uint64_t>> selection;
   };
 
@@ -541,63 +526,20 @@ class ServerCore {
     [[maybe_unused]] const ssize_t n = ::write(worker.wake_fds[1], &byte, 1);
   }
 
-  /// This pass's readings over the name table of its registry version;
-  /// `names` is the collector's table cache, rebuilt only when the
-  /// version moved.
-  static std::shared_ptr<const TickValues> tick_values(
-      const shard::TelemetryFrame& frame,
-      std::shared_ptr<const shard::TelemetryFrame>& names) {
-    if (!names || names->registry_version != frame.registry_version) {
-      auto table = std::make_shared<shard::TelemetryFrame>(frame);
-      for (shard::Sample& sample : table->samples) {
-        sample.value = 0;
-        sample.bucket_counts.clear();
-        sample.top_labels.clear();
-      }
-      names = std::move(table);
-    }
-    auto values = std::make_shared<TickValues>();
-    values->names = names;
-    values->values.reserve(frame.samples.size());
-    for (std::size_t i = 0; i < frame.samples.size(); ++i) {
-      const shard::Sample& sample = frame.samples[i];
-      values->values.push_back(sample.value);
-      if (!sample.bucket_counts.empty() || !sample.top_labels.empty()) {
-        values->vectors.push_back(
-            {i, sample.bucket_counts, sample.top_labels});
-      }
-    }
-    return values;
-  }
-
   void collector_loop() {
     t_wpid = 0;  // the collector's slot in the instrument block
-    shard::TelemetryFrame frame;  // reused; zero-alloc at steady state
-    std::shared_ptr<const shard::TelemetryFrame> names;  // per version
-    std::vector<DeltaEntry> changed;
-    std::vector<DeltaEntry> group_subset;  // per-group intersect scratch
-    std::uint64_t prev_seq = 0;
-    std::string metricsz_text;  // render scratch
+    std::vector<DeltaRow> pairs;  // per-group delta scratch
+    std::vector<shard::Sample> metricsz_rows;  // render scratch
+    std::string metricsz_text;
     while (running_.load(std::memory_order_acquire)) {
       const auto tick_start = std::chrono::steady_clock::now();
-      hooks_.collect(frame);
+      // A fresh record per pass: the previous one stays published (and
+      // immutable) until every group tick holding it is retired.
+      auto pass = std::make_shared<shard::TickRecord>();
+      hooks_.collect(*pass);
+      const std::shared_ptr<const shard::TickRecord> record = std::move(pass);
       const auto collect_done = std::chrono::steady_clock::now();
       const std::uint64_t collect_ns = steady_now_ns();
-      // A create racing in since our pass shifts flat-table indices; the
-      // walk then reports nullopt and no group ships a delta this tick
-      // (members heal via fulls). The collector is the registry's only
-      // sequencer, so on success the walk's label is exactly this
-      // frame's sequence.
-      bool changed_valid = false;
-      if (prev_seq != 0) {
-        changed.clear();
-        changed_valid =
-            hooks_.changed_since(prev_seq, frame.registry_version, nullptr,
-                                 changed)
-                .has_value();
-      }
-      const std::shared_ptr<const TickValues> values =
-          tick_values(frame, names);
       // The group pass, BEFORE the wake — and fully lock-free for the
       // workers: the collector reads the RCU-published group table under
       // an epoch guard and publishes ONE immutable GroupTick per group
@@ -611,8 +553,7 @@ class ServerCore {
         const GroupTable* table =
             group_table_.load(std::memory_order_acquire);
         for (const auto& [key, group] : table->by_key) {
-          collector_group_pass(*group, frame, collect_ns, values,
-                               changed_valid, changed, group_subset);
+          collector_group_pass(*group, record, collect_ns, pairs);
         }
       }
       // Reap tables/ticks whose grace period has passed — outside the
@@ -623,21 +564,21 @@ class ServerCore {
       // in since the last render (on-demand; an idle server pays one
       // relaxed exchange per tick) — then kept until superseded.
       if (metricsz_wanted_.exchange(false, std::memory_order_relaxed)) {
-        (void)obs::render_metricsz(frame.samples, trace_, metricsz_text);
+        record->rows_into(nullptr, metricsz_rows);
+        (void)obs::render_metricsz(metricsz_rows, trace_, metricsz_text);
         auto page = std::make_shared<std::string>();
-        encode_metricsz_frame(frame.sequence, frame.registry_version,
+        encode_metricsz_frame(record->pass_seq, record->registry_version,
                               collect_ns, metricsz_text, *page);
         std::lock_guard lock(metricsz_mutex_);
         metricsz_page_ = std::move(page);
-        metricsz_seq_ = frame.sequence;
+        metricsz_seq_ = record->pass_seq;
       }
       // The sequences start at 1 and step by 1, so the newest collected
       // sequence is also the count of frames collected.
-      set(kFramesCollected, frame.sequence);
+      set(kFramesCollected, record->pass_seq);
       last_pub_collect_ns_.store(collect_ns, std::memory_order_relaxed);
       for (auto& worker : workers_) wake(*worker);
       const auto flush_done = std::chrono::steady_clock::now();
-      prev_seq = frame.sequence;
       set(kCollectorCpuNs, thread_cpu_ns());
       // Per-stage timings: the next tick's collect pass picks them up, so
       // with self_metrics the vitals ride the very stream they describe.
@@ -675,7 +616,7 @@ class ServerCore {
     t_wpid = 1 + index;  // this worker's slot in the instrument block
     Worker& worker = *workers_[index];
     std::vector<pollfd> pfds;
-    std::vector<DeltaEntry> changed_scratch;
+    std::vector<DeltaRow> pairs;  // catch-up scratch
     while (running_.load(std::memory_order_acquire)) {
       adopt_inbox(worker);
       pfds.clear();
@@ -711,13 +652,13 @@ class ServerCore {
           close_client(client);
           continue;
         }
-        service_client(client, changed_scratch);
+        service_client(client, pairs);
       }
       // Clients adopted this round (beyond the pfds snapshot) get their
       // first frame immediately rather than next tick.
       for (std::size_t i = pfds.size() - base; i < worker.clients.size();
            ++i) {
-        service_client(worker.clients[i], changed_scratch);
+        service_client(worker.clients[i], pairs);
       }
       std::erase_if(worker.clients,
                     [](const Client& client) { return client.fd < 0; });
@@ -1134,8 +1075,7 @@ class ServerCore {
   /// with a per-group cache mutex), the group's shared tick delta when
   /// in step, a per-client catch-up delta when lagged, and nothing at
   /// all while the group is quiet.
-  void service_client(Client& client,
-                      std::vector<DeltaEntry>& changed_scratch) {
+  void service_client(Client& client, std::vector<DeltaRow>& pairs) {
     if (client.fd < 0) return;
     const bool drained = flush(client);
     if (client.fd < 0) return;
@@ -1219,7 +1159,7 @@ class ServerCore {
         flush(client);
         return;
       }
-      if (send_catch_up(client, tick, changed_scratch)) return;
+      if (send_catch_up(client, tick, pairs)) return;
       // The walk refused (a create shifted the indices since the tick):
       // heal with the tick's full right away.
     }
@@ -1233,37 +1173,38 @@ class ServerCore {
   }
 
   /// A lagging client (below the shared delta's basis): a per-client
-  /// delta of exactly what moved in its group's subset since its last
-  /// fully-sent frame, walked against the tick's selection under the
-  /// tick's registry version. False when that version is gone (the
-  /// walk's guard) — the caller falls back to a full. On success the
-  /// walk's label may run ahead of the tick (the collector finished
-  /// another pass since); the delta is complete up to that label, so
-  /// the client's view — and our sent_seq tracking — jump there.
+  /// delta of what moved in its group's subset since its last
+  /// fully-sent frame. The registry's changed-since walk over the tick's
+  /// selection, guarded by the tick's registry version, only names the
+  /// rows; their values come from the tick record, and the delta is
+  /// labeled and stamped with the tick's pass. That is complete: a row
+  /// that changed in (sent_seq, pass_seq] has changed_seq > sent_seq
+  /// whatever happened to it later, and the tick's values are absolute —
+  /// exactly the state at pass_seq. The walk reads the newest change
+  /// columns, so once the next sweep has run it also names rows that
+  /// moved only after pass_seq; the tick holds their state at pass_seq
+  /// too, so those records are redundant, not wrong (and a top-k still
+  /// empty at pass_seq writes none, see encode_delta_frame). False when
+  /// the walk's version guard refused (a create shifted the indices) —
+  /// the caller falls back to a full.
   bool send_catch_up(Client& client, const GroupTick& tick,
-                     std::vector<DeltaEntry>& changed_scratch) {
-    changed_scratch.clear();
-    const std::optional<std::uint64_t> upto = hooks_.changed_since(
-        client.sent_seq, tick.values->names->registry_version,
-        tick.selection.get(), changed_scratch);
-    if (!upto.has_value()) return false;
+                     std::vector<DeltaRow>& pairs) {
+    pairs.clear();
+    if (!hooks_.changed_since(client.sent_seq,
+                              tick.record->registry_version,
+                              tick.selection.get(), pairs)) {
+      return false;
+    }
     if (tick.pass_seq > client.sent_seq + 1) {
       bump(kFramesCoalesced, tick.pass_seq - client.sent_seq - 1);
     }
-    // tick.collect_ns dates pass tick.pass_seq only; when the walk ran
-    // ahead, stamping it would date newer values with an older clock
-    // (inflating consumer latency), so that rare race stamps the
-    // encode-time clock instead — the values are at least that fresh,
-    // so the consumer's latency reads a tight upper bound rather than
-    // losing the sample. Labeled with the group's pinned wire version —
-    // the index space of the client's table.
-    const std::uint64_t stamp_ns =
-        *upto == tick.pass_seq ? tick.collect_ns : steady_now_ns();
+    // Labeled with the group's pinned wire version — the index space of
+    // the client's table.
     auto buf = std::make_shared<std::string>();
-    encode_delta_frame(*upto, tick.wire_regver, stamp_ns, client.sent_seq,
-                       changed_scratch, *buf);
+    encode_delta_frame(tick.pass_seq, tick.wire_regver, tick.collect_ns,
+                       client.sent_seq, *tick.record, pairs, *buf);
     set_inflight(client, std::move(buf));
-    client.sent_seq = std::max(client.sent_seq, *upto);
+    client.sent_seq = tick.pass_seq;
     bump(kCatchupDeltasSent);
     flush(client);
     return true;
@@ -1272,33 +1213,17 @@ class ServerCore {
   /// The group's full for `tick`, encoding it at most once (lazily,
   /// cached per group+pass) no matter how many members — or the group's
   /// ring — need it. The inputs all come from ONE GroupTick, so the
-  /// (values, selection, wire label, stamp) tuple is coherent by
-  /// construction; the rows are materialized from the tick's name table
-  /// plus its values, O(subset) — names are never copied per tick.
+  /// (record, selection, wire label, stamp) tuple is coherent by
+  /// construction; the rows are materialized from the record's name
+  /// table plus its values, O(subset) — names are never copied per tick.
   std::shared_ptr<const std::string> group_full(FilterGroup& group,
                                                 const GroupTick& tick) {
     std::lock_guard lock(group.full_mutex);
     if (group.full && group.full_seq == tick.pass_seq) return group.full;
-    const TickValues& values = *tick.values;
-    const std::vector<shard::Sample>& table = values.names->samples;
     shard::TelemetryFrame rows;
     rows.sequence = tick.pass_seq;
     rows.registry_version = tick.wire_regver;
-    rows.samples.resize(tick.selection ? tick.selection->size()
-                                       : table.size());
-    auto vector = values.vectors.begin();
-    for (std::size_t j = 0; j < rows.samples.size(); ++j) {
-      const std::size_t i =
-          tick.selection ? static_cast<std::size_t>((*tick.selection)[j]) : j;
-      shard::Sample& row = rows.samples[j];
-      row = table[i];
-      row.value = values.values[i];
-      while (vector != values.vectors.end() && vector->index < i) ++vector;
-      if (vector != values.vectors.end() && vector->index == i) {
-        row.bucket_counts = vector->counts;
-        row.top_labels = vector->labels;
-      }
-    }
+    tick.record->rows_into(tick.selection.get(), rows.samples);
     auto buf = std::make_shared<std::string>();
     encode_full_frame(rows, tick.collect_ns, *buf);
     group.full = std::move(buf);
@@ -1317,45 +1242,60 @@ class ServerCore {
   /// that lets disjoint creates leave the group's stream untouched.
   /// Collector thread only (the fields are collector-private; workers
   /// see the immutable copies published in GroupTicks).
-  bool ensure_selection(FilterGroup& group,
-                        const shard::TelemetryFrame& frame) {
-    if (group.sel_regver == frame.registry_version) return false;
+  bool ensure_selection(FilterGroup& group, const shard::TickRecord& record) {
+    if (group.sel_regver == record.registry_version) return false;
     const bool had = group.sel_regver != 0;
     const std::size_t prev_size = group.subset_size;
+    const std::vector<shard::Sample>& names = *record.names;
     if (group.filter.pass_all()) {
-      group.subset_size = frame.samples.size();  // selection stays null
+      group.subset_size = names.size();  // selection stays null
     } else {
       auto selection = std::make_shared<std::vector<std::uint64_t>>();
-      for (std::size_t i = 0; i < frame.samples.size(); ++i) {
-        if (group.filter.matches(frame.samples[i].name)) {
-          selection->push_back(i);
-        }
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        if (group.filter.matches(names[i].name)) selection->push_back(i);
       }
       group.subset_size = selection->size();
       group.selection = std::move(selection);
     }
-    group.sel_regver = frame.registry_version;
+    group.sel_regver = record.registry_version;
     const bool subset_changed = !had || group.subset_size != prev_size;
-    if (subset_changed) group.wire_regver = frame.registry_version;
+    if (subset_changed) group.wire_regver = record.registry_version;
     return subset_changed;
   }
 
+  /// The (wire position, flat row) pairs of a group's delta: the tick's
+  /// changed rows that lie in `selection`, at their positions within it
+  /// (null = pass-all: position = row). Both lists ascend by row — one
+  /// two-pointer pass.
+  static void subset_pairs(const std::vector<std::uint64_t>& changed,
+                           const std::vector<std::uint64_t>* selection,
+                           std::vector<DeltaRow>& out) {
+    out.clear();
+    std::size_t pos = 0;
+    for (const std::uint64_t row : changed) {
+      if (selection == nullptr) {
+        out.push_back({row, row});
+        continue;
+      }
+      while (pos < selection->size() && (*selection)[pos] < row) ++pos;
+      if (pos == selection->size()) break;
+      if ((*selection)[pos] == row) out.push_back({pos, row});
+    }
+  }
+
   /// The collector's per-tick, per-group pass: maintains the group's
-  /// selection against the tick's registry version, intersects the
-  /// tick's changed list with it and, when the subset moved (or a
+  /// selection against the tick's registry version, takes the tick's
+  /// changed rows in its subset and, when the subset moved (or a
   /// heartbeat is due), encodes the ONE delta every in-step member of
   /// the group will share; feeds the group's ring; then publishes it
   /// all as this pass's immutable GroupTick (RCU pointer swap; the
   /// superseded tick retires through the epoch domain). Collector
   /// thread only.
-  void collector_group_pass(FilterGroup& group,
-                            const shard::TelemetryFrame& frame,
-                            std::uint64_t collect_ns,
-                            const std::shared_ptr<const TickValues>& values,
-                            bool changed_valid,
-                            const std::vector<DeltaEntry>& changed,
-                            std::vector<DeltaEntry>& subset) {
-    const bool rebased = ensure_selection(group, frame);
+  void collector_group_pass(
+      FilterGroup& group,
+      const std::shared_ptr<const shard::TickRecord>& record,
+      std::uint64_t collect_ns, std::vector<DeltaRow>& pairs) {
+    const bool rebased = ensure_selection(group, *record);
     const bool members = group.refs.load(std::memory_order_relaxed) > 0;
     GroupRing* ring = group.ring.load(std::memory_order_acquire);
     if (ring != nullptr && ring->broken.load(std::memory_order_relaxed)) {
@@ -1369,40 +1309,14 @@ class ServerCore {
       // takes a full from this tick. A memberless group (only pass-all
       // outlives its members) is owed nothing: its basis just follows
       // the ticks, and a newcomer starts from a full anyway.
-      group.sent_seq = frame.sequence;
+      group.sent_seq = record->pass_seq;
       group.ticks_suppressed = 0;
-    } else if (changed_valid) {
-      // The pass-all group's subset IS the changed list (subset
-      // positions are flat indices); any other group intersects it with
-      // its selection — both ascend by flat index: one two-pointer pass,
-      // emitting SUBSET positions, the filtered table's index space.
-      const std::vector<DeltaEntry>* entries = &changed;
-      if (group.selection) {
-        subset.clear();
-        const std::vector<std::uint64_t>& selection = *group.selection;
-        std::size_t ci = 0;
-        std::size_t si = 0;
-        while (ci < changed.size() && si < selection.size()) {
-          if (changed[ci].index < selection[si]) {
-            ++ci;
-          } else if (changed[ci].index > selection[si]) {
-            ++si;
-          } else {
-            // Carry the vector payloads too: a histogram or top-k row in
-            // the subset must keep its buckets/labels, or the entry would
-            // re-encode as a scalar and the subscriber's view reject it.
-            subset.push_back({si, changed[ci].value, changed[ci].buckets,
-                              changed[ci].labels});
-            ++ci;
-            ++si;
-          }
-        }
-        entries = &subset;
-      }
+    } else {
+      subset_pairs(record->changed, group.selection.get(), pairs);
       // A quiet subset ships nothing (basis stays put) until a heartbeat
       // is due — except into a ring: ring readers detect a dead server
       // by a head that stops moving, so a ring group ships every tick.
-      if (entries->empty() && ring == nullptr &&
+      if (pairs.empty() && ring == nullptr &&
           ++group.ticks_suppressed < options_.group_heartbeat_ticks) {
         bump(kGroupDeltasSuppressed);
       } else {
@@ -1411,26 +1325,23 @@ class ServerCore {
         // version of its members' tables), NOT the raw registry
         // version: across disjoint creates the stream keeps flowing
         // under the old label and nobody re-bases.
-        encode_delta_frame(frame.sequence, group.wire_regver, collect_ns,
-                           group.sent_seq, *entries, *buf);
+        encode_delta_frame(record->pass_seq, group.wire_regver, collect_ns,
+                           group.sent_seq, *record, pairs, *buf);
         delta = std::move(buf);
         delta_base = group.sent_seq;
-        group.sent_seq = frame.sequence;
+        group.sent_seq = record->pass_seq;
         group.ticks_suppressed = 0;
         bump(kGroupDeltaEncodes);
       }
     }
-    // else: the changed walk was unusable this tick (registry version
-    // raced the collect): ship no delta and keep the basis — the next
-    // delta still covers this tick, and members heal via fulls.
     auto* tick = new GroupTick;
-    tick->pass_seq = frame.sequence;
+    tick->pass_seq = record->pass_seq;
     tick->collect_ns = collect_ns;
     tick->wire_regver = group.wire_regver;
     tick->sent_seq = group.sent_seq;
     tick->delta = delta;
     tick->delta_base = delta_base;
-    tick->values = values;
+    tick->record = record;
     tick->selection = group.selection;
     // The ring carries the bytes the group's TCP stream carries this
     // tick — the delta, else the full (encoded here, eagerly: ring
@@ -1520,28 +1431,27 @@ template <typename Backend>
   requires(!Backend::kInstrumented)
 SnapshotServerT<Backend>::SnapshotServerT(shard::RegistryT<Backend>& registry,
                                           unsigned pid, ServerOptions options)
-    : aggregator_(registry, pid, /*sequenced=*/true), registry_(registry) {
+    : aggregator_(registry, pid), registry_(registry) {
   typename detail::ServerCore::Hooks hooks;
-  hooks.collect = [this](shard::TelemetryFrame& frame) {
-    aggregator_.collect_into(frame);
+  hooks.collect = [this](shard::TickRecord& tick) {
+    aggregator_.collect_tick(tick);
   };
   hooks.changed_since = [this](std::uint64_t since,
                                std::uint64_t expected_version,
                                const std::vector<std::uint64_t>* selection,
-                               std::vector<DeltaEntry>& out) {
-    return registry_.for_each_changed_since(
-        since, expected_version,
-        [&out](std::size_t index, const std::string& /*name*/,
-               std::uint64_t value, std::uint64_t /*changed_seq*/,
-               const std::vector<std::uint64_t>* counts,
-               const std::vector<std::string>* labels) {
-          out.push_back({index, value,
-                         counts != nullptr ? *counts
-                                           : std::vector<std::uint64_t>{},
-                         labels != nullptr ? *labels
-                                           : std::vector<std::string>{}});
-        },
-        selection);
+                               std::vector<DeltaRow>& out) {
+    return registry_
+        .for_each_changed_since(
+            since, expected_version,
+            [&](std::size_t index, const std::string& /*name*/,
+                std::uint64_t /*value*/, std::uint64_t /*changed_seq*/,
+                const std::vector<std::uint64_t>* /*counts*/,
+                const std::vector<std::string>* /*labels*/) {
+              out.push_back(
+                  {index, selection != nullptr ? (*selection)[index] : index});
+            },
+            selection)
+        .has_value();
   };
   core_ = std::make_unique<detail::ServerCore>(options, std::move(hooks));
   if (!options.self_metrics) return;

@@ -14,21 +14,24 @@
 //     simply outlives its members, so there is one serving path.
 //
 //   * collector thread — every `period` (a tick waits on a condition
-//     variable until its start + period; stop() wakes it early), one
-//     sequenced collect_into pass into a reused frame (zero collect
-//     allocations at steady state; the pass feeds the registry's
-//     changed-since tracking), then one pass over the groups: per group
-//     at most ONE delta encode, shared by every in-step member
-//     (ServerStats::filtered_delta_encodes), and nothing at all on a
-//     tick where the group's subset did not change (ServerStats::
+//     variable until its start + period; stop() wakes it early), ONE
+//     sweep of the registry: the aggregator's sequenced collect_tick
+//     fills a tick record with every value, the vector readings, the
+//     rows this pass changed and the name table (shared per registry
+//     version), and stamps the registry's changed-since tracking. Then
+//     one pass over the groups: per group at most ONE delta encode,
+//     straight from the record's changed rows in the group's subset and
+//     shared by every in-step member (ServerStats::
+//     filtered_delta_encodes), and nothing at all on a tick where the
+//     group's subset did not change (ServerStats::
 //     group_deltas_suppressed) until a heartbeat is due
 //     (ServerOptions::group_heartbeat_ticks) — a subscriber's receive
 //     cost scales with its subset's activity, not the fleet's. Fulls
-//     are lazy: the pass keeps its values (names live in a table shared
-//     per registry version), and a group's full is encoded only when a
-//     member needs one, at most once per group and tick. Encoded
-//     buffers are retired by refcount when the last subscriber drains
-//     them, so a slow reader never blocks the next encode.
+//     are lazy: a group's full is materialized from the record and
+//     encoded only when a member needs one, at most once per group and
+//     tick. Encoded buffers are retired by refcount when the last
+//     subscriber drains them, so a slow reader never blocks the next
+//     encode.
 //
 //   * N I/O worker threads — a non-blocking poll() loop each, over a
 //     share of the subscriber sockets plus a self-pipe the collector
@@ -42,11 +45,12 @@
 //     the tick rate simply skips frames: when its buffer drains the
 //     worker hands it the NEWEST state of its group — as the group's
 //     shared delta if that covers it, as a per-client catch-up delta
-//     (the registry's changed-since walk over the group's subset) if it
-//     lagged but its name table is unchanged, or as the group's full
-//     otherwise. A RESYNC asks for that full at the next tick at the
-//     latest. Memory per client is O(one frame) regardless of
-//     how slow it reads; nobody is disconnected for being slow.
+//     (the rows the registry's changed-since walk names in the group's
+//     subset, valued from the tick) if it lagged but its name table is
+//     unchanged, or as the group's full otherwise. A RESYNC asks for
+//     that full at the next tick at the latest. Memory per client is
+//     O(one frame) regardless of how slow it reads; nobody is
+//     disconnected for being slow.
 //
 //   * acks — subscribers send { 0xAC, seq:uvarint } after applying a
 //     frame; the server tracks the fleet-wide acked floor purely as
@@ -76,13 +80,16 @@
 //     restarted server re-points the rows at its own block
 //     (obs/self_metrics.hpp).
 //
-// Catch-up deltas are encoded from the registry's tracking columns via
-// the version-guarded changed-since walk: if a create shifted the
+// Catch-up deltas take their rows from the registry's version-guarded
+// changed-since walk over the group's selection: if a create shifted the
 // name-table indices since the tick was published, the walk refuses and
 // the subscriber gets a full frame instead (a delta against the wrong
-// table would silently misapply values). The walk labels the delta with
-// the last *completed* sequenced pass, which may run ahead of the
-// published tick — the delta is complete up to that label.
+// table would silently misapply values). The walk only names rows; their
+// values come from the published tick, and the delta is labeled with the
+// tick's pass and stamped with its collect time. A row that changed in
+// (sent_seq, pass] has a change stamp > sent_seq whatever happened to it
+// later, and the tick's values are absolute — exactly the state at that
+// pass — so the delta is complete up to its label.
 //
 // The server binds 127.0.0.1 only: the facade is an in-host scrape/
 // stream endpoint (sidecar, dashboard, load generator), not an

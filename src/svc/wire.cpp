@@ -2,6 +2,8 @@
 #include "svc/wire.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -12,6 +14,22 @@ namespace {
 
 /// Longest legal LEB128 encoding of a uint64 (10 × 7 bits ≥ 64).
 constexpr int kMaxVarintBytes = 10;
+
+/// Bytes put_uvarint writes for `value`.
+std::size_t uvarint_size(std::uint64_t value) {
+  return (static_cast<std::size_t>(std::bit_width(value | 1)) + 6) / 7;
+}
+
+/// Writes `value` as a varint at `p`; returns the byte after it. The one
+/// varint writer: append_uvarint and the record writers below use it.
+char* put_uvarint(char* p, std::uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<char>((value & 0x7F) | 0x80);
+    value >>= 7;
+  }
+  *p++ = static_cast<char>(value);
+  return p;
+}
 
 /// Upper bound on the entries reserved up front from an (untrusted)
 /// frame count; larger lists grow geometrically as entries actually
@@ -65,20 +83,47 @@ bool read_name_list(const char** cursor, const char* end,
   return true;
 }
 
+/// Grows `out` by `bytes` and returns where they start, for a put_*
+/// writer that fills exactly that many.
+char* grow(std::string& out, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  return out.data() + at;
+}
+
 /// The one record-prefix writer: magic, version, kind.
+char* put_prefix(char* p, FrameKind kind) {
+  *p++ = static_cast<char>(kWireMagic0);
+  *p++ = static_cast<char>(kWireMagic1);
+  *p++ = static_cast<char>(kWireVersion);
+  *p++ = static_cast<char>(kind);
+  return p;
+}
+
 void append_prefix(std::string& out, FrameKind kind) {
-  out.push_back(static_cast<char>(kWireMagic0));
-  out.push_back(static_cast<char>(kWireMagic1));
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(kind));
+  put_prefix(grow(out, 4), kind);
+}
+
+/// Bytes put_header writes: the record prefix, then three varints.
+std::size_t header_size(std::uint64_t sequence, std::uint64_t registry_version,
+                        std::uint64_t collect_ns) {
+  return 4 + uvarint_size(sequence) + uvarint_size(registry_version) +
+         uvarint_size(collect_ns);
+}
+
+/// The one data-frame header writer.
+char* put_header(char* p, FrameKind kind, std::uint64_t sequence,
+                 std::uint64_t registry_version, std::uint64_t collect_ns) {
+  p = put_prefix(p, kind);
+  p = put_uvarint(p, sequence);
+  p = put_uvarint(p, registry_version);
+  return put_uvarint(p, collect_ns);
 }
 
 void append_header(std::string& out, FrameKind kind, std::uint64_t sequence,
                    std::uint64_t registry_version, std::uint64_t collect_ns) {
-  append_prefix(out, kind);
-  append_uvarint(out, sequence);
-  append_uvarint(out, registry_version);
-  append_uvarint(out, collect_ns);
+  put_header(grow(out, header_size(sequence, registry_version, collect_ns)),
+             kind, sequence, registry_version, collect_ns);
 }
 
 /// The one record-prefix reader. False when truncated or when the magic
@@ -128,11 +173,7 @@ std::uint64_t steady_now_ns() {
 }
 
 void append_uvarint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7F) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
+  put_uvarint(grow(out, uvarint_size(value)), value);
 }
 
 std::uint32_t read_u32le(const char* p) {
@@ -163,81 +204,214 @@ bool read_uvarint(const char** cursor, const char* end, std::uint64_t& value) {
 
 namespace {
 
-/// Appends a top-k row list: row count, then ranked (label_len, label,
-/// value) rows from the parallel label/value vectors.
-void append_rows(std::string& out, const std::vector<std::string>& labels,
-                 const std::vector<std::uint64_t>& values) {
-  append_uvarint(out, labels.size());
+/// A top-k row list, in full samples and delta records alike: row
+/// count, then ranked (label_len, label, value) rows from the parallel
+/// label/value vectors. rows_size is the bytes put_rows writes.
+std::size_t rows_size(const std::vector<std::string>& labels,
+                      const std::vector<std::uint64_t>& values) {
+  std::size_t bytes = uvarint_size(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    append_uvarint(out, labels[i].size());
-    out.append(labels[i]);
-    append_uvarint(out, values[i]);
+    bytes += uvarint_size(labels[i].size()) + labels[i].size() +
+             uvarint_size(values[i]);
   }
+  return bytes;
 }
 
-void append_counts(std::string& out, const std::vector<std::uint64_t>& counts) {
-  for (const std::uint64_t count : counts) append_uvarint(out, count);
+char* put_rows(char* p, const std::vector<std::string>& labels,
+               const std::vector<std::uint64_t>& values) {
+  p = put_uvarint(p, labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    p = put_uvarint(p, labels[i].size());
+    std::memcpy(p, labels[i].data(), labels[i].size());
+    p = put_uvarint(p + labels[i].size(), values[i]);
+  }
+  return p;
 }
 
-void append_sample(std::string& out, const shard::Sample& sample) {
-  append_uvarint(out, sample.name.size());
-  out.append(sample.name);
-  out.push_back(static_cast<char>(sample.model));
-  append_uvarint(out, sample.error_bound);
+/// Histogram bucket counts, one varint each (their number travels
+/// ahead of them). counts_size is the bytes put_counts writes.
+std::size_t counts_size(const std::vector<std::uint64_t>& counts) {
+  std::size_t bytes = 0;
+  for (const std::uint64_t count : counts) bytes += uvarint_size(count);
+  return bytes;
+}
+
+char* put_counts(char* p, const std::vector<std::uint64_t>& counts) {
+  for (const std::uint64_t count : counts) p = put_uvarint(p, count);
+  return p;
+}
+
+/// A histogram's i-th edge as the wire carries it: edge0, then the
+/// ascending diffs.
+std::uint64_t wire_edge(const std::vector<std::uint64_t>& bounds,
+                        std::size_t i) {
+  return i == 0 ? bounds[0] : bounds[i] - bounds[i - 1];
+}
+
+/// One FULL record (the fbody grammar). record_size is the bytes
+/// put_record writes.
+std::size_t record_size(const shard::Sample& sample) {
+  const std::size_t bytes = uvarint_size(sample.name.size()) +
+                            sample.name.size() + 1 +
+                            uvarint_size(sample.error_bound);
   if (sample.model == shard::ErrorModel::kTopK) {
-    append_rows(out, sample.top_labels, sample.bucket_counts);
-  } else if (sample.model == shard::ErrorModel::kHistogram) {
-    // Bucket count, edge0 + ascending diffs, then the counts.
-    append_uvarint(out, sample.bucket_counts.size());
-    for (std::size_t i = 0; i < sample.bucket_bounds.size(); ++i) {
-      append_uvarint(out, i == 0 ? sample.bucket_bounds[0]
-                                 : sample.bucket_bounds[i] -
-                                       sample.bucket_bounds[i - 1]);
-    }
-    append_counts(out, sample.bucket_counts);
-  } else {
-    append_uvarint(out, sample.value);
+    return bytes + rows_size(sample.top_labels, sample.bucket_counts);
   }
+  if (sample.model == shard::ErrorModel::kHistogram) {
+    std::size_t edges = 0;
+    for (std::size_t i = 0; i < sample.bucket_bounds.size(); ++i) {
+      edges += uvarint_size(wire_edge(sample.bucket_bounds, i));
+    }
+    return bytes + uvarint_size(sample.bucket_counts.size()) + edges +
+           counts_size(sample.bucket_counts);
+  }
+  return bytes + uvarint_size(sample.value);
+}
+
+char* put_record(char* p, const shard::Sample& sample) {
+  p = put_uvarint(p, sample.name.size());
+  std::memcpy(p, sample.name.data(), sample.name.size());
+  p += sample.name.size();
+  *p++ = static_cast<char>(sample.model);
+  p = put_uvarint(p, sample.error_bound);
+  if (sample.model == shard::ErrorModel::kTopK) {
+    return put_rows(p, sample.top_labels, sample.bucket_counts);
+  }
+  if (sample.model == shard::ErrorModel::kHistogram) {
+    // Bucket count, edge0 + ascending diffs, then the counts.
+    p = put_uvarint(p, sample.bucket_counts.size());
+    for (std::size_t i = 0; i < sample.bucket_bounds.size(); ++i) {
+      p = put_uvarint(p, wire_edge(sample.bucket_bounds, i));
+    }
+    return put_counts(p, sample.bucket_counts);
+  }
+  return put_uvarint(p, sample.value);
+}
+
+/// One DELTA record as the writer reads it (the dbody grammar): ranked
+/// top-k rows when `labels` holds any (their values in `counts`), else
+/// bucket counts when `counts` holds any, else the scalar `value`.
+struct DeltaRecord {
+  std::uint64_t index = 0;
+  std::uint64_t value = 0;
+  const std::vector<std::uint64_t>* counts = nullptr;
+  const std::vector<std::string>* labels = nullptr;
+
+  [[nodiscard]] bool rows() const { return labels && !labels->empty(); }
+  [[nodiscard]] bool vector() const {
+    return rows() || (counts && !counts->empty());
+  }
+  [[nodiscard]] std::uint64_t key() const {
+    return index * 2 + (vector() ? 1 : 0);
+  }
+};
+
+std::size_t record_size(const DeltaRecord& record) {
+  const std::size_t key = uvarint_size(record.key());
+  if (record.rows()) {
+    return key + uvarint_size(1) + rows_size(*record.labels, *record.counts);
+  }
+  if (record.vector()) {
+    return key + uvarint_size(record.counts->size()) +
+           counts_size(*record.counts);
+  }
+  return key + uvarint_size(record.value);
+}
+
+char* put_record(char* p, const DeltaRecord& record) {
+  p = put_uvarint(p, record.key());
+  if (record.rows()) {
+    p = put_uvarint(p, 1);  // tag: ranked top-k rows
+    return put_rows(p, *record.labels, *record.counts);
+  }
+  if (record.vector()) {
+    p = put_uvarint(p, record.counts->size());  // tag: bucket count
+    return put_counts(p, *record.counts);
+  }
+  return put_uvarint(p, record.value);
+}
+
+/// The one FULL/DELTA frame writer: length prefix, header, a delta's
+/// `base_seq` (null for a full), the record count, then the `Record`s
+/// `for_each(fn)` hands to fn in wire order. It runs twice — once to
+/// count and size the records exactly, once to write the frame through
+/// a raw pointer into `out` resized to just that — so a fresh `out` is
+/// allocated once, and a reused one keeps its capacity.
+template <typename Record, typename ForEach>
+void write_frame(FrameKind kind, std::uint64_t sequence,
+                 std::uint64_t registry_version, std::uint64_t collect_ns,
+                 const std::uint64_t* base_seq, const ForEach& for_each,
+                 std::string& out) {
+  std::size_t count = 0;
+  std::size_t bytes = 0;
+  for_each([&](const Record& record) {
+    ++count;
+    bytes += record_size(record);
+  });
+  bytes += 4 + header_size(sequence, registry_version, collect_ns) +
+           (base_seq != nullptr ? uvarint_size(*base_seq) : 0) +
+           uvarint_size(count);
+  out.clear();
+  out.resize(bytes);
+  char* p = out.data() + 4;  // after the length prefix, patched below
+  p = put_header(p, kind, sequence, registry_version, collect_ns);
+  if (base_seq != nullptr) p = put_uvarint(p, *base_seq);
+  p = put_uvarint(p, count);
+  for_each([&](const Record& record) { p = put_record(p, record); });
+  assert(p == out.data() + out.size());
+  patch_length_prefix(out);
 }
 
 }  // namespace
 
 void encode_full_frame(const shard::TelemetryFrame& frame,
                        std::uint64_t collect_ns, std::string& out) {
-  out.clear();
-  append_u32le(out, 0);  // length prefix, patched below
-  append_header(out, FrameKind::kFull, frame.sequence, frame.registry_version,
-                collect_ns);
-  append_uvarint(out, frame.samples.size());
-  for (const shard::Sample& sample : frame.samples) {
-    append_sample(out, sample);
-  }
-  patch_length_prefix(out);
+  write_frame<shard::Sample>(
+      FrameKind::kFull, frame.sequence, frame.registry_version, collect_ns,
+      nullptr,
+      [&](const auto& emit) {
+        for (const shard::Sample& sample : frame.samples) emit(sample);
+      },
+      out);
 }
 
 void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::uint64_t collect_ns, std::uint64_t base_seq,
                         const std::vector<DeltaEntry>& entries,
                         std::string& out) {
-  out.clear();
-  append_u32le(out, 0);  // length prefix, patched below
-  append_header(out, FrameKind::kDelta, sequence, registry_version, collect_ns);
-  append_uvarint(out, base_seq);
-  append_uvarint(out, entries.size());
-  for (const DeltaEntry& entry : entries) {
-    const bool vector = !entry.labels.empty() || !entry.buckets.empty();
-    append_uvarint(out, entry.index * 2 + (vector ? 1 : 0));
-    if (!entry.labels.empty()) {
-      append_uvarint(out, 1);  // tag: ranked top-k rows
-      append_rows(out, entry.labels, entry.buckets);
-    } else if (vector) {
-      append_uvarint(out, entry.buckets.size());  // tag: bucket count
-      append_counts(out, entry.buckets);
-    } else {
-      append_uvarint(out, entry.value);
-    }
-  }
-  patch_length_prefix(out);
+  write_frame<DeltaRecord>(
+      FrameKind::kDelta, sequence, registry_version, collect_ns, &base_seq,
+      [&](const auto& emit) {
+        for (const DeltaEntry& entry : entries) {
+          emit({entry.index, entry.value, &entry.buckets, &entry.labels});
+        }
+      },
+      out);
+}
+
+void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
+                        std::uint64_t collect_ns, std::uint64_t base_seq,
+                        const shard::TickRecord& tick,
+                        const std::vector<DeltaRow>& rows, std::string& out) {
+  write_frame<DeltaRecord>(
+      FrameKind::kDelta, sequence, registry_version, collect_ns, &base_seq,
+      [&](const auto& emit) {
+        auto reading = tick.vectors.begin();
+        for (const DeltaRow& pair : rows) {
+          while (reading != tick.vectors.end() && reading->row < pair.row) {
+            ++reading;
+          }
+          if (reading == tick.vectors.end() || reading->row != pair.row) {
+            emit({pair.index, tick.values[pair.row]});
+          } else if (!reading->counts.empty()) {
+            emit({pair.index, tick.values[pair.row], &reading->counts,
+                  &reading->labels});
+          }
+          // else a top-k with no rows yet, which writes no record (see
+          // the declaration).
+        }
+      },
+      out);
 }
 
 bool SubscriptionFilter::matches(std::string_view name) const {

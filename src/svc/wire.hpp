@@ -83,13 +83,13 @@
 // METRICSZ_REQUEST asks for one METRICSZ frame of exposition text,
 // stamped with the tick it was rendered from (solicited only too).
 //
-// collect_ns is the server's steady-clock timestamp (nanoseconds) taken
-// when the frame was ENCODED — for the shared per-tick frames that is
-// the moment their samples were collected; a per-client catch-up delta
-// is stamped at its own encode. Same-host consumers subtract it from
-// their own steady clock for end-to-end latency, and every frame
-// (heartbeats included) refreshes it. 0 = not recorded. Steady-clock
-// values are process-portable on one host but NOT across hosts.
+// collect_ns is the server's steady-clock timestamp (nanoseconds) of the
+// collect pass the frame's values come from — every data frame,
+// per-client catch-up deltas included, carries its tick's stamp.
+// Same-host consumers subtract it from their own steady clock for
+// end-to-end latency, and every frame (heartbeats included) refreshes
+// it. 0 = not recorded. Steady-clock values are process-portable on one
+// host but NOT across hosts.
 //
 // Decode safety: every read is bounds-checked; a truncated buffer, bad
 // magic/version/kind/model/tag byte, overlong varint, out-of-range
@@ -144,6 +144,14 @@ struct DeltaEntry {
   std::uint64_t value = 0;
   std::vector<std::uint64_t> buckets;
   std::vector<std::string> labels;  // top-k rows only
+};
+
+/// One record of a delta encoded straight from a sequenced pass: the
+/// entry's wire index (its position in the receiving view's name table)
+/// and the registry row whose reading it carries.
+struct DeltaRow {
+  std::uint64_t index = 0;
+  std::uint64_t row = 0;
 };
 
 /// Bytes the stream framing adds in front of every payload (u32le
@@ -315,6 +323,20 @@ void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         const std::vector<DeltaEntry>& entries,
                         std::string& out);
 
+/// The same DELTA frame encoded straight from a sequenced pass: one
+/// record per `rows` pair, carrying `tick`'s reading of the pair's row
+/// under its wire index. `rows` ascend by row. Both forms share one
+/// record writer, so equal records encode to equal bytes. A pair whose
+/// row reads as a top-k with no rows yet writes no record: a delta never
+/// carries an empty directory, and none needs to — slots never clear, so
+/// the directory was empty at every earlier pass too. (A catch-up's
+/// changed-since walk can name such a row when it runs a pass ahead of
+/// `tick`.)
+void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
+                        std::uint64_t collect_ns, std::uint64_t base_seq,
+                        const shard::TickRecord& tick,
+                        const std::vector<DeltaRow>& rows, std::string& out);
+
 // --- decoding ---------------------------------------------------------
 
 /// Outcome of applying one payload to a MaterializedView.
@@ -376,7 +398,8 @@ class MaterializedView {
   }
 
   /// collect_ns stamp of the newest applied frame (the server's steady
-  /// clock when the frame was encoded; 0 = server did not stamp).
+  /// clock at the collect its values come from; 0 = server did not
+  /// stamp).
   /// Advances on heartbeats too — this is STREAM freshness ("how stale
   /// is my connection"), as opposed to the data-freshness pair below.
   [[nodiscard]] std::uint64_t last_collect_ns() const noexcept {

@@ -20,6 +20,33 @@
 namespace approx::shard {
 namespace {
 
+/// The flat rows for_each_changed_since(since, version) reports, in walk
+/// order (empty when the walk refuses).
+std::vector<std::uint64_t> walked_rows(const Registry& registry,
+                                       std::uint64_t since,
+                                       std::uint64_t version) {
+  std::vector<std::uint64_t> rows;
+  (void)registry.for_each_changed_since(
+      since, version,
+      [&](std::size_t index, const std::string&, std::uint64_t, std::uint64_t,
+          const std::vector<std::uint64_t>*,
+          const std::vector<std::string>*) { rows.push_back(index); });
+  return rows;
+}
+
+/// One sequenced sweep as pass `seq` (pid 0), checked against the walk:
+/// the rows the sweep lists as changed are exactly the rows the
+/// changed-since walk reports for that pass.
+TickRecord sweep(const Registry& registry, std::uint64_t seq) {
+  TickRecord tick;
+  registry.collect_tick(0, seq, tick);
+  EXPECT_EQ(tick.pass_seq, seq);
+  EXPECT_EQ(tick.changed,
+            walked_rows(registry, seq - 1, tick.registry_version))
+      << "pass " << seq;
+  return tick;
+}
+
 TEST(Registry, CreateLookupAndMissing) {
   Registry registry(4);
   AnyCounter& requests =
@@ -184,9 +211,12 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   registry.create("b", {ErrorModel::kExact, 0, 1});
   a.increment(0);
 
-  std::vector<Sample> frame;
-  std::uint64_t version = registry.snapshot_all_into_sequenced(0, frame, 0, 1);
+  TickRecord tick = sweep(registry, 1);
+  std::uint64_t version = tick.registry_version;
+  EXPECT_EQ(version, registry.version());
   // Pass 1 baselines: every entry is new, so everything changed at 1.
+  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(tick.values, (std::vector<std::uint64_t>{1, 0}));
   std::size_t visited = 0;
   auto upto = registry.for_each_changed_since(
       0, version,
@@ -198,7 +228,9 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   EXPECT_EQ(*upto, 1u);  // the walk is complete up to pass 1
 
   // Pass 2 with an untouched fleet: the delta since pass 1 is EMPTY.
-  version = registry.snapshot_all_into_sequenced(0, frame, version, 2);
+  tick = sweep(registry, 2);
+  version = tick.registry_version;
+  EXPECT_TRUE(tick.changed.empty());
   visited = 0;
   upto = registry.for_each_changed_since(
       1, version,
@@ -212,7 +244,8 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   // One increment: pass 3's delta names exactly that entry, with the
   // collected value and the changing pass's sequence.
   a.increment(0);
-  (void)registry.snapshot_all_into_sequenced(0, frame, version, 3);
+  tick = sweep(registry, 3);
+  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{0}));
   upto = registry.for_each_changed_since(
       2, version,
       [&](std::size_t index, const std::string& name, std::uint64_t value,
@@ -248,6 +281,20 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
           const std::vector<std::string>*) { ++visited; });
   EXPECT_FALSE(upto.has_value());
   EXPECT_EQ(visited, 0u);
+
+  // The pass right after the create lists the new row as changed, under
+  // the new version, with a name table rebuilt to hold it.
+  const std::shared_ptr<const std::vector<Sample>> old_names = tick.names;
+  tick = sweep(registry, 4);
+  EXPECT_EQ(tick.registry_version, registry.version());
+  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{2}));  // "c"
+  ASSERT_EQ(tick.names->size(), 3u);
+  EXPECT_EQ((*tick.names)[2].name, "c");
+  EXPECT_EQ(old_names->size(), 2u);  // the old record's table is intact
+  // Quiet again: the next pass shares the name table and changes nothing.
+  const TickRecord quiet = sweep(registry, 5);
+  EXPECT_EQ(quiet.names, tick.names);
+  EXPECT_TRUE(quiet.changed.empty());
 }
 
 TEST(Registry, FilteredChangedSinceWalkReportsSubsetPositions) {
@@ -260,11 +307,10 @@ TEST(Registry, FilteredChangedSinceWalkReportsSubsetPositions) {
   AnyCounter& c = registry.create("c", {ErrorModel::kExact, 0, 1});
   registry.create("d", {ErrorModel::kExact, 0, 1});
 
-  std::vector<Sample> frame;
-  std::uint64_t version = registry.snapshot_all_into_sequenced(0, frame, 0, 1);
+  (void)sweep(registry, 1);
   a.increment(0);
   c.increment(0);
-  version = registry.snapshot_all_into_sequenced(0, frame, version, 2);
+  const std::uint64_t version = sweep(registry, 2).registry_version;
 
   // Selection {a, c, d} = flat rows {0, 2, 3}; since pass 1 only a and
   // c moved, so subset positions 0 ("a") and 1 ("c") are visited — "d"
@@ -516,7 +562,9 @@ TEST(Registry, TopKEntriesCollectRankedRowsAndDeltas) {
   talkers->update(0, "10.0.0.3:3", 40);
 
   std::vector<Sample> frame;
-  std::uint64_t version = registry.snapshot_all_into_sequenced(0, frame, 0, 1);
+  TickRecord tick = sweep(registry, 1);
+  std::uint64_t version = tick.registry_version;
+  tick.rows_into(nullptr, frame);
   ASSERT_EQ(frame.size(), 1u);
   EXPECT_EQ(frame[0].model, ErrorModel::kTopK);
   EXPECT_EQ(frame[0].error_bound, 0u);  // max-register rows are exact
@@ -531,7 +579,11 @@ TEST(Registry, TopKEntriesCollectRankedRowsAndDeltas) {
   // A value bump re-ranks; the changed-since walk reports the fresh row
   // vectors (counts = row values, labels = row labels).
   talkers->update(1, "10.0.0.3:3", 5000);
-  version = registry.snapshot_all_into_sequenced(0, frame, version, 2);
+  tick = sweep(registry, 2);
+  version = tick.registry_version;
+  ASSERT_EQ(tick.vectors.size(), 1u);  // the tick carries the same rows
+  EXPECT_EQ(tick.vectors[0].labels[0], "10.0.0.3:3");
+  EXPECT_EQ(tick.values[0], 5000u);
   std::size_t visits = 0;
   auto upto = registry.for_each_changed_since(
       1, version,
@@ -561,39 +613,45 @@ TEST(Registry, TopKEntriesCollectRankedRowsAndDeltas) {
 }
 
 TEST(Aggregator, SequencedCollectFeedsChangedSinceTracking) {
-  // A sequenced aggregator's frames ARE the sequenced passes: a frame's
-  // sequence is usable directly as the for_each_changed_since basis.
+  // An aggregator's collect_tick passes ARE the sequenced passes: a
+  // tick's sequence is usable directly as the for_each_changed_since
+  // basis.
   Registry registry(2);
   AnyCounter& hits = registry.create("hits", {ErrorModel::kExact, 0, 2});
-  Aggregator aggregator(registry, 1, /*sequenced=*/true);
-  const TelemetryFrame first = aggregator.collect();
-  const TelemetryFrame second = aggregator.collect();  // nothing moved
+  Aggregator aggregator(registry, 1);
+  TickRecord first;
+  TickRecord second;
+  TickRecord third;
+  aggregator.collect_tick(first);
+  aggregator.collect_tick(second);  // nothing moved
+  EXPECT_EQ(aggregator.frames_collected(), second.pass_seq);
   std::size_t visited = 0;
   auto upto = registry.for_each_changed_since(
-      first.sequence, second.registry_version,
+      first.pass_seq, second.registry_version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
           const std::vector<std::uint64_t>*,
           const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 0u);
-  EXPECT_EQ(upto.value_or(0), second.sequence);
+  EXPECT_EQ(upto.value_or(0), second.pass_seq);
   hits.increment(0);
-  const TelemetryFrame third = aggregator.collect();
+  aggregator.collect_tick(third);
   upto = registry.for_each_changed_since(
-      second.sequence, third.registry_version,
+      second.pass_seq, third.registry_version,
       [&](std::size_t index, const std::string& name, std::uint64_t value,
           std::uint64_t changed_seq, const std::vector<std::uint64_t>*,
           const std::vector<std::string>*) {
         ++visited;
         EXPECT_EQ(index, 0u);
         EXPECT_EQ(name, "hits");
-        EXPECT_EQ(value, third.samples[0].value);
-        EXPECT_EQ(changed_seq, third.sequence);
+        EXPECT_EQ(value, third.values[0]);
+        EXPECT_EQ(changed_seq, third.pass_seq);
       });
   EXPECT_EQ(visited, 1u);
-  EXPECT_EQ(upto.value_or(0), third.sequence);
-  EXPECT_EQ(third.samples[0].value, 1u);
+  EXPECT_EQ(upto.value_or(0), third.pass_seq);
+  EXPECT_EQ(third.values[0], 1u);
+  EXPECT_EQ(third.changed, (std::vector<std::uint64_t>{0}));
 
-  // A plain (default) aggregator on the same registry reads through the
+  // A plain aggregator on the same registry reads through the
   // shared-lock pass and leaves the tracking columns alone — its
   // sequence domain cannot corrupt the sequencer's.
   Aggregator plain(registry, 0);
@@ -602,12 +660,12 @@ TEST(Aggregator, SequencedCollectFeedsChangedSinceTracking) {
   EXPECT_EQ(side.samples[0].value, 2u);
   visited = 0;
   upto = registry.for_each_changed_since(
-      third.sequence, third.registry_version,
+      third.pass_seq, third.registry_version,
       [&](std::size_t, const std::string&, std::uint64_t, std::uint64_t,
           const std::vector<std::uint64_t>*,
           const std::vector<std::string>*) { ++visited; });
   EXPECT_EQ(visited, 0u);  // the new increment awaits a *sequenced* pass
-  EXPECT_EQ(upto.value_or(0), third.sequence);  // last pass seq unmoved
+  EXPECT_EQ(upto.value_or(0), third.pass_seq);  // last pass seq unmoved
 }
 
 TEST(Aggregator, SequencePublicationOrdersPayload) {

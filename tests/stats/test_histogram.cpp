@@ -155,9 +155,9 @@ TEST(HistogramRegistry, CreateCollectAndChangeTracking) {
 
   // Change tracking compares whole bucket vectors: a sequenced pass
   // after no recording must NOT report the histogram as changed.
-  std::vector<shard::Sample> out;
-  std::uint64_t cached = 0;
-  cached = registry.snapshot_all_into_sequenced(1, out, cached, 1);
+  shard::TickRecord tick;
+  registry.collect_tick(1, 1, tick);
+  const std::uint64_t cached = tick.registry_version;
   int changed = 0;
   auto walk = [&](std::size_t, const std::string&, std::uint64_t,
                   std::uint64_t, const std::vector<std::uint64_t>*,
@@ -171,7 +171,11 @@ TEST(HistogramRegistry, CreateCollectAndChangeTracking) {
   // walk hands the encoder its bucket vector.
   hist->record(0, 5);
   hist->flush(0);
-  registry.snapshot_all_into_sequenced(1, out, cached, 2);
+  registry.collect_tick(1, 2, tick);
+  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{0}));
+  ASSERT_EQ(tick.vectors.size(), 1u);
+  EXPECT_EQ(tick.vectors[0].counts[0], 11u);
+  EXPECT_EQ(tick.values[0], 1001u);  // the derived count sum
   int hist_changes = 0;
   auto walk2 = [&](std::size_t index, const std::string& name, std::uint64_t,
                    std::uint64_t changed_seq,

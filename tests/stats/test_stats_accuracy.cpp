@@ -40,6 +40,15 @@ std::string_view payload_of(const std::string& wire) {
   return std::string_view(wire).substr(svc::kFramePrefixBytes);
 }
 
+/// A sequenced pass as the frame its full encodes from.
+shard::TelemetryFrame frame_of(const shard::TickRecord& tick) {
+  shard::TelemetryFrame frame;
+  frame.sequence = tick.pass_seq;
+  frame.registry_version = tick.registry_version;
+  tick.rows_into(nullptr, frame.samples);
+  return frame;
+}
+
 /// Bucket of `value` for ascending finite edges `bounds` (the
 /// histogram's own contract, recomputed independently as the oracle).
 std::size_t oracle_bucket(const std::vector<std::uint64_t>& bounds,
@@ -151,8 +160,10 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
   for (std::uint64_t v = 1; v <= 1000; ++v) hist->record(0, v);
   hist->flush(0);
 
-  shard::AggregatorT<base::DirectBackend> aggregator(registry, kN - 1, true);
-  const shard::TelemetryFrame frame = aggregator.collect();
+  shard::AggregatorT<base::DirectBackend> aggregator(registry, kN - 1);
+  shard::TickRecord tick;
+  aggregator.collect_tick(tick);
+  const shard::TelemetryFrame frame = frame_of(tick);
   std::string wire;
   svc::encode_full_frame(frame, 0, wire);
 
@@ -182,9 +193,9 @@ TEST(StatsEndToEnd, DecodedViewPinsQuantilesAndBounds) {
   // only the decoded tail bucket.
   for (int i = 0; i < 3; ++i) hist->record(0, 5000);
   hist->flush(0);
-  std::vector<shard::Sample> scratch;
-  const std::uint64_t version = registry.snapshot_all_into_sequenced(
-      kN - 1, scratch, 0, frame.sequence + 1);
+  aggregator.collect_tick(tick);
+  ASSERT_EQ(tick.pass_seq, frame.sequence + 1);
+  const std::uint64_t version = tick.registry_version;
   std::vector<svc::DeltaEntry> entries;
   const auto pass = registry.for_each_changed_since(
       frame.sequence, version,
@@ -247,7 +258,8 @@ TEST(StatsEndToEnd, RelaxedThreadsDecodedViewStaysInBand) {
     }
 
     shard::AggregatorT<base::RelaxedDirectBackend> aggregator(registry,
-                                                              kN - 1, true);
+                                                              kN - 1);
+    shard::TickRecord tick;
     svc::MaterializedView view;
     std::string wire;
     std::vector<std::uint64_t> lo(truth.completed.size());
@@ -257,8 +269,8 @@ TEST(StatsEndToEnd, RelaxedThreadsDecodedViewStaysInBand) {
       for (std::size_t b = 0; b < lo.size(); ++b) {
         lo[b] = truth.completed[b].load();
       }
-      const shard::TelemetryFrame frame = aggregator.collect();
-      svc::encode_full_frame(frame, 0, wire);
+      aggregator.collect_tick(tick);
+      svc::encode_full_frame(frame_of(tick), 0, wire);
       ASSERT_EQ(view.apply(payload_of(wire)), svc::ApplyResult::kApplied);
       for (std::size_t b = 0; b < hi.size(); ++b) {
         hi[b] = truth.invoked[b].load();
@@ -283,8 +295,8 @@ TEST(StatsEndToEnd, RelaxedThreadsDecodedViewStaysInBand) {
     for (std::thread& thread : recorders) thread.join();
     for (unsigned pid = 0; pid + 1 < kN; ++pid) hist->flush(pid);
 
-    const shard::TelemetryFrame last = aggregator.collect();
-    svc::encode_full_frame(last, 0, wire);
+    aggregator.collect_tick(tick);
+    svc::encode_full_frame(frame_of(tick), 0, wire);
     ASSERT_EQ(view.apply(payload_of(wire)), svc::ApplyResult::kApplied);
     const shard::Sample& exact = view.samples()[0];
     for (std::size_t b = 0; b < exact.bucket_counts.size(); ++b) {

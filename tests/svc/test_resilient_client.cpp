@@ -146,6 +146,12 @@ TEST(ResilientClient, ReconnectsAcrossServerBounceAndStalenessKeepsTicking) {
   // Outage. The staleness clock keeps ticking against the LAST frame —
   // it does not reset with the session or the view.
   server.stop();
+  // A frame the server wrote before it stopped can still sit in the
+  // socket buffer, and the next poll would apply it. Drain until the
+  // session drops (bounded: each poll applies a buffered frame or ends
+  // the session), so the outage starts from a dead session.
+  for (int i = 0; i < 64 && rc.connected(); ++i) (void)rc.poll_frame(100ms);
+  ASSERT_FALSE(rc.connected());
   fake_ns += 5'000'000'000ull;  // 5 s of outage on the fake clock
   EXPECT_GE(rc.staleness_ns(), 5'000'000'000ull);
   // Re-dials fail and back off until the (fake-clock) timeout runs out.

@@ -21,6 +21,7 @@
 #include "base/backend.hpp"
 #include "obs/self_metrics.hpp"
 #include "shard/registry.hpp"
+#include "stats/histogram.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 
@@ -263,6 +264,92 @@ TEST(SnapshotServer, SlowReaderIsCoalescedNotDisconnectedNotBuffered) {
       << "server queued every frame instead of coalescing";
   EXPECT_GT(newest - seq_before, frames_to_catch_up)
       << "catch-up replayed every missed frame";
+  server.stop();
+}
+
+TEST(SnapshotServer, LaggingFilteredReaderCatchesUpToItsSubsetsValues) {
+  // A filtered subscriber that stops reading falls behind its group's
+  // shared deltas; when it drains, per-client catch-up deltas must land
+  // it on exactly the fleet's values. The "b_" subset sits behind the
+  // "a_" rows, so subset positions and flat rows differ, every counter
+  // moves by its own step, and a histogram rides in the subset — a
+  // value taken from the wrong row, or a reading from the wrong vector,
+  // leaves the view wrong once the fleet goes quiet.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  std::vector<shard::AnyCounter*> fleet;
+  for (int i = 0; i < 256; ++i) {
+    const std::string suffix = std::to_string(1000 + i);
+    fleet.push_back(
+        &registry.create("a_" + suffix, {ErrorModel::kExact, 0, 1}));
+    fleet.push_back(
+        &registry.create("b_" + suffix, {ErrorModel::kExact, 0, 1}));
+  }
+  stats::HistogramSpec spec;
+  spec.bounds = {10, 100, 1000};
+  spec.k = 1;
+  shard::AnyHistogram* lat =
+      stats::create_histogram<base::DirectBackend>(registry, "b_lat", spec);
+  ASSERT_NE(lat, nullptr);
+  ServerOptions options;
+  options.period = 2ms;
+  options.sndbuf = 4096;  // a ~1 KB subset delta jams the pipe in a few
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port(), "127.0.0.1", 4096));
+  SubscriptionFilter filter;
+  filter.prefixes = {"b_"};
+  ASSERT_TRUE(client.subscribe(filter));
+  for (int i = 0; i < 400 && (client.view().rebase_pending() ||
+                              client.view().samples().size() != 257);
+       ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  ASSERT_EQ(client.view().samples().size(), 257u);
+
+  // Stop reading for ~100 ticks while every row moves every tick.
+  std::atomic<bool> stop{false};
+  std::thread churner([&] {
+    for (std::uint64_t round = 1; !stop.load(std::memory_order_acquire);
+         ++round) {
+      for (std::size_t j = 0; j < fleet.size(); ++j) {
+        for (std::size_t step = 0; step <= j % 13; ++step) {
+          fleet[j]->increment(0);
+        }
+      }
+      lat->record(0, round % 2000);
+      lat->flush(0);
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  std::this_thread::sleep_for(200ms);
+  stop.store(true, std::memory_order_release);
+  churner.join();
+
+  // Drain until the view holds the quiet fleet's subset.
+  std::vector<shard::Sample> want;
+  for (shard::Sample& sample : registry.snapshot_all(0)) {
+    if (sample.name.rfind("b_", 0) == 0) want.push_back(std::move(sample));
+  }
+  const auto view_is_want = [&] {
+    const std::vector<shard::Sample>& got = client.view().samples();
+    if (got.size() != want.size()) return false;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (got[i].name != want[i].name || got[i].value != want[i].value ||
+          got[i].bucket_counts != want[i].bucket_counts) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int i = 0; i < 200 && !view_is_want(); ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  EXPECT_TRUE(view_is_want());
+  EXPECT_TRUE(client.connected());
+  EXPECT_GT(server.stats().catchup_deltas_sent, 0u)
+      << "the reader never lagged behind its group's shared delta";
   server.stop();
 }
 
@@ -849,12 +936,15 @@ TEST(SnapshotServer, IdleSubsetHeartbeatsCarryClockAndStalenessSplit) {
   server.stop();
 }
 
-/// Pumps until the client rides the shm ring (mapped, ≥ 1 ring frame
-/// applied) on a settled table (no re-base pending). False on timeout.
-bool await_ring(TelemetryClient& client, int max_frames = 400) {
+/// Pumps until the client rides the shm ring (mapped, a ring frame
+/// applied beyond the `ring_frames_before` it already counted — a
+/// client that rode an earlier ring has counted its frames) on a
+/// settled table (no re-base pending). False on timeout.
+bool await_ring(TelemetryClient& client, std::uint64_t ring_frames_before = 0,
+                int max_frames = 400) {
   for (int i = 0; i < max_frames; ++i) {
     if (!client.poll_frame(kFrameTimeout)) return false;
-    if (client.shm_active() && client.shm_frames() >= 1 &&
+    if (client.shm_active() && client.shm_frames() > ring_frames_before &&
         !client.view().rebase_pending()) {
       return true;
     }
@@ -941,9 +1031,12 @@ TEST(SnapshotServer, EveryFilterGroupRidesItsOwnShmRing) {
                           unfiltered.view().samples()[0].value + 5));
   EXPECT_EQ(unfiltered.shm_frames(), frozen) << "rode a ring unasked";
   EXPECT_FALSE(unfiltered.shm_active());
-  // ...until it asks: then it rides the cold_ group's own ring.
+  // ...until it asks: then it rides the cold_ group's own ring. (The
+  // wait counts from `frozen`: the pass-all ring's frame already
+  // satisfies "≥ 1 ring frame", and TCP frames still in flight could
+  // carry the values below before the new ring's first frame lands.)
   ASSERT_TRUE(unfiltered.request_shm());
-  ASSERT_TRUE(await_ring(unfiltered));
+  ASSERT_TRUE(await_ring(unfiltered, frozen));
   ASSERT_TRUE(await_value(unfiltered, "cold_x",
                           unfiltered.view().samples()[0].value + 5));
   EXPECT_GT(unfiltered.shm_frames(), frozen);

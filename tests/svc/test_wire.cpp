@@ -4,6 +4,7 @@
 // delta-on-top-of-full reconstruction contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -13,6 +14,8 @@
 #include "shard/aggregator.hpp"
 #include "shard/registry.hpp"
 #include "sim/workload.hpp"
+#include "stats/histogram.hpp"
+#include "stats/topk.hpp"
 #include "svc/wire.hpp"
 
 namespace approx::svc {
@@ -237,6 +240,76 @@ TEST(WireFull, ByteFlipFuzzNeverCorruptsSilently) {
       }
     }
   }
+}
+
+TEST(WireGrammar, FullAndDeltaBytesSpellTheGrammar) {
+  // One row of each shape, spelled byte for byte from the grammar in
+  // wire.hpp. Full frames and delta records share the varint, top-k row
+  // and bucket-count writers, so both must match it exactly.
+  TelemetryFrame frame;
+  frame.sequence = 5;
+  frame.registry_version = 300;
+  Sample scalar;
+  scalar.name = "a";
+  scalar.value = 200;
+  Sample hist;
+  hist.name = "h";
+  hist.model = ErrorModel::kHistogram;
+  hist.error_bound = 1;
+  hist.bucket_bounds = {10, 300};
+  hist.bucket_counts = {1, 2, 130};
+  Sample top;
+  top.name = "t";
+  top.model = ErrorModel::kTopK;
+  top.top_labels = {"x", "yz"};
+  top.bucket_counts = {500, 3};
+  frame.samples = {scalar, hist, top};
+  const auto bytes = [](std::initializer_list<int> list) {
+    std::string out;
+    for (const int byte : list) out.push_back(static_cast<char>(byte));
+    return out;
+  };
+  const std::string prefix = bytes({kWireMagic0, kWireMagic1, kWireVersion});
+
+  std::string full;
+  encode_full_frame(frame, 7, full);
+  EXPECT_EQ(payload_of(full),
+            prefix + bytes({0,                 // kind: full
+                            5, 0xAC, 0x02, 7,  // sequence, version 300, stamp
+                            3,                 // count
+                            // "a": exact, bound 0, value 200
+                            1, 'a', 0, 0, 0xC8, 0x01,
+                            // "h": bound 1, 3 buckets, edge 10, diff 290,
+                            // counts 1 2 130
+                            1, 'h', 3, 1, 3, 10, 0xA2, 0x02, 1, 2, 0x82, 0x01,
+                            // "t": bound 0, rows ("x", 500) ("yz", 3)
+                            1, 't', 4, 0, 2, 1, 'x', 0xF4, 0x03, 2, 'y', 'z',
+                            3}));
+
+  std::vector<DeltaEntry> entries;
+  entries.emplace_back(0, 201);
+  entries.emplace_back(1, 0, std::vector<std::uint64_t>{1, 2, 131});
+  entries.emplace_back(2, 0, std::vector<std::uint64_t>{600, 3},
+                       std::vector<std::string>{"yz", "x"});
+  std::string delta;
+  encode_delta_frame(6, 300, 8, 5, entries, delta);
+  EXPECT_EQ(payload_of(delta),
+            prefix + bytes({1,                 // kind: delta
+                            6, 0xAC, 0x02, 8,  // sequence, version 300, stamp
+                            5, 3,              // base_seq, count
+                            0, 0xC9, 0x01,     // key 0 (scalar): 201
+                            3, 3, 1, 2, 0x83, 0x01,  // key 3, tag 3: counts
+                            // key 5, tag 1: rows ("yz", 600) ("x", 3)
+                            5, 1, 2, 2, 'y', 'z', 0xD8, 0x04, 1, 'x', 3}));
+
+  MaterializedView view;
+  ASSERT_EQ(view.apply(payload_of(full)), ApplyResult::kApplied);
+  ASSERT_EQ(view.apply(payload_of(delta)), ApplyResult::kApplied);
+  EXPECT_EQ(view.samples()[0].value, 201u);
+  EXPECT_EQ(view.samples()[1].bucket_counts,
+            (std::vector<std::uint64_t>{1, 2, 131}));
+  EXPECT_EQ(view.samples()[2].top_labels,
+            (std::vector<std::string>{"yz", "x"}));
 }
 
 TEST(WireDelta, AppliesOnTopOfFull) {
@@ -648,9 +721,13 @@ TEST(WireIntegration, DeltaOnTopOfFullEqualsSnapshotAll) {
   for (int i = 0; i < 200; ++i) add.increment(0);
   for (int i = 0; i < 100; ++i) exact.increment(0);
 
-  shard::AggregatorT<base::DirectBackend> aggregator(registry, 1,
-                                                     /*sequenced=*/true);
-  const TelemetryFrame full = aggregator.collect();
+  shard::AggregatorT<base::DirectBackend> aggregator(registry, 1);
+  shard::TickRecord tick;
+  aggregator.collect_tick(tick);
+  TelemetryFrame full;
+  full.sequence = tick.pass_seq;
+  full.registry_version = tick.registry_version;
+  tick.rows_into(nullptr, full.samples);
   std::string wire;
   encode_full_frame(full, 0, wire);
   MaterializedView view;
@@ -658,22 +735,22 @@ TEST(WireIntegration, DeltaOnTopOfFullEqualsSnapshotAll) {
 
   for (int i = 0; i < 50; ++i) exact.increment(0);
   for (int i = 0; i < 500; ++i) mult.increment(0);
-  const TelemetryFrame next = aggregator.collect();
+  aggregator.collect_tick(tick);
 
   std::vector<DeltaEntry> entries;
   const auto upto = registry.for_each_changed_since(
-      full.sequence, next.registry_version,
+      full.sequence, tick.registry_version,
       [&](std::size_t index, const std::string& /*name*/,
           std::uint64_t value, std::uint64_t changed_seq,
           const std::vector<std::uint64_t>* /*counts*/,
           const std::vector<std::string>* /*labels*/) {
-        ASSERT_LE(changed_seq, next.sequence);
+        ASSERT_LE(changed_seq, tick.pass_seq);
         entries.push_back({index, value});
       });
   ASSERT_TRUE(upto.has_value());
-  EXPECT_EQ(*upto, next.sequence);
+  EXPECT_EQ(*upto, tick.pass_seq);
   std::string delta;
-  encode_delta_frame(*upto, next.registry_version, 0, full.sequence,
+  encode_delta_frame(*upto, tick.registry_version, 0, full.sequence,
                      entries, delta);
   ASSERT_EQ(view.apply(payload_of(delta)), ApplyResult::kApplied);
 
@@ -686,6 +763,279 @@ TEST(WireIntegration, DeltaOnTopOfFullEqualsSnapshotAll) {
     EXPECT_EQ(view.samples()[i].value, direct[i].value) << i;
     EXPECT_EQ(view.samples()[i].model, direct[i].model) << i;
     EXPECT_EQ(view.samples()[i].error_bound, direct[i].error_bound) << i;
+  }
+}
+
+TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
+  // The server encodes every delta straight from its pass's tick record:
+  // a group delta from the tick's changed rows (all of them for
+  // pass-all, the ones in the group's selection otherwise), a catch-up
+  // from the rows a changed-since walk names. Each must equal, byte for
+  // byte, encode_delta_frame of the DeltaEntry list a changed-since walk
+  // builds from the same pass, and move a view to exactly that pass.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  shard::AnyCounter& exact = registry.create("app/exact", {ErrorModel::kExact});
+  shard::AnyCounter& mult =
+      registry.create("app/mult", {ErrorModel::kMultiplicative, 2, 2});
+  shard::AnyCounter& other = registry.create("other/x", {ErrorModel::kExact});
+  stats::HistogramSpec spec;
+  spec.bounds = {10, 100, 1000};
+  spec.k = 1;
+  shard::AnyHistogram* lat =
+      stats::create_histogram<base::DirectBackend>(registry, "app/lat", spec);
+  shard::AnyTopK* top =
+      stats::create_topk<base::DirectBackend>(registry, "app/top", 4);
+  ASSERT_NE(lat, nullptr);
+  ASSERT_NE(top, nullptr);
+  shard::AggregatorT<base::DirectBackend> aggregator(registry, 1);
+
+  // The "app/" prefix filter's rows in a pass's name table.
+  const auto app_selection = [](const shard::TickRecord& tick) {
+    std::vector<std::uint64_t> rows;
+    for (std::size_t i = 0; i < tick.names->size(); ++i) {
+      if ((*tick.names)[i].name.rfind("app/", 0) == 0) rows.push_back(i);
+    }
+    return rows;
+  };
+  // The group delta's pairs: the tick's changed rows in the selection,
+  // at their positions within it (null selection: pass-all).
+  const auto group_rows = [](const shard::TickRecord& tick,
+                             const std::vector<std::uint64_t>* selection) {
+    std::vector<DeltaRow> rows;
+    for (const std::uint64_t row : tick.changed) {
+      if (selection == nullptr) {
+        rows.push_back({row, row});
+        continue;
+      }
+      const auto it =
+          std::lower_bound(selection->begin(), selection->end(), row);
+      if (it != selection->end() && *it == row) {
+        rows.push_back(
+            {static_cast<std::uint64_t>(it - selection->begin()), row});
+      }
+    }
+    return rows;
+  };
+  // The catch-up's pairs: the walk names the rows, nothing more.
+  const auto walk_rows = [&](std::uint64_t since, std::uint64_t version,
+                             const std::vector<std::uint64_t>* selection) {
+    std::vector<DeltaRow> rows;
+    EXPECT_TRUE(registry
+                    .for_each_changed_since(
+                        since, version,
+                        [&](std::size_t index, const std::string&,
+                            std::uint64_t, std::uint64_t,
+                            const std::vector<std::uint64_t>*,
+                            const std::vector<std::string>*) {
+                          rows.push_back({index, selection != nullptr
+                                                     ? (*selection)[index]
+                                                     : index});
+                        },
+                        selection)
+                    .has_value());
+    return rows;
+  };
+  // The reference: the DeltaEntry list a changed-since walk builds,
+  // values and all.
+  const auto walk_entries = [&](std::uint64_t since, std::uint64_t version,
+                                const std::vector<std::uint64_t>* selection) {
+    std::vector<DeltaEntry> entries;
+    EXPECT_TRUE(registry
+                    .for_each_changed_since(
+                        since, version,
+                        [&](std::size_t index, const std::string&,
+                            std::uint64_t value, std::uint64_t,
+                            const std::vector<std::uint64_t>* counts,
+                            const std::vector<std::string>* labels) {
+                          entries.emplace_back(
+                              index, value,
+                              counts ? *counts : std::vector<std::uint64_t>{},
+                              labels ? *labels : std::vector<std::string>{});
+                        },
+                        selection)
+                    .has_value());
+    return entries;
+  };
+  const auto expect_view_at = [](const MaterializedView& view,
+                                 const shard::TickRecord& tick,
+                                 const std::vector<std::uint64_t>* selection) {
+    std::vector<Sample> rows;
+    tick.rows_into(selection, rows);
+    ASSERT_EQ(view.sequence(), tick.pass_seq);
+    ASSERT_EQ(view.samples().size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(view.samples()[i].name, rows[i].name) << i;
+      EXPECT_EQ(view.samples()[i].value, rows[i].value) << i;
+      EXPECT_EQ(view.samples()[i].bucket_counts, rows[i].bucket_counts) << i;
+      EXPECT_EQ(view.samples()[i].top_labels, rows[i].top_labels) << i;
+    }
+  };
+  // Encodes one delta both ways, checks the bytes match, and applies it.
+  const auto check = [&](const shard::TickRecord& tick, std::uint64_t since,
+                         std::uint64_t wire_version,
+                         const std::vector<std::uint64_t>* selection,
+                         const std::vector<DeltaRow>& rows,
+                         MaterializedView& view) {
+    std::string from_tick;
+    std::string from_walk;
+    encode_delta_frame(tick.pass_seq, wire_version, 99, since, tick, rows,
+                       from_tick);
+    encode_delta_frame(tick.pass_seq, wire_version, 99, since,
+                       walk_entries(since, tick.registry_version, selection),
+                       from_walk);
+    EXPECT_EQ(from_tick, from_walk);
+    EXPECT_LE(from_tick.capacity(), from_tick.size() + 32);  // no slack
+    // A buffer with room is written in place, not reallocated.
+    const char* const reused = from_walk.data();
+    encode_delta_frame(tick.pass_seq, wire_version, 99, since, tick, rows,
+                       from_walk);
+    EXPECT_EQ(from_walk.data(), reused);
+    EXPECT_EQ(from_walk, from_tick);
+    MaterializedView twin = view;
+    ASSERT_EQ(view.apply(payload_of(from_tick)), ApplyResult::kApplied);
+    ASSERT_EQ(twin.apply(payload_of(from_walk)), ApplyResult::kApplied);
+    expect_view_at(view, tick, selection);
+    expect_view_at(twin, tick, selection);
+  };
+  const auto full_of = [](const shard::TickRecord& tick,
+                          const std::vector<std::uint64_t>* selection) {
+    TelemetryFrame frame;
+    frame.sequence = tick.pass_seq;
+    frame.registry_version = tick.registry_version;
+    tick.rows_into(selection, frame.samples);
+    std::string wire;
+    encode_full_frame(frame, 0, wire);
+    return wire;
+  };
+
+  for (int i = 0; i < 5; ++i) exact.increment(0);
+  top->update(0, "peer-a", 40);
+  shard::TickRecord first;
+  aggregator.collect_tick(first);
+  const std::vector<std::uint64_t> app = app_selection(first);
+  ASSERT_EQ(app.size(), 4u);
+  const std::uint64_t app_wire_version = first.registry_version;
+  MaterializedView all_view;
+  MaterializedView app_view;
+  ASSERT_EQ(all_view.apply(payload_of(full_of(first, nullptr))),
+            ApplyResult::kApplied);
+  ASSERT_EQ(app_view.apply(payload_of(full_of(first, &app))),
+            ApplyResult::kApplied);
+
+  // Every kind moves: group deltas for both groups.
+  for (int i = 0; i < 300; ++i) mult.increment(0);
+  exact.increment(0);
+  other.increment(0);
+  lat->record(0, 50);
+  lat->record(0, 5000);
+  lat->flush(0);
+  top->update(0, "peer-b", 90);
+  shard::TickRecord second;
+  aggregator.collect_tick(second);
+  ASSERT_EQ(second.changed.size(), 5u);
+  check(second, first.pass_seq, second.registry_version, nullptr,
+        group_rows(second, nullptr), all_view);
+  check(second, first.pass_seq, app_wire_version, &app,
+        group_rows(second, &app), app_view);
+  MaterializedView lagging = app_view;  // a member that will fall behind
+
+  // Two more passes; the catch-up from `second` covers both, including a
+  // row that moved in the first of them only.
+  other.increment(0);
+  top->update(0, "peer-a", 500);
+  shard::TickRecord third;
+  aggregator.collect_tick(third);
+  exact.increment(0);
+  shard::TickRecord fourth;
+  aggregator.collect_tick(fourth);
+  check(fourth, second.pass_seq, app_wire_version, &app,
+        walk_rows(second.pass_seq, fourth.registry_version, &app), lagging);
+  MaterializedView all_lagging = all_view;
+  check(fourth, second.pass_seq, fourth.registry_version, nullptr,
+        walk_rows(second.pass_seq, fourth.registry_version, nullptr),
+        all_lagging);
+
+  // A row created between two passes, sorted ahead of the filter's rows:
+  // every flat index shifts, the filter's subset (and so its pinned wire
+  // version) does not. Pass-all sees the new row changed; the filtered
+  // group's delta and catch-up still apply under the old label.
+  shard::AnyCounter& created = registry.create("aaa/new", {ErrorModel::kExact});
+  created.increment(0);
+  mult.increment(0);
+  lat->record(0, 7);
+  lat->flush(0);
+  shard::TickRecord fifth;
+  aggregator.collect_tick(fifth);
+  ASSERT_NE(fifth.registry_version, fourth.registry_version);
+  EXPECT_EQ(fifth.changed.front(), 0u);  // "aaa/new" is flat row 0
+  const std::vector<std::uint64_t> shifted = app_selection(fifth);
+  ASSERT_EQ(shifted.size(), app.size());
+  check(fifth, fourth.pass_seq, app_wire_version, &shifted,
+        group_rows(fifth, &shifted), lagging);
+  std::string all_from_tick;
+  std::string all_from_walk;
+  encode_delta_frame(fifth.pass_seq, fifth.registry_version, 0,
+                     fourth.pass_seq, fifth, group_rows(fifth, nullptr),
+                     all_from_tick);
+  encode_delta_frame(fifth.pass_seq, fifth.registry_version, 0,
+                     fourth.pass_seq,
+                     walk_entries(fourth.pass_seq, fifth.registry_version,
+                                  nullptr),
+                     all_from_walk);
+  EXPECT_EQ(all_from_tick, all_from_walk);
+  check(fifth, second.pass_seq, app_wire_version, &shifted,
+        walk_rows(second.pass_seq, fifth.registry_version, &shifted),
+        app_view);
+
+  // The walk can run a pass ahead of the tick a catch-up is built from:
+  // it reads the registry's newest change columns, which the next sweep
+  // may stamp before a worker loads its group's next tick. The catch-up
+  // from tick P then also names rows that moved only at P + 1, carrying
+  // their readings at P. A top-k still empty at P that gets its first
+  // row before P + 1 reads as an empty directory at P, which no delta
+  // record can carry and none needs to: slots never clear, so it was
+  // empty at every earlier pass too. The catch-up must apply and move
+  // the view to exactly P.
+  shard::AnyTopK* idle =
+      stats::create_topk<base::DirectBackend>(registry, "app/idle", 4);
+  ASSERT_NE(idle, nullptr);
+  shard::TickRecord sixth;
+  aggregator.collect_tick(sixth);
+  const std::vector<std::uint64_t> grown = app_selection(sixth);
+  ASSERT_EQ(grown.size(), app.size() + 1);
+  MaterializedView grown_view;
+  MaterializedView whole_view;
+  ASSERT_EQ(grown_view.apply(payload_of(full_of(sixth, &grown))),
+            ApplyResult::kApplied);
+  ASSERT_EQ(whole_view.apply(payload_of(full_of(sixth, nullptr))),
+            ApplyResult::kApplied);
+  exact.increment(0);
+  shard::TickRecord seventh;  // P: "app/idle" is still empty
+  aggregator.collect_tick(seventh);
+  idle->update(0, "peer-z", 7);
+  lat->record(0, 3);
+  lat->flush(0);
+  other.increment(0);
+  shard::TickRecord eighth;  // P + 1: stamps "app/idle" changed
+  aggregator.collect_tick(eighth);
+  ASSERT_EQ(eighth.registry_version, seventh.registry_version);
+  std::uint64_t idle_row = 0;
+  while ((*sixth.names)[idle_row].name != "app/idle") ++idle_row;
+  ASSERT_TRUE(std::find(eighth.changed.begin(), eighth.changed.end(),
+                        idle_row) != eighth.changed.end());
+  const std::vector<std::uint64_t>* selections[] = {&grown, nullptr};
+  for (const std::vector<std::uint64_t>* selection : selections) {
+    MaterializedView& view = selection != nullptr ? grown_view : whole_view;
+    const std::vector<DeltaRow> rows =
+        walk_rows(sixth.pass_seq, seventh.registry_version, selection);
+    ASSERT_TRUE(std::any_of(rows.begin(), rows.end(), [&](const DeltaRow& r) {
+      return r.row == idle_row;
+    }));
+    std::string catch_up;
+    encode_delta_frame(seventh.pass_seq, sixth.registry_version, 99,
+                       sixth.pass_seq, seventh, rows, catch_up);
+    ASSERT_EQ(view.apply(payload_of(catch_up)), ApplyResult::kApplied);
+    expect_view_at(view, seventh, selection);
   }
 }
 
