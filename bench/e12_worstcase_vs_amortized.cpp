@@ -12,7 +12,7 @@
 #include "base/kmath.hpp"
 #include "base/step_recorder.hpp"
 #include "bench/harness.hpp"
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 
 namespace {
 

@@ -1,6 +1,6 @@
-// E13 — ablation of the helping mechanism (DESIGN.md §5 design-choice
-// benches): how often do reads of Algorithm 1 actually return through
-// the helping array, and what would happen without it?
+// E13 — ablation of the helping mechanism: how often do reads of
+// Algorithm 1 actually return through the helping array, and what would
+// happen without it?
 //
 // The helping path (paper lines 45–55) exists solely for wait-freedom:
 // a read chasing the switch frontier under a writer flood would

@@ -5,8 +5,8 @@
 // (b) the worst observed accuracy ratio max(x/v, v/x) over quiescent
 // reads across the whole execution, and (c) whether the band v/k ≤ x ≤ vk
 // was ever violated. The paper guarantees the band only for k ≥ √n; the
-// faithful variant additionally shows its bootstrap transient (see
-// EXPERIMENTS.md "Deviations"), the corrected variant does not.
+// paper schedule additionally shows its bootstrap transient (see README
+// "Reproduction findings"), the corrected schedule does not.
 #include <algorithm>
 #include <memory>
 

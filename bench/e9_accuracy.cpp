@@ -5,8 +5,9 @@
 // Single-threaded round-robin increments with a read after every
 // increment (quiescent reads ⇒ the exact count v is known), reporting
 // min and max of x/v per decade of v, plus band-violation counts. This
-// makes the faithful variant's documented bootstrap gap (EXPERIMENTS.md
-// "Deviations") directly visible next to the corrected variant.
+// makes the paper schedule's documented bootstrap gap (README
+// "Reproduction findings") directly visible next to the corrected
+// schedule.
 #include <algorithm>
 #include <string>
 #include <vector>

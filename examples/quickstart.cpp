@@ -12,16 +12,16 @@
 #include <vector>
 
 #include "base/backend.hpp"
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 #include "core/kmult_max_register.hpp"
 
 int main() {
   // --- an approximate counter ------------------------------------------
   // n = 4 processes, accuracy k = 2 (valid because k ≥ √n): reads return
   // x with v/2 ≤ x ≤ 2v for the exact count v. We use the corrected
-  // variant, whose band holds from the very first increment (the
+  // schedule, whose band holds from the very first increment (the
   // paper-faithful approx::core::KMultCounterT is also available; see
-  // EXPERIMENTS.md "Deviations" for the difference).
+  // README "Reproduction findings" for the difference).
   //
   // DirectBackend is the production build: primitives are bare atomics,
   // zero instrumentation overhead. Drop the template argument (the

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "base/step_recorder.hpp"
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 #include "core/kmult_max_register.hpp"
 #include "exact/bounded_max_register.hpp"
 #include "exact/collect_counter.hpp"

@@ -19,7 +19,7 @@
 
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 #include "sim/workload.hpp"
 
 namespace {

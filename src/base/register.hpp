@@ -17,7 +17,7 @@
 // backend (base/backend.hpp). The paper assumes atomic (linearizable)
 // registers in a sequentially consistent shared memory, and the seq_cst
 // backends map every role to memory_order_seq_cst — model fidelity (see
-// DESIGN.md §5). RelaxedDirectBackend maps the role to the weakest
+// README "Memory orders"). RelaxedDirectBackend maps the role to the weakest
 // ordering it names; the defaults are the publication pairing
 // (read = load-acquire, write = store-release) that every register
 // protocol in this repo needs, and sites that can prove less request a

@@ -1,5 +1,6 @@
 // help_pack.hpp — packed (switch position, sequence number) pairs for the
-// helping array H[n] of Algorithm 1 (and the corrected variant).
+// helping array H[n] of Algorithm 1 (on the paper's and the corrected
+// schedule alike).
 //
 // Each H[i] is a single 64-bit register holding the last switch position
 // process i announced on together with i's count of successful test&sets.

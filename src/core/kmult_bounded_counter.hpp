@@ -6,8 +6,8 @@
 // lists the achievable worst case as an open question). This class
 // instantiates the object: a k-multiplicative counter that accepts at
 // most m CounterIncrement instances over its lifetime, built on the
-// corrected unbounded counter with the binary-search read as the default
-// read path.
+// unbounded counter's corrected schedule with the binary-search read as
+// the default read path.
 //
 // Worst-case step complexity achieved:
 //   * increment: O(k) (one interval probe pass);
@@ -28,7 +28,7 @@
 
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 
 namespace approx::core {
 

@@ -12,8 +12,7 @@
 // *finite* (p ≤ ⌊log_k(2⁶⁴−1)⌋ + 1 ≤ 65), so one exact bounded AACH
 // register realizes it wait-free with worst-case — not merely amortized —
 // O(log₂ log_k V) steps per operation, where V = 2⁶⁴. This is
-// sub-logarithmic in the value domain, the property the paper claims; see
-// DESIGN.md §3 for the substitution note on truly unbounded domains.
+// sub-logarithmic in the value domain, the property the paper claims.
 #pragma once
 
 #include <cstdint>

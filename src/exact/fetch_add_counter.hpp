@@ -8,8 +8,7 @@
 //
 // For step accounting we charge one write step per increment and one read
 // step per read; the hardware RMW has no counterpart among the model's
-// primitive kinds (documented in DESIGN.md §2.2). Under DirectBackend the
-// counter is a bare atomic cell.
+// primitive kinds. Under DirectBackend the counter is a bare atomic cell.
 //
 // Memory-order audit (RelaxedDirectBackend). The whole counter is one
 // atomic cell, so the cell's modification order IS the linearization

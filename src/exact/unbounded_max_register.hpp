@@ -3,8 +3,8 @@
 //
 // The paper cites Baig, Hendler, Milani and Travers (DISC 2019; ref [9])
 // for unbounded max registers; that paper's construction is not restated
-// in the reproduced paper, so we build the closest substitute (see
-// DESIGN.md §3): a two-level AACH-style decomposition by binary exponent.
+// in the reproduced paper, so we build the closest substitute: a
+// two-level AACH-style decomposition by binary exponent.
 //
 //   * A 66-bounded exact max register `level_` stores t = ⌊log₂ v⌋ + 1 for
 //     every written value v ≥ 1 (t = 0 means "nothing written yet").

@@ -75,7 +75,6 @@
 #include "base/kmath.hpp"
 #include "core/kadditive_counter.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "exact/collect_counter.hpp"
 #include "exact/fetch_add_counter.hpp"
 #include "exact/snapshot_counter.hpp"
@@ -103,21 +102,12 @@ enum class ShardPolicy : std::uint8_t {
 template <typename Counter>
 struct ShardTraits;
 
-template <typename Backend>
-struct ShardTraits<core::KMultCounterT<Backend>> {
+template <typename Backend, typename Schedule>
+struct ShardTraits<core::SwitchCounterT<Backend, Schedule>> {
   static constexpr ErrorModel kModel = ErrorModel::kMultiplicative;
   static constexpr std::uint64_t composed_bound(std::uint64_t k,
                                                 unsigned /*shards*/) noexcept {
     return k;  // multiplicative bands are closed under summation
-  }
-};
-
-template <typename Backend>
-struct ShardTraits<core::KMultCounterCorrectedT<Backend>> {
-  static constexpr ErrorModel kModel = ErrorModel::kMultiplicative;
-  static constexpr std::uint64_t composed_bound(std::uint64_t k,
-                                                unsigned /*shards*/) noexcept {
-    return k;
   }
 };
 

@@ -28,7 +28,6 @@
 #include "base/backend.hpp"
 #include "core/kadditive_counter.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "core/kmult_max_register.hpp"
 #include "core/kmult_unbounded_max_register.hpp"
 #include "exact/aach_counter.hpp"
@@ -101,53 +100,36 @@ std::string tag_name(std::string name) {
 // Counter adapters
 // ---------------------------------------------------------------------
 
-template <typename Backend = base::InstrumentedBackend>
-class KMultCounterAdapterT final : public ICounter {
+/// Algorithm 1 on either switch schedule; the schedule's label names it
+/// ("kmult(k=…)" for the paper's, "kmult-fix(k=…)" for the corrected).
+template <typename Backend, typename Schedule>
+class SwitchCounterAdapterT final : public ICounter {
  public:
-  KMultCounterAdapterT(unsigned n, std::uint64_t k) : counter_(n, k) {}
+  SwitchCounterAdapterT(unsigned n, std::uint64_t k) : counter_(n, k) {}
   void increment(unsigned pid) override { counter_.increment(pid); }
   std::uint64_t read(unsigned pid) override { return counter_.read(pid); }
   [[nodiscard]] std::uint64_t k() const override { return counter_.k(); }
   [[nodiscard]] std::string name() const override {
-    return detail::tag_name<Backend>("kmult(k=" +
-                                     std::to_string(counter_.k()) + ")");
+    return detail::tag_name<Backend>(std::string(Schedule::kLabel) +
+                                     "(k=" + std::to_string(counter_.k()) +
+                                     ")");
   }
   [[nodiscard]] bool instrumented() const override {
     return Backend::kInstrumented;
   }
-  [[nodiscard]] core::KMultCounterT<Backend>& impl() noexcept {
-    return counter_;
-  }
 
  private:
-  core::KMultCounterT<Backend> counter_;
+  core::SwitchCounterT<Backend, Schedule> counter_;
 };
+
+template <typename Backend = base::InstrumentedBackend>
+using KMultCounterAdapterT =
+    SwitchCounterAdapterT<Backend, core::PaperSchedule>;
+template <typename Backend = base::InstrumentedBackend>
+using KMultCounterCorrectedAdapterT =
+    SwitchCounterAdapterT<Backend, core::CorrectedSchedule>;
 
 using KMultCounterAdapter = KMultCounterAdapterT<>;
-
-template <typename Backend = base::InstrumentedBackend>
-class KMultCounterCorrectedAdapterT final : public ICounter {
- public:
-  KMultCounterCorrectedAdapterT(unsigned n, std::uint64_t k)
-      : counter_(n, k) {}
-  void increment(unsigned pid) override { counter_.increment(pid); }
-  std::uint64_t read(unsigned pid) override { return counter_.read(pid); }
-  [[nodiscard]] std::uint64_t k() const override { return counter_.k(); }
-  [[nodiscard]] std::string name() const override {
-    return detail::tag_name<Backend>("kmult-fix(k=" +
-                                     std::to_string(counter_.k()) + ")");
-  }
-  [[nodiscard]] bool instrumented() const override {
-    return Backend::kInstrumented;
-  }
-  [[nodiscard]] core::KMultCounterCorrectedT<Backend>& impl() noexcept {
-    return counter_;
-  }
-
- private:
-  core::KMultCounterCorrectedT<Backend> counter_;
-};
-
 using KMultCounterCorrectedAdapter = KMultCounterCorrectedAdapterT<>;
 
 template <typename Backend = base::InstrumentedBackend>

@@ -2,8 +2,8 @@
 //
 // Every bench binary prints its experiment as a fixed-width table (the
 // reproduction's equivalent of the paper's figures/series); this header
-// keeps the formatting in one place so EXPERIMENTS.md and the bench
-// outputs stay visually consistent.
+// keeps the formatting in one place so the bench outputs stay visually
+// consistent.
 #pragma once
 
 #include <cstdint>

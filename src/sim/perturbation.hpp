@@ -18,7 +18,7 @@
 // measures what the bound constrains: the number of steps and of distinct
 // base objects a solo read accesses after each round. The measured curves
 // against the analytic Ω(min(log₂ log_k m, n)) shape are experiments E6
-// and E7 (see DESIGN.md §4).
+// and E7 (README "Experiment index").
 #pragma once
 
 #include <cstdint>

@@ -19,7 +19,6 @@
 #include "core/kadditive_counter.hpp"
 #include "core/kmult_bounded_counter.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "core/kmult_max_register.hpp"
 #include "core/kmult_unbounded_max_register.hpp"
 #include "exact/aach_counter.hpp"
@@ -78,13 +77,30 @@ TEST(BackendEquivalence, KMultCounterCorrected) {
   check_pid_counter<core::KMultCounterCorrectedT>(8, 3, 20'000);
 }
 
+// read_fast on both switch schedules (one body serves both), over
+// n ∈ {1, 4, 16} and k ∈ {2..5}.
+template <typename Backend>
+void check_read_fast_both_schedules() {
+  for (const unsigned n : {1u, 4u, 16u}) {
+    for (std::uint64_t k = 2; k <= 5; ++k) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
+      core::KMultCounterT<Backend> paper(n, k);
+      core::KMultCounterT<base::InstrumentedBackend> paper_model(n, k);
+      core::KMultCounterCorrectedT<Backend> corrected(n, k);
+      core::KMultCounterCorrectedT<base::InstrumentedBackend> corrected_model(
+          n, k);
+      const auto inc = [](auto& c, unsigned pid) { c.increment(pid); };
+      const auto read = [](auto& c, unsigned pid) { return c.read_fast(pid); };
+      expect_equivalent_counters(paper, paper_model, n, inc, read, 20'000,
+                                 0xF457);
+      expect_equivalent_counters(corrected, corrected_model, n, inc, read,
+                                 20'000, 0xF457);
+    }
+  }
+}
+
 TEST(BackendEquivalence, KMultCounterCorrectedReadFast) {
-  core::KMultCounterCorrectedT<base::DirectBackend> direct(4, 3);
-  core::KMultCounterCorrectedT<base::InstrumentedBackend> instrumented(4, 3);
-  expect_equivalent_counters(
-      direct, instrumented, 4,
-      [](auto& c, unsigned pid) { c.increment(pid); },
-      [](auto& c, unsigned pid) { return c.read_fast(pid); }, 20'000, 0xF457);
+  check_read_fast_both_schedules<base::DirectBackend>();
 }
 
 TEST(BackendEquivalence, KMultBoundedCounter) {
@@ -202,12 +218,7 @@ TEST(BackendEquivalence, RelaxedKMultCounters) {
 }
 
 TEST(BackendEquivalence, RelaxedKMultCounterCorrectedReadFast) {
-  core::KMultCounterCorrectedT<base::RelaxedDirectBackend> relaxed(4, 3);
-  core::KMultCounterCorrectedT<base::InstrumentedBackend> instrumented(4, 3);
-  expect_equivalent_counters(
-      relaxed, instrumented, 4,
-      [](auto& c, unsigned pid) { c.increment(pid); },
-      [](auto& c, unsigned pid) { return c.read_fast(pid); }, 20'000, 0xF457);
+  check_read_fast_both_schedules<base::RelaxedDirectBackend>();
 }
 
 TEST(BackendEquivalence, RelaxedExactAndAdditiveCounters) {

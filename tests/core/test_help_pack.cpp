@@ -7,7 +7,6 @@
 #include "base/kmath.hpp"
 #include "core/help_pack.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 
 namespace approx::core {
 namespace {

@@ -10,7 +10,6 @@
 
 #include "core/approx.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "sim/stepper.hpp"
 #include "sim/workload.hpp"
 

@@ -1,6 +1,6 @@
 // Tests for Algorithm 1: the wait-free k-multiplicative-accurate
-// unbounded counter. Each suite maps to a lemma/claim of the paper; see
-// DESIGN.md §5 for the invariant inventory.
+// unbounded counter on the paper's switch schedule. Each suite maps to a
+// lemma/claim of the paper.
 #include "core/kmult_counter.hpp"
 
 #include <gtest/gtest.h>
@@ -28,13 +28,14 @@ using base::pow_k;
 
 TEST(ReturnValue, HandComputedCases) {
   KMultCounter counter(4, /*k=*/2);
-  // ReturnValue(p, q) = k(1 + p·k^{q+1} + Σ_{l=1..q} k^{l+1})
-  EXPECT_EQ(counter.return_value(0, 0), 2u);        // 2·(1)
-  EXPECT_EQ(counter.return_value(1, 0), 2u * 3);    // 2·(1 + 1·2)
-  EXPECT_EQ(counter.return_value(0, 1), 2u * 5);    // 2·(1 + 4)
-  EXPECT_EQ(counter.return_value(1, 1), 2u * 9);    // 2·(1 + 4 + 4)
-  EXPECT_EQ(counter.return_value(0, 2), 2u * 13);   // 2·(1 + 4 + 8)
-  EXPECT_EQ(counter.return_value(2, 2), 2u * 29);   // 2·(1 + 4 + 8 + 2·8)
+  // ReturnValue(p, q) = k(1 + p·k^{q+1} + Σ_{l=1..q} k^{l+1}), the value
+  // at switch h = qk + p.
+  EXPECT_EQ(counter.value_at_position(0 * 2 + 0), 2u);       // 2·(1)
+  EXPECT_EQ(counter.value_at_position(0 * 2 + 1), 2u * 3);   // 2·(1 + 1·2)
+  EXPECT_EQ(counter.value_at_position(1 * 2 + 0), 2u * 5);   // 2·(1 + 4)
+  EXPECT_EQ(counter.value_at_position(1 * 2 + 1), 2u * 9);   // 2·(1 + 4 + 4)
+  EXPECT_EQ(counter.value_at_position(2 * 2 + 0), 2u * 13);  // 2·(1 + 4 + 8)
+  EXPECT_EQ(counter.value_at_position(2 * 2 + 2), 2u * 29);  // 2·(1+4+8+2·8)
 }
 
 TEST(ReturnValue, GeneralFormula) {
@@ -45,7 +46,7 @@ TEST(ReturnValue, GeneralFormula) {
         std::uint64_t expected = 1 + p * pow_k(k, q + 1);
         for (std::uint64_t l = 1; l <= q; ++l) expected += pow_k(k, l + 1);
         expected *= k;
-        EXPECT_EQ(counter.return_value(p, q), expected)
+        EXPECT_EQ(counter.value_at_position(q * k + p), expected)
             << "k=" << k << " p=" << p << " q=" << q;
       }
     }
@@ -60,7 +61,7 @@ TEST(ReturnValue, MonotoneInSwitchIndex) {
   for (std::uint64_t q = 0; q <= 6; ++q) {
     for (std::uint64_t p : {0u, 1u}) {
       if (q == 0 && p == 0) continue;
-      const std::uint64_t value = counter.return_value(p, q);
+      const std::uint64_t value = counter.value_at_position(q * 3 + p);
       EXPECT_GE(value, previous) << "p=" << p << " q=" << q;
       previous = value;
     }
@@ -109,9 +110,10 @@ TEST_P(KMultCounterAccuracy, SequentialRoundRobinBand) {
   ASSERT_TRUE(counter.accuracy_guaranteed());
   // REPRODUCTION NOTE: the paper's algorithm can under-report beyond the
   // band while only switch_0 is set (bootstrap transient; see
-  // KMultCounterDeviation below and EXPERIMENTS.md). The full band is
-  // only guaranteed once v exceeds the maximum increments the transient
-  // can hide, 1 + n(k−1); the upper side x ≤ v·k holds always.
+  // KMultCounterDeviation below and README "Reproduction findings"). The
+  // full band is only guaranteed once v exceeds the maximum increments
+  // the transient can hide, 1 + n(k−1); the upper side x ≤ v·k holds
+  // always.
   const std::uint64_t bootstrap =
       1 + static_cast<std::uint64_t>(n) * (counter.k() - 1);
   auto assert_banded = [&](std::uint64_t x, std::uint64_t v) {

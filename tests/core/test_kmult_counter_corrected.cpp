@@ -1,8 +1,8 @@
-// Tests for the corrected k-multiplicative counter variant, which must
-// satisfy the band in *every* phase (including the bootstrap transient
-// where the paper-faithful Algorithm 1 does not — see
+// Tests for the k-multiplicative counter on the corrected schedule, which
+// must satisfy the band in *every* phase (including the bootstrap
+// transient where the paper's schedule does not — see
 // KMultCounterDeviation in test_kmult_counter.cpp).
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 
 #include <gtest/gtest.h>
 

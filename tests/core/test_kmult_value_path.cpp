@@ -1,7 +1,8 @@
 // Differential tests for the k-multiplicative counters' value path: the
-// one-pass ReturnValue / value_at_position against the direct nested
-// transcription of their formulas, and the per-reader memo against
-// readers that share no history.
+// one-pass value_at_position on both switch schedules against the direct
+// nested transcription of their formulas (the paper's ReturnValue for
+// Algorithm 1), and the per-reader memo against readers that share no
+// history.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 #include "core/approx.hpp"
 #include "core/help_pack.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 
 namespace approx::core {
 namespace {
@@ -57,7 +57,7 @@ TEST(KMultValuePath, ReturnValueMatchesNestedFormulaUpToSaturation) {
     std::uint64_t h = 0;
     for (; saturated <= kPastSaturation; ++h) {
       const std::uint64_t expected = nested_return_value(k, h % k, h / k);
-      ASSERT_EQ(counter.return_value(h % k, h / k), expected)
+      ASSERT_EQ(counter.value_at_position(h), expected)
           << "k=" << k << " h=" << h;
       if (expected == kU64Max) ++saturated;
     }

@@ -1,17 +1,19 @@
-// Tests for the binary-search read extension (KMultCounterCorrected::
-// read_fast) — the engineering answer to the paper's §VI open question
-// on worst-case bounded-counter reads.
+// Tests for the binary-search read extension (SwitchCounterT::read_fast,
+// on the corrected schedule unless a test says otherwise) — the
+// engineering answer to the paper's §VI open question on worst-case
+// bounded-counter reads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "base/kmath.hpp"
 #include "base/step_recorder.hpp"
 #include "core/approx.hpp"
-#include "core/kmult_counter_corrected.hpp"
+#include "core/kmult_counter.hpp"
 #include "sim/history.hpp"
 #include "sim/lin_check.hpp"
 #include "sim/stepper.hpp"
@@ -25,20 +27,40 @@ TEST(ReadFast, ZeroBeforeAnyIncrement) {
   EXPECT_EQ(counter.read_fast(0), 0u);
 }
 
-TEST(ReadFast, AgreesWithLinearReadAtQuiescence) {
-  // At quiescence read_fast decodes the exact prefix boundary, which is
-  // at least as precise as the linear read's first/last-of-interval stop;
-  // both must be within the band and read_fast must never be below
-  // the linear value (it decodes a switch ≥ the linear stop position).
-  KMultCounterCorrected counter(4, 2);
+// At quiescence read_fast decodes the exact prefix boundary, which is
+// at least as precise as the linear read's first/last-of-interval stop:
+// read_fast must never be below the linear value (it decodes a switch ≥
+// the linear stop position), and both must be within the band wherever
+// the schedule promises it — for k ≥ √n, in every phase on the corrected
+// schedule and past the 1 + n(k−1) bootstrap on the paper's.
+template <typename Counter>
+void expect_fast_agrees_with_linear(unsigned n, std::uint64_t k) {
+  constexpr bool kBandedInEveryPhase =
+      std::is_same_v<Counter, KMultCounterCorrected>;
+  Counter counter(n, k);
+  const std::uint64_t bootstrap = 1 + std::uint64_t{n} * (k - 1);
   for (std::uint64_t v = 1; v <= 4000; ++v) {
-    counter.increment(static_cast<unsigned>(v % 4));
+    counter.increment(static_cast<unsigned>(v % n));
     if (v % 7 == 0) {
       const std::uint64_t fast = counter.read_fast(0);
-      const std::uint64_t linear = counter.read(1);
-      ASSERT_TRUE(within_mult_band(fast, v, 2)) << "v=" << v;
-      ASSERT_TRUE(within_mult_band(linear, v, 2)) << "v=" << v;
+      const std::uint64_t linear = counter.read(n - 1);
       ASSERT_GE(fast, linear) << "v=" << v;
+      if (counter.accuracy_guaranteed() &&
+          (kBandedInEveryPhase || v > bootstrap)) {
+        ASSERT_TRUE(within_mult_band(fast, v, k)) << "v=" << v;
+        ASSERT_TRUE(within_mult_band(linear, v, k)) << "v=" << v;
+      }
+    }
+  }
+}
+
+TEST(ReadFast, AgreesWithLinearReadAtQuiescence) {
+  for (const unsigned n : {1u, 4u, 16u}) {
+    for (std::uint64_t k = 2; k <= 5; ++k) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
+      expect_fast_agrees_with_linear<KMultCounter>(n, k);
+      expect_fast_agrees_with_linear<KMultCounterCorrected>(n, k);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -1,5 +1,5 @@
 // Tests for the exact unbounded (machine-word domain) max register — the
-// Baig-style substrate substitute (DESIGN.md §3).
+// Baig-style substrate substitute (see exact/unbounded_max_register.hpp).
 #include "exact/unbounded_max_register.hpp"
 
 #include <gtest/gtest.h>

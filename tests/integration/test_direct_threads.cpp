@@ -16,7 +16,6 @@
 #include "base/backend.hpp"
 #include "core/approx.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "core/kmult_max_register.hpp"
 #include "exact/collect_counter.hpp"
 

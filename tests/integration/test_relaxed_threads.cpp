@@ -24,7 +24,6 @@
 #include "core/approx.hpp"
 #include "core/kadditive_counter.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "core/kmult_max_register.hpp"
 #include "core/kmult_unbounded_max_register.hpp"
 #include "exact/aach_counter.hpp"

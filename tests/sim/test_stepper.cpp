@@ -15,7 +15,6 @@
 #include "base/test_and_set.hpp"
 #include "core/approx.hpp"
 #include "core/kmult_counter.hpp"
-#include "core/kmult_counter_corrected.hpp"
 #include "core/kmult_max_register.hpp"
 #include "exact/bounded_max_register.hpp"
 #include "exact/aach_counter.hpp"
