@@ -12,7 +12,8 @@
 //      per-primitive overhead; kmult reads amortize O(1) primitives and
 //      bound the effect from below.
 //   2. max registers, 90% reads / 10% log-uniform writes — the
-//      throughput experiment for Algorithm 2 the ROADMAP asked for.
+//      read-heavy throughput experiment for Algorithm 2
+//      (core/kmult_max_register.hpp).
 //   3. snapshot retirement at n = 16 — the bounded retirement list
 //      (exact/snapshot.hpp) in action: the retired count stays near the
 //      cap instead of growing with the update count, which is what lets

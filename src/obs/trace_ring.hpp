@@ -9,23 +9,29 @@
 // the hot path, unbounded growth, interleaving. This ring records one
 // fixed-size structured event per decision instead: a steady-clock
 // stamp, a kind, and two uint64 arguments whose meaning the kind
-// defines. Recording is a handful of relaxed atomic stores behind a
-// fetch_add ticket — wait-free, allocation-free, and cheap enough to
-// leave on in production. Draining is on-demand (chaos tests dump it on
-// failure; the metricsz exposition appends its tail).
+// defines. Recording is a fetch_add ticket, a claiming CAS, four relaxed
+// payload stores and a publishing CAS — allocation-free, never blocking,
+// and cheap enough to leave on in production. Draining is on-demand
+// (chaos tests dump it on failure; the metricsz exposition appends its
+// tail).
 //
 // Concurrency design: this is the MULTI-writer adaptation of the
 // single-writer seqlock ring (base/seqlock_ring.hpp — same even/odd
 // slot discipline, same fence recipe). head_ is a fetch_add ticket
-// counter, so each recorder owns the slot its ticket names: writer
-// exclusion per slot is by ticket, and the seqlock words only defend
-// READERS against a concurrent lap. The one multi-writer hazard is two
-// tickets a full lap apart writing one slot concurrently (recorder
-// stalled for ≥ capacity events); the slot's interleaved stores can
-// then leave mixed fields behind a stable-looking seq. The ring is
-// best-effort diagnostics by contract — a reader discards any slot
-// whose seq does not certify an untorn copy, and a lap-collision slot
-// that slips through holds fields from two REAL events (every store is
+// counter, so each recorder owns the slot its ticket names, and the
+// seqlock words defend READERS against a concurrent lap. The one
+// multi-writer hazard is two tickets a full lap apart meeting in one
+// slot (a recorder preempted for ≥ capacity events between its ticket
+// and its stores). The slot's seq therefore only moves forward: a
+// recorder claims the slot by a CAS to its own lap's odd value and
+// drops its event if a newer lap already holds the slot (that event
+// would be overwritten anyway), and it publishes by a CAS from its own
+// odd value, so a late recorder can never move seq back to its lap and
+// un-certify the newer event. Each CAS retries only when another
+// recorder moved the seq, so retries are bounded by the concurrent
+// recorders. The late recorder's payload stores can still land on the
+// newer event's slot; the ring is best-effort diagnostics by contract,
+// so such a slot holds fields from two REAL events (every store is
 // atomic, so this is defined behavior and TSan-clean), never wild
 // bytes. Events, not evidence for a court.
 #pragma once
@@ -124,15 +130,20 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Records one event. Wait-free: one fetch_add + five relaxed/release
-  /// stores; never blocks, never allocates. Safe from any thread.
+  /// Records one event: one fetch_add, a claiming CAS, four relaxed
+  /// payload stores and a publishing CAS (see the header for the lap
+  /// rule); never blocks, never allocates. Safe from any thread.
   void record(TraceKind kind, std::uint64_t a = 0,
               std::uint64_t b = 0) noexcept {
     const std::uint64_t ticket =
         head_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[ticket & (capacity_ - 1)];
     const std::uint64_t stable = 2 * ((ticket >> shift_) + 1);
-    slot.seq.store(stable - 1, std::memory_order_relaxed);
+    std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+    do {
+      if (seen >= stable) return;  // a newer lap holds the slot
+    } while (!slot.seq.compare_exchange_weak(seen, stable - 1,
+                                             std::memory_order_relaxed));
     // Release fence: the odd mark precedes the payload stores (the
     // seqlock recipe — see base/seqlock_ring.hpp's audit block).
     std::atomic_thread_fence(std::memory_order_release);
@@ -141,7 +152,11 @@ class TraceRing {
                     std::memory_order_relaxed);
     slot.a.store(a, std::memory_order_relaxed);
     slot.b.store(b, std::memory_order_relaxed);
-    slot.seq.store(stable, std::memory_order_release);
+    // Fails only when a newer lap claimed the slot meanwhile; it keeps it.
+    std::uint64_t claimed = stable - 1;
+    slot.seq.compare_exchange_strong(claimed, stable,
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed);
   }
 
   /// Appends the newest ≤ capacity events to `out`, oldest first,

@@ -27,20 +27,21 @@
 //     of every counter and zero allocations, instead of the string
 //     copies + virtual metadata hops the allocating form pays (E16
 //     measures the difference);
-//   * collect_tick / for_each_changed_since — the delta channel the
-//     service layer (src/svc) consumes. The sequenced collect is one
-//     sweep of the flat table into a TickRecord: every row's value, the
-//     vector rows' readings, the ascending rows whose value moved since
-//     the previous sequenced pass, and the immutable name table of this
-//     registry version (built once per create, shared by every pass
-//     after it). The same sweep stamps two tracking columns per row
-//     (last collected value, sequence of the pass that last changed
-//     it), so a delta encoder can take one pass's changes straight from
-//     the record, and a lagging subscriber's catch-up can walk exactly
-//     the counters that moved since its acknowledged sequence; given a
-//     selection of rows (a subscription filter's matches) the walk
-//     reports subset positions, the index space of a filtered wire
-//     name table. Both collect forms share one per-row reader.
+//   * collect_tick — the delta channel the service layer (src/svc)
+//     consumes. The sequenced collect is one sweep of the flat table
+//     into a TickRecord: every row's value, the vector rows' readings,
+//     every row's change stamp (the pass that last changed its
+//     reading) and the immutable name table of this registry version
+//     (built once per create, shared by every pass after it). The
+//     stamps come from two tracking columns per row (last collected
+//     reading, stamp) that the same sweep maintains, so any delta — a
+//     group's per-tick one or a lagging subscriber's catch-up from its
+//     acknowledged sequence — is read from one immutable record: the
+//     rows stamped after its basis, at their positions in a selection
+//     (a subscription filter's matches, the index space of a filtered
+//     wire name table). for_each_changed_since walks the same columns
+//     live, for callers without a record. Both collect forms share one
+//     per-row reader.
 //
 // Counter kinds are erased behind `AnyCounter` so one fleet can mix
 // multiplicative, additive and exact striping; the virtual hop is
@@ -142,9 +143,27 @@ struct TickRecord {
   /// Name, model, bound and histogram edges of every row, values unset;
   /// shared by every pass until the next create.
   std::shared_ptr<const std::vector<Sample>> names;
-  std::vector<std::uint64_t> values;   // every row's value
-  std::vector<Reading> vectors;        // histogram and top-k rows, ascending
-  std::vector<std::uint64_t> changed;  // rows this pass changed, ascending
+  std::vector<std::uint64_t> values;  // every row's value
+  std::vector<Reading> vectors;       // histogram and top-k rows, ascending
+  /// Every row's stamp: the pass that last changed its reading (0 =
+  /// never; a top-k stays unstamped until its first row lands).
+  std::vector<std::uint64_t> changed_seq;
+
+  /// Calls `fn(position, row)` for each row of `selection` (ascending
+  /// flat rows; null = every row, position = row) stamped after `since`,
+  /// in ascending order. position is the row's index within the
+  /// selection: the wire index of that selection's name table.
+  template <typename Fn>
+  void for_each_changed(const std::vector<std::uint64_t>* selection,
+                        std::uint64_t since, Fn&& fn) const {
+    const std::size_t count =
+        selection != nullptr ? selection->size() : changed_seq.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t row =
+          selection != nullptr ? static_cast<std::size_t>((*selection)[i]) : i;
+      if (changed_seq[row] > since) fn(i, row);
+    }
+  }
 
   /// Materializes rows as Samples into `out`: every row, or only the
   /// rows of `selection` (ascending) — names from the table, values and
@@ -372,18 +391,21 @@ class RegistryT {
   /// The sequenced collect (see header): one sweep reading every row as
   /// process `pid` into `tick`, which it overwrites. A row whose reading
   /// differs from the previous sequenced pass — a row created since that
-  /// pass does, unless it is a still-empty top-k (see Entry) — is listed
-  /// in tick.changed and stamped with `pass_seq` in the columns
-  /// for_each_changed_since reads. Takes the exclusive lock (it writes
-  /// those columns); the plain shared-lock passes are unaffected.
+  /// pass does, unless it is a still-empty top-k (see Entry) — is
+  /// stamped with `pass_seq`, and tick.changed_seq copies every row's
+  /// stamp. Takes the exclusive lock (it writes the tracking columns);
+  /// the plain shared-lock passes are unaffected.
   ///
   /// Single-sequencer contract: the tracking columns form ONE change
   /// stream, so exactly one party (in practice the serving AggregatorT,
   /// which already serializes its passes) may drive sequenced collects
-  /// on a registry, with monotonically increasing pass_seq. Concurrent
-  /// sequenced collects from independent sequence domains are memory-safe
-  /// (exclusive lock) but interleave their seqs into one meaningless
-  /// stream.
+  /// on a registry, with monotonically increasing pass_seq. A pass_seq
+  /// at or below the previous pass's starts a fresh stream (a restarted
+  /// server's new aggregator numbers from 1 again): every stamp of the
+  /// old stream is dropped, or it would read as a change in every delta
+  /// until the new numbering caught up. Concurrent sequenced collects
+  /// from independent sequence domains are memory-safe (exclusive lock)
+  /// but interleave their seqs into one meaningless stream.
   void collect_tick(unsigned pid, std::uint64_t pass_seq,
                     TickRecord& tick) const {
     std::unique_lock lock(mutex_);
@@ -399,7 +421,8 @@ class RegistryT {
     tick.names = names_;
     tick.values.resize(flat_.size());
     tick.vectors.clear();
-    tick.changed.clear();
+    tick.changed_seq.resize(flat_.size());
+    const bool fresh_stream = pass_seq <= last_pass_seq_;
     for (std::size_t row = 0; row < flat_.size(); ++row) {
       const Entry& entry = flat_[row];
       TickRecord::Reading* reading = nullptr;
@@ -411,18 +434,18 @@ class RegistryT {
           read_row(entry, pid, reading ? &reading->counts : nullptr,
                    reading ? &reading->labels : nullptr);
       tick.values[row] = value;
-      if (reading == nullptr ? value == entry.last_value
-                             : reading->counts == entry.last_counts &&
-                                   reading->labels == entry.last_labels) {
-        continue;
+      if (fresh_stream) entry.changed_seq = 0;
+      if (reading == nullptr ? value != entry.last_value
+                             : reading->counts != entry.last_counts ||
+                                   reading->labels != entry.last_labels) {
+        if (reading != nullptr) {
+          entry.last_counts = reading->counts;
+          entry.last_labels = reading->labels;
+        }
+        entry.last_value = value;
+        entry.changed_seq = pass_seq;
       }
-      if (reading != nullptr) {
-        entry.last_counts = reading->counts;
-        entry.last_labels = reading->labels;
-      }
-      entry.last_value = value;
-      entry.changed_seq = pass_seq;
-      tick.changed.push_back(row);
+      tick.changed_seq[row] = entry.changed_seq;
     }
     last_pass_seq_ = pass_seq;
   }
@@ -435,14 +458,8 @@ class RegistryT {
   /// bucket vector for a histogram entry — or its row-value vector for
   /// a top-k entry — nullptr for a scalar; labels = the top-k row labels,
   /// nullptr for every other kind). An unchanged fleet yields no calls:
-  /// the empty delta.
-  ///
-  /// With a `selection` (ascending flat-table rows, e.g. the rows a
-  /// subscription filter matches) only those rows are visited, and
-  /// index is the position WITHIN the selection — the wire index of a
-  /// filtered name table. A selection holding an out-of-range row can
-  /// only have been built against another table: the walk refuses it
-  /// (nullopt) without visiting anything.
+  /// the empty delta. The live form of TickRecord::for_each_changed,
+  /// for callers that hold no record of the pass.
   ///
   /// The walk is only meaningful against the name table the caller
   /// believes in: if the registry's version no longer equals
@@ -455,19 +472,11 @@ class RegistryT {
   /// complete: no entry can carry a change from a half-finished pass).
   template <typename Fn>
   std::optional<std::uint64_t> for_each_changed_since(
-      std::uint64_t seq, std::uint64_t expected_version, Fn&& fn,
-      const std::vector<std::uint64_t>* selection = nullptr) const {
+      std::uint64_t seq, std::uint64_t expected_version, Fn&& fn) const {
     std::shared_lock lock(mutex_);
     if (version_ != expected_version) return std::nullopt;
-    if (selection != nullptr &&
-        std::any_of(selection->begin(), selection->end(),
-                    [&](std::uint64_t row) { return row >= flat_.size(); })) {
-      return std::nullopt;
-    }
-    const std::size_t count =
-        selection != nullptr ? selection->size() : flat_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const Entry& entry = flat_[selection != nullptr ? (*selection)[i] : i];
+    for (std::size_t i = 0; i < flat_.size(); ++i) {
+      const Entry& entry = flat_[i];
       if (entry.changed_seq > seq) {
         fn(i, entry.name, entry.last_value, entry.changed_seq,
            entry.changed_counts(), entry.changed_labels());

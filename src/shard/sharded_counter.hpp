@@ -3,8 +3,8 @@
 //
 // Every counter in this repo is a single instance whose shared objects
 // (helping array, switch array, snapshot slots) form one hotspot — the
-// scalability wall the ROADMAP's "millions of users" north star runs
-// into. `ShardedCounterT` stripes increments across S shards and sums
+// scalability wall a fleet counting for millions of users runs into.
+// `ShardedCounterT` stripes increments across S shards and sums
 // them on read, composing the paper's accuracy guarantees instead of
 // abandoning them:
 //

@@ -96,9 +96,10 @@ class TelemetryClient {
   /// admit (a pass-all subscription, a rapid re-subscribe to a
   /// superset of the previous filter, a fleet that fits the filter
   /// entirely) can clear the flag one tick before the true re-basing
-  /// full; exact detection needs a server-echoed subscription
-  /// generation (see ROADMAP). False if disconnected or the filter
-  /// exceeds the wire limits (nothing is sent).
+  /// full; exact detection would need the server to echo a
+  /// subscription generation, which the wire does not carry. False if
+  /// disconnected or the filter exceeds the wire limits (nothing is
+  /// sent).
   bool subscribe(const SubscriptionFilter& filter);
 
   /// Sends a RESYNC control record: the server's next frame for this

@@ -1,16 +1,17 @@
 // server.cpp — SnapshotServer internals: collector + poll() I/O workers.
 //
 // Layout: detail::ServerCore is the backend-agnostic machinery (sockets,
-// threads, frame fan-out) driven through two hooks — "collect a tick"
-// and "name the rows changed since" — that the thin SnapshotServerT
-// template binds to its AggregatorT / RegistryT pair. Everything
-// socket-ish therefore compiles exactly once.
+// threads, frame fan-out) driven through one hook — "collect a tick" —
+// that the thin SnapshotServerT template binds to its AggregatorT.
+// Everything socket-ish therefore compiles exactly once.
 //
-// One sweep per tick: the sequenced collect is the only pass over the
-// registry. Its TickRecord (values, vector readings, changed rows, name
-// table) is shared by every group's tick, and every delta — a group's
-// shared one and a lagging client's catch-up — encodes straight from it
-// as (wire position, flat row) pairs.
+// One change source: the sequenced collect is the only pass over the
+// registry. Its immutable TickRecord (values, vector readings, every
+// row's change stamp, name table) is shared by every group's tick, and
+// every frame the server sends is read from it — a group's shared
+// delta, a lagging client's catch-up (the rows stamped after each one's
+// basis) and a metricsz page. After the sweep nothing reads the
+// registry, so the I/O workers never take its lock.
 //
 // One serving path: every subscriber is a member of exactly one filter
 // group. A client that never subscribes sits in the pass-all group,
@@ -63,6 +64,11 @@ namespace {
 
 /// Longest ack record: type byte + 10-byte varint.
 constexpr std::size_t kMaxAckBytes = 11;
+
+/// A filter group whose subset did not change ships nothing, except one
+/// empty-delta heartbeat every this many quiet ticks (liveness and
+/// sequence advance for its subscribers).
+constexpr unsigned kGroupHeartbeatTicks = 16;
 
 /// This thread's slot in the server's instrument block: 0 = the
 /// collector, 1 + i = io worker i (assigned at the top of each loop).
@@ -185,30 +191,14 @@ struct Instruments {
 
 class ServerCore {
  public:
-  struct Hooks {
-    /// Runs one sequenced aggregator pass into a fresh tick record.
-    std::function<void(shard::TickRecord&)> collect;
-    /// Appends a (wire position, flat row) pair for every entry changed
-    /// in a pass > `since`, against the name table of
-    /// `expected_version`. A null `selection` visits every flat-table
-    /// row (position = row); otherwise only the rows in `selection`, at
-    /// their positions within it — the index space of that group's
-    /// filtered name table. False when the registry's version moved on
-    /// (indices shifted: the caller must fall back to a full frame).
-    std::function<bool(std::uint64_t since, std::uint64_t expected_version,
-                       const std::vector<std::uint64_t>* selection,
-                       std::vector<DeltaRow>& out)>
-        changed_since;
-  };
+  /// Runs one sequenced aggregator pass into a fresh tick record.
+  using Collect = std::function<void(shard::TickRecord&)>;
 
-  ServerCore(const ServerOptions& options, Hooks hooks)
-      : options_(options), hooks_(std::move(hooks)), trace_(options.trace) {
+  ServerCore(const ServerOptions& options, Collect collect)
+      : options_(options), collect_(std::move(collect)), trace_(options.trace) {
     if (options_.io_threads == 0) options_.io_threads = 1;
     if (options_.period <= std::chrono::milliseconds::zero()) {
       options_.period = std::chrono::milliseconds(1);
-    }
-    if (options_.group_heartbeat_ticks == 0) {
-      options_.group_heartbeat_ticks = 1;
     }
     if (options_.shm_slots == 0) options_.shm_slots = 1;
     if (options_.shm_slot_bytes == 0) options_.shm_slot_bytes = 4096;
@@ -296,9 +286,6 @@ class ServerCore {
       delete old;  // worker-held group refs died with workers_
     }
     epochs_.drain_unsafe();
-    std::lock_guard metricsz_lock(metricsz_mutex_);
-    metricsz_page_.reset();
-    metricsz_seq_ = 0;
   }
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
@@ -371,7 +358,7 @@ class ServerCore {
     std::uint64_t delta_base = 0;
     /// The pass's tick record (shared by every group) and the group's
     /// selection of its rows (null: every row) — the coherent pair lazy
-    /// fulls and catch-up deltas encode from.
+    /// fulls, catch-up deltas and metricsz pages are read from.
     std::shared_ptr<const shard::TickRecord> record;
     std::shared_ptr<const std::vector<std::uint64_t>> selection;
   };
@@ -477,12 +464,8 @@ class ServerCore {
     /// The peer's top-talker byte count, claimed at adoption; null once
     /// the directory's rows all hold other peers.
     std::atomic<std::uint64_t>* talker = nullptr;
-    /// kMetricszRequest pending: set when the control record is read,
-    /// served once a metricsz page rendered at or after the request
-    /// (req_seq = the newest tick at the first service round that saw
-    /// it).
+    /// kMetricszRequest read; served from the group's published tick.
     bool metricsz_pending = false;
-    std::uint64_t metricsz_req_seq = 0;
   };
 
   struct Worker {
@@ -528,15 +511,12 @@ class ServerCore {
 
   void collector_loop() {
     t_wpid = 0;  // the collector's slot in the instrument block
-    std::vector<DeltaRow> pairs;  // per-group delta scratch
-    std::vector<shard::Sample> metricsz_rows;  // render scratch
-    std::string metricsz_text;
     while (running_.load(std::memory_order_acquire)) {
       const auto tick_start = std::chrono::steady_clock::now();
       // A fresh record per pass: the previous one stays published (and
       // immutable) until every group tick holding it is retired.
       auto pass = std::make_shared<shard::TickRecord>();
-      hooks_.collect(*pass);
+      collect_(*pass);
       const std::shared_ptr<const shard::TickRecord> record = std::move(pass);
       const auto collect_done = std::chrono::steady_clock::now();
       const std::uint64_t collect_ns = steady_now_ns();
@@ -553,26 +533,13 @@ class ServerCore {
         const GroupTable* table =
             group_table_.load(std::memory_order_acquire);
         for (const auto& [key, group] : table->by_key) {
-          collector_group_pass(*group, record, collect_ns, pairs);
+          collector_group_pass(*group, record, collect_ns);
         }
       }
       // Reap tables/ticks whose grace period has passed — outside the
       // guard (our own pin would hold the horizon back).
       epochs_.reclaim();
       const auto encode_done = std::chrono::steady_clock::now();
-      // Metricsz exposition: rendered only when a kMetricszRequest came
-      // in since the last render (on-demand; an idle server pays one
-      // relaxed exchange per tick) — then kept until superseded.
-      if (metricsz_wanted_.exchange(false, std::memory_order_relaxed)) {
-        record->rows_into(nullptr, metricsz_rows);
-        (void)obs::render_metricsz(metricsz_rows, trace_, metricsz_text);
-        auto page = std::make_shared<std::string>();
-        encode_metricsz_frame(record->pass_seq, record->registry_version,
-                              collect_ns, metricsz_text, *page);
-        std::lock_guard lock(metricsz_mutex_);
-        metricsz_page_ = std::move(page);
-        metricsz_seq_ = record->pass_seq;
-      }
       // The sequences start at 1 and step by 1, so the newest collected
       // sequence is also the count of frames collected.
       set(kFramesCollected, record->pass_seq);
@@ -616,7 +583,6 @@ class ServerCore {
     t_wpid = 1 + index;  // this worker's slot in the instrument block
     Worker& worker = *workers_[index];
     std::vector<pollfd> pfds;
-    std::vector<DeltaRow> pairs;  // catch-up scratch
     while (running_.load(std::memory_order_acquire)) {
       adopt_inbox(worker);
       pfds.clear();
@@ -652,13 +618,13 @@ class ServerCore {
           close_client(client);
           continue;
         }
-        service_client(client, pairs);
+        service_client(client);
       }
       // Clients adopted this round (beyond the pfds snapshot) get their
       // first frame immediately rather than next tick.
       for (std::size_t i = pfds.size() - base; i < worker.clients.size();
            ++i) {
-        service_client(worker.clients[i], pairs);
+        service_client(worker.clients[i]);
       }
       std::erase_if(worker.clients,
                     [](const Client& client) { return client.fd < 0; });
@@ -959,11 +925,7 @@ class ServerCore {
           client.shm_offer_pending = false;
           bump(kSubscribesReceived);
         } else if (control.kind == FrameKind::kMetricszRequest) {
-          // Solicited exposition: flag the client and ask the collector
-          // to render at its next tick; service_client ships the page
-          // once one rendered at/after the request.
-          client.metricsz_pending = true;
-          metricsz_wanted_.store(true, std::memory_order_relaxed);
+          client.metricsz_pending = true;  // rendered by service_client
         } else if (control.kind == FrameKind::kShmRequest) {
           bump(kShmRequestsReceived);
           // Answered by service_client with the client's group ring —
@@ -1066,16 +1028,26 @@ class ServerCore {
     return raw;
   }
 
+  /// Copies the group's published tick into `out` under an epoch guard
+  /// (the shared_ptr copies extend every payload past the guard). False
+  /// while the group has none (born after the last pass).
+  bool load_tick(const FilterGroup& group, GroupTick& out) {
+    const base::EpochDomain::Guard eguard(epochs_);
+    const GroupTick* published = group.tick.load(std::memory_order_acquire);
+    if (published == nullptr) return false;
+    out = *published;
+    return true;
+  }
+
   /// The backpressure policy (see server.hpp), one path for every
   /// client: finish the in-flight frame; once drained, hand the client
-  /// the NEWEST state of its group in the cheapest applicable encoding.
-  /// The group's current GroupTick is copied under an epoch guard (the
-  /// shared_ptr copies extend every payload past the guard), then served
-  /// without a lock: a re-basing full when needed (the one rare path,
-  /// with a per-group cache mutex), the group's shared tick delta when
-  /// in step, a per-client catch-up delta when lagged, and nothing at
-  /// all while the group is quiet.
-  void service_client(Client& client, std::vector<DeltaRow>& pairs) {
+  /// the NEWEST state of its group in the cheapest applicable encoding,
+  /// served from the group's published GroupTick without a lock: a
+  /// re-basing full when needed (the one rare path, with a per-group
+  /// cache mutex), the group's shared tick delta when in step, a
+  /// per-client catch-up delta when lagged, and nothing at all while the
+  /// group is quiet.
+  void service_client(Client& client) {
     if (client.fd < 0) return;
     const bool drained = flush(client);
     if (client.fd < 0) return;
@@ -1106,25 +1078,15 @@ class ServerCore {
         return;
       }
     }
+    GroupTick tick;
     // A pending metricsz page rides the data channel between frames,
     // exactly like an shm offer — and is served to every client state
     // (shm consumers keep their control TCP).
-    if (client.metricsz_pending) {
-      if (client.metricsz_req_seq == 0) {
-        client.metricsz_req_seq = head == 0 ? 1 : head;
-      }
-      std::shared_ptr<const std::string> page;
-      {
-        std::lock_guard lock(metricsz_mutex_);
-        if (metricsz_seq_ >= client.metricsz_req_seq) page = metricsz_page_;
-      }
-      if (page) {
-        client.metricsz_pending = false;
-        client.metricsz_req_seq = 0;
-        set_inflight(client, std::move(page));
-        flush(client);
-        return;
-      }
+    if (client.metricsz_pending && load_tick(group, tick)) {
+      client.metricsz_pending = false;
+      set_inflight(client, metricsz_page(tick));
+      flush(client);
+      return;
     }
     if (client.shm_consuming) {
       const GroupRing* ring = group.ring.load(std::memory_order_acquire);
@@ -1138,13 +1100,7 @@ class ServerCore {
       // read_inbound for the same reason.)
       client.shm_consuming = false;
     }
-    GroupTick tick;
-    {
-      const base::EpochDomain::Guard eguard(epochs_);
-      const GroupTick* published = group.tick.load(std::memory_order_acquire);
-      if (published == nullptr) return;  // group born after the last pass
-      tick = *published;
-    }
+    if (!load_tick(group, tick)) return;
     // Re-base against the group's WIRE label, not the raw registry
     // version: a create outside the subset bumps the registry but not
     // wire_regver, so in-step members keep streaming deltas.
@@ -1159,9 +1115,8 @@ class ServerCore {
         flush(client);
         return;
       }
-      if (send_catch_up(client, tick, pairs)) return;
-      // The walk refused (a create shifted the indices since the tick):
-      // heal with the tick's full right away.
+      send_catch_up(client, tick);
+      return;
     }
     if (tick.pass_seq <= client.sent_seq) return;  // re-base next tick
     set_inflight(client, group_full(group, tick));
@@ -1174,27 +1129,14 @@ class ServerCore {
 
   /// A lagging client (below the shared delta's basis): a per-client
   /// delta of what moved in its group's subset since its last
-  /// fully-sent frame. The registry's changed-since walk over the tick's
-  /// selection, guarded by the tick's registry version, only names the
-  /// rows; their values come from the tick record, and the delta is
-  /// labeled and stamped with the tick's pass. That is complete: a row
-  /// that changed in (sent_seq, pass_seq] has changed_seq > sent_seq
-  /// whatever happened to it later, and the tick's values are absolute —
-  /// exactly the state at pass_seq. The walk reads the newest change
-  /// columns, so once the next sweep has run it also names rows that
-  /// moved only after pass_seq; the tick holds their state at pass_seq
-  /// too, so those records are redundant, not wrong (and a top-k still
-  /// empty at pass_seq writes none, see encode_delta_frame). False when
-  /// the walk's version guard refused (a create shifted the indices) —
-  /// the caller falls back to a full.
-  bool send_catch_up(Client& client, const GroupTick& tick,
-                     std::vector<DeltaRow>& pairs) {
-    pairs.clear();
-    if (!hooks_.changed_since(client.sent_seq,
-                              tick.record->registry_version,
-                              tick.selection.get(), pairs)) {
-      return false;
-    }
+  /// fully-sent frame — the rows of the tick's selection that its record
+  /// stamps after the client's sent_seq, valued from the same record,
+  /// labeled and stamped with the tick's pass. That is complete and
+  /// exact: the stamps and values are both the state at pass_seq, so a
+  /// row that changed in (sent_seq, pass_seq] is named and nothing
+  /// later is. Its positions are the selection's, so a create outside
+  /// the subset (the group's wire label unmoved) changes nothing here.
+  void send_catch_up(Client& client, const GroupTick& tick) {
     if (tick.pass_seq > client.sent_seq + 1) {
       bump(kFramesCoalesced, tick.pass_seq - client.sent_seq - 1);
     }
@@ -1202,12 +1144,27 @@ class ServerCore {
     // the client's table.
     auto buf = std::make_shared<std::string>();
     encode_delta_frame(tick.pass_seq, tick.wire_regver, tick.collect_ns,
-                       client.sent_seq, *tick.record, pairs, *buf);
+                       client.sent_seq, *tick.record, tick.selection.get(),
+                       *buf);
     set_inflight(client, std::move(buf));
     client.sent_seq = tick.pass_seq;
     bump(kCatchupDeltasSent);
     flush(client);
-    return true;
+  }
+
+  /// A metricsz page (a stream-ready kMetricsz frame) rendered from
+  /// `tick`: its record's `__sys/` rows — every row, whatever the
+  /// group's selection — plus the trace ring's tail, stamped with the
+  /// tick's pass. Rare (one per request), so it allocates freely.
+  std::shared_ptr<const std::string> metricsz_page(const GroupTick& tick) {
+    std::vector<shard::Sample> rows;
+    tick.record->rows_into(nullptr, rows);
+    std::string text;
+    (void)obs::render_metricsz(rows, trace_, text);
+    auto page = std::make_shared<std::string>();
+    encode_metricsz_frame(tick.pass_seq, tick.record->registry_version,
+                          tick.collect_ns, text, *page);
+    return page;
   }
 
   /// The group's full for `tick`, encoding it at most once (lazily,
@@ -1263,38 +1220,17 @@ class ServerCore {
     return subset_changed;
   }
 
-  /// The (wire position, flat row) pairs of a group's delta: the tick's
-  /// changed rows that lie in `selection`, at their positions within it
-  /// (null = pass-all: position = row). Both lists ascend by row — one
-  /// two-pointer pass.
-  static void subset_pairs(const std::vector<std::uint64_t>& changed,
-                           const std::vector<std::uint64_t>* selection,
-                           std::vector<DeltaRow>& out) {
-    out.clear();
-    std::size_t pos = 0;
-    for (const std::uint64_t row : changed) {
-      if (selection == nullptr) {
-        out.push_back({row, row});
-        continue;
-      }
-      while (pos < selection->size() && (*selection)[pos] < row) ++pos;
-      if (pos == selection->size()) break;
-      if ((*selection)[pos] == row) out.push_back({pos, row});
-    }
-  }
-
   /// The collector's per-tick, per-group pass: maintains the group's
-  /// selection against the tick's registry version, takes the tick's
-  /// changed rows in its subset and, when the subset moved (or a
-  /// heartbeat is due), encodes the ONE delta every in-step member of
-  /// the group will share; feeds the group's ring; then publishes it
-  /// all as this pass's immutable GroupTick (RCU pointer swap; the
-  /// superseded tick retires through the epoch domain). Collector
-  /// thread only.
+  /// selection against the tick's registry version and, when a row of
+  /// its subset is stamped after the group's basis (or a heartbeat is
+  /// due), encodes the ONE delta every in-step member of the group will
+  /// share; feeds the group's ring; then publishes it all as this pass's
+  /// immutable GroupTick (RCU pointer swap; the superseded tick retires
+  /// through the epoch domain). Collector thread only.
   void collector_group_pass(
       FilterGroup& group,
       const std::shared_ptr<const shard::TickRecord>& record,
-      std::uint64_t collect_ns, std::vector<DeltaRow>& pairs) {
+      std::uint64_t collect_ns) {
     const bool rebased = ensure_selection(group, *record);
     const bool members = group.refs.load(std::memory_order_relaxed) > 0;
     GroupRing* ring = group.ring.load(std::memory_order_acquire);
@@ -1312,12 +1248,14 @@ class ServerCore {
       group.sent_seq = record->pass_seq;
       group.ticks_suppressed = 0;
     } else {
-      subset_pairs(record->changed, group.selection.get(), pairs);
+      bool moved = false;
+      record->for_each_changed(group.selection.get(), group.sent_seq,
+                               [&](std::size_t, std::size_t) { moved = true; });
       // A quiet subset ships nothing (basis stays put) until a heartbeat
       // is due — except into a ring: ring readers detect a dead server
       // by a head that stops moving, so a ring group ships every tick.
-      if (pairs.empty() && ring == nullptr &&
-          ++group.ticks_suppressed < options_.group_heartbeat_ticks) {
+      if (!moved && ring == nullptr &&
+          ++group.ticks_suppressed < kGroupHeartbeatTicks) {
         bump(kGroupDeltasSuppressed);
       } else {
         auto buf = std::make_shared<std::string>();
@@ -1326,7 +1264,8 @@ class ServerCore {
         // version: across disjoint creates the stream keeps flowing
         // under the old label and nobody re-bases.
         encode_delta_frame(record->pass_seq, group.wire_regver, collect_ns,
-                           group.sent_seq, *record, pairs, *buf);
+                           group.sent_seq, *record, group.selection.get(),
+                           *buf);
         delta = std::move(buf);
         delta_base = group.sent_seq;
         group.sent_seq = record->pass_seq;
@@ -1375,7 +1314,7 @@ class ServerCore {
   }
 
   ServerOptions options_;
-  Hooks hooks_;
+  Collect collect_;
   mutable std::mutex lifecycle_mutex_;  // start/stop/stats (see start())
   std::atomic<bool> running_{false};
   /// The collector waits out each tick on tick_cv_ until running_ drops;
@@ -1408,15 +1347,6 @@ class ServerCore {
   std::shared_ptr<Instruments> instruments_;
   /// Flight recorder; null = tracing off. Not owned.
   obs::TraceRing* trace_ = nullptr;
-  /// Set by any worker that read a kMetricszRequest; the collector
-  /// exchanges it down and renders one page for every waiter.
-  std::atomic<bool> metricsz_wanted_{false};
-  /// Newest rendered metricsz page (a full kMetricsz stream frame) and
-  /// the collect sequence it was rendered at — taken only by the
-  /// collector when it renders and by workers holding a request.
-  std::mutex metricsz_mutex_;
-  std::shared_ptr<const std::string> metricsz_page_;
-  std::uint64_t metricsz_seq_ = 0;
   /// The newest collect stamp, paired with the kFramesCollected slot
   /// (the newest sequence): the apply-lag proxy reads both with relaxed
   /// loads. The pair can be torn across a tick boundary — at worst one
@@ -1431,29 +1361,11 @@ template <typename Backend>
   requires(!Backend::kInstrumented)
 SnapshotServerT<Backend>::SnapshotServerT(shard::RegistryT<Backend>& registry,
                                           unsigned pid, ServerOptions options)
-    : aggregator_(registry, pid), registry_(registry) {
-  typename detail::ServerCore::Hooks hooks;
-  hooks.collect = [this](shard::TickRecord& tick) {
+    : aggregator_(registry, pid) {
+  const auto collect = [this](shard::TickRecord& tick) {
     aggregator_.collect_tick(tick);
   };
-  hooks.changed_since = [this](std::uint64_t since,
-                               std::uint64_t expected_version,
-                               const std::vector<std::uint64_t>* selection,
-                               std::vector<DeltaRow>& out) {
-    return registry_
-        .for_each_changed_since(
-            since, expected_version,
-            [&](std::size_t index, const std::string& /*name*/,
-                std::uint64_t /*value*/, std::uint64_t /*changed_seq*/,
-                const std::vector<std::uint64_t>* /*counts*/,
-                const std::vector<std::string>* /*labels*/) {
-              out.push_back(
-                  {index, selection != nullptr ? (*selection)[index] : index});
-            },
-            selection)
-        .has_value();
-  };
-  core_ = std::make_unique<detail::ServerCore>(options, std::move(hooks));
+  core_ = std::make_unique<detail::ServerCore>(options, collect);
   if (!options.self_metrics) return;
   // The `__sys/` rows: one view per exported instrument of this server's
   // block (a restart re-points the rows a previous server left).

@@ -16,28 +16,28 @@
 //   * collector thread — every `period` (a tick waits on a condition
 //     variable until its start + period; stop() wakes it early), ONE
 //     sweep of the registry: the aggregator's sequenced collect_tick
-//     fills a tick record with every value, the vector readings, the
-//     rows this pass changed and the name table (shared per registry
-//     version), and stamps the registry's changed-since tracking. Then
-//     one pass over the groups: per group at most ONE delta encode,
-//     straight from the record's changed rows in the group's subset and
+//     fills an immutable tick record with every value, the vector
+//     readings, every row's change stamp (the pass that last changed
+//     it) and the name table (shared per registry version). Then one
+//     pass over the groups: per group at most ONE delta encode — the
+//     rows of its subset the record stamps after the group's basis —
 //     shared by every in-step member (ServerStats::
-//     filtered_delta_encodes), and nothing at all on a tick where the
-//     group's subset did not change (ServerStats::
-//     group_deltas_suppressed) until a heartbeat is due
-//     (ServerOptions::group_heartbeat_ticks) — a subscriber's receive
-//     cost scales with its subset's activity, not the fleet's. Fulls
-//     are lazy: a group's full is materialized from the record and
-//     encoded only when a member needs one, at most once per group and
-//     tick. Encoded buffers are retired by refcount when the last
-//     subscriber drains them, so a slow reader never blocks the next
-//     encode.
+//     filtered_delta_encodes), and nothing at all on a tick where no
+//     row of the subset is stamped after it (ServerStats::
+//     group_deltas_suppressed) until a heartbeat is due (every 16th
+//     quiet tick) — a subscriber's receive cost scales with its
+//     subset's activity, not the fleet's. Fulls are lazy: a group's
+//     full is materialized from the record and encoded only when a
+//     member needs one, at most once per group and tick. Encoded
+//     buffers are retired by refcount when the last subscriber drains
+//     them, so a slow reader never blocks the next encode.
 //
 //   * N I/O worker threads — a non-blocking poll() loop each, over a
 //     share of the subscriber sockets plus a self-pipe the collector
 //     rings every tick. Worker 0 also polls the listening socket and
 //     deals accepted connections round-robin. Workers read the groups'
-//     published ticks lock-free (RCU under an epoch guard).
+//     published ticks lock-free (RCU under an epoch guard) and never
+//     touch the registry: every frame they send is read from a tick.
 //
 //   * per-client backpressure — each subscriber has AT MOST one
 //     in-flight encoded frame (partial writes keep an offset; POLLOUT
@@ -45,12 +45,12 @@
 //     the tick rate simply skips frames: when its buffer drains the
 //     worker hands it the NEWEST state of its group — as the group's
 //     shared delta if that covers it, as a per-client catch-up delta
-//     (the rows the registry's changed-since walk names in the group's
-//     subset, valued from the tick) if it lagged but its name table is
-//     unchanged, or as the group's full otherwise. A RESYNC asks for
-//     that full at the next tick at the latest. Memory per client is
-//     O(one frame) regardless of how slow it reads; nobody is
-//     disconnected for being slow.
+//     (the rows of the group's subset the tick's record stamps after
+//     the client's last frame, valued from the same record) if it
+//     lagged but its name table is unchanged, or as the group's full
+//     otherwise. A RESYNC asks for that full at the next tick at the
+//     latest. Memory per client is O(one frame) regardless of how slow
+//     it reads; nobody is disconnected for being slow.
 //
 //   * acks — subscribers send { 0xAC, seq:uvarint } after applying a
 //     frame; the server tracks the fleet-wide acked floor purely as
@@ -78,18 +78,20 @@
 //     ServerOptions::self_metrics each `__sys/server.*` registry row is
 //     a read-only view of it that shares the block's ownership, and a
 //     restarted server re-points the rows at its own block
-//     (obs/self_metrics.hpp).
+//     (obs/self_metrics.hpp). A METRICSZ_REQUEST is answered by the
+//     client's I/O worker with a page rendered from its group's
+//     published tick.
 //
-// Catch-up deltas take their rows from the registry's version-guarded
-// changed-since walk over the group's selection: if a create shifted the
-// name-table indices since the tick was published, the walk refuses and
-// the subscriber gets a full frame instead (a delta against the wrong
-// table would silently misapply values). The walk only names rows; their
-// values come from the published tick, and the delta is labeled with the
-// tick's pass and stamped with its collect time. A row that changed in
-// (sent_seq, pass] has a change stamp > sent_seq whatever happened to it
-// later, and the tick's values are absolute — exactly the state at that
-// pass — so the delta is complete up to its label.
+// One change source: a delta is sound only if every record in it comes
+// from one collect pass. Group deltas and catch-ups alike take their
+// rows (the stamps) and their values from the same immutable tick
+// record, label the frame with its pass and stamp it with its collect
+// time. A row that changed in (sent_seq, pass] carries a stamp >
+// sent_seq in that record, and its values are absolute — exactly the
+// state at that pass — so the delta is complete up to its label and
+// names nothing later. Positions are the group's selection's, so a
+// create outside the subset leaves catch-ups deltas; one inside it
+// re-bases the group with a full.
 //
 // The server binds 127.0.0.1 only: the facade is an in-host scrape/
 // stream endpoint (sidecar, dashboard, load generator), not an
@@ -122,11 +124,6 @@ struct ServerOptions {
   /// Tests shrink it to force the backpressure/coalescing path without
   /// megabytes of loopback buffering in the way.
   int sndbuf = 0;
-  /// A filter group whose subset did not change ships nothing — except
-  /// one empty-delta heartbeat after this many consecutive suppressed
-  /// ticks (liveness + sequence advance for its subscribers). Minimum 1
-  /// (1 = heartbeat every tick).
-  unsigned group_heartbeat_ticks = 16;
   /// Shared-memory snapshot rings (see shm.hpp): when enabled, a
   /// filter group's first SHM_REQUEST creates a POSIX shm ring into
   /// which the collector publishes the group's frame every tick, and
@@ -195,7 +192,7 @@ struct ServerStats {
   std::uint64_t frames_in_flight = 0;
   std::uint64_t full_frames_sent = 0;    // full encodes handed to clients
   std::uint64_t delta_frames_sent = 0;   // shared group deltas
-  std::uint64_t catchup_deltas_sent = 0; // per-client changed-since deltas
+  std::uint64_t catchup_deltas_sent = 0; // per-client catch-up deltas
   /// Ticks lagging readers jumped over: each catch-up delta replaces
   /// the frames between the reader's last one and the tick it gets.
   std::uint64_t frames_coalesced = 0;
@@ -278,7 +275,6 @@ class SnapshotServerT {
 
  private:
   shard::AggregatorT<Backend> aggregator_;
-  const shard::RegistryT<Backend>& registry_;
   std::unique_ptr<detail::ServerCore> core_;
 };
 

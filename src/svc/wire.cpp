@@ -392,24 +392,24 @@ void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
 void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::uint64_t collect_ns, std::uint64_t base_seq,
                         const shard::TickRecord& tick,
-                        const std::vector<DeltaRow>& rows, std::string& out) {
+                        const std::vector<std::uint64_t>* selection,
+                        std::string& out) {
   write_frame<DeltaRecord>(
       FrameKind::kDelta, sequence, registry_version, collect_ns, &base_seq,
       [&](const auto& emit) {
         auto reading = tick.vectors.begin();
-        for (const DeltaRow& pair : rows) {
-          while (reading != tick.vectors.end() && reading->row < pair.row) {
-            ++reading;
-          }
-          if (reading == tick.vectors.end() || reading->row != pair.row) {
-            emit({pair.index, tick.values[pair.row]});
-          } else if (!reading->counts.empty()) {
-            emit({pair.index, tick.values[pair.row], &reading->counts,
-                  &reading->labels});
-          }
-          // else a top-k with no rows yet, which writes no record (see
-          // the declaration).
-        }
+        tick.for_each_changed(
+            selection, base_seq, [&](std::size_t position, std::size_t row) {
+              while (reading != tick.vectors.end() && reading->row < row) {
+                ++reading;
+              }
+              if (reading == tick.vectors.end() || reading->row != row) {
+                emit({position, tick.values[row]});
+              } else {
+                emit({position, tick.values[row], &reading->counts,
+                      &reading->labels});
+              }
+            });
       },
       out);
 }

@@ -48,11 +48,11 @@
 // and bound once, in the registry's name-sorted flat-table order — that
 // order IS the name table. A DELTA frame then references entries by
 // table index only, carrying just those that changed since `base_seq`
-// (the registry's for_each_changed_since walk); an empty delta is the
-// unchanged-fleet heartbeat. A delta key below 128 (a scalar at index
-// < 64) is one byte. Deltas are only meaningful against the same
-// `registry_version` (otherwise the table grew — the server falls back
-// to a full frame, and a decoder must reject the mismatch with
+// (the rows a sequenced pass's record stamps after it); an empty delta
+// is the unchanged-fleet heartbeat. A delta key below 128 (a scalar at
+// index < 64) is one byte. Deltas are only meaningful against the same
+// `registry_version` (otherwise the table grew — the server sends a
+// full frame instead, and a decoder must reject the mismatch with
 // kNeedFull).
 //
 // Vector entries. A histogram (model 3) ships its bucket edges as edge0
@@ -144,14 +144,6 @@ struct DeltaEntry {
   std::uint64_t value = 0;
   std::vector<std::uint64_t> buckets;
   std::vector<std::string> labels;  // top-k rows only
-};
-
-/// One record of a delta encoded straight from a sequenced pass: the
-/// entry's wire index (its position in the receiving view's name table)
-/// and the registry row whose reading it carries.
-struct DeltaRow {
-  std::uint64_t index = 0;
-  std::uint64_t row = 0;
 };
 
 /// Bytes the stream framing adds in front of every payload (u32le
@@ -323,19 +315,18 @@ void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         const std::vector<DeltaEntry>& entries,
                         std::string& out);
 
-/// The same DELTA frame encoded straight from a sequenced pass: one
-/// record per `rows` pair, carrying `tick`'s reading of the pair's row
-/// under its wire index. `rows` ascend by row. Both forms share one
-/// record writer, so equal records encode to equal bytes. A pair whose
-/// row reads as a top-k with no rows yet writes no record: a delta never
-/// carries an empty directory, and none needs to — slots never clear, so
-/// the directory was empty at every earlier pass too. (A catch-up's
-/// changed-since walk can name such a row when it runs a pass ahead of
-/// `tick`.)
+/// The same DELTA frame read straight from a sequenced pass: one record
+/// per row of `selection` (ascending flat rows; null = every row)
+/// stamped after `base_seq` in `tick`, carrying the tick's reading under
+/// the row's position in the selection — the receiving view's name
+/// table index. Every record comes from that one pass, so the frame
+/// moves a view at `base_seq` to exactly `tick`. Both forms share one
+/// record writer, so equal records encode to equal bytes.
 void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::uint64_t collect_ns, std::uint64_t base_seq,
                         const shard::TickRecord& tick,
-                        const std::vector<DeltaRow>& rows, std::string& out);
+                        const std::vector<std::uint64_t>* selection,
+                        std::string& out);
 
 // --- decoding ---------------------------------------------------------
 

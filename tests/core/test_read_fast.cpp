@@ -122,13 +122,12 @@ TEST(ReadFast, WaitFreeUnderContinuousIncrements) {
   for (auto& thread : incrementers) thread.join();
 }
 
-// The retry loop is bounded through the helping array (ROADMAP
-// follow-up replacing the fixed 8 attempts): every failed verification
-// witnesses a fresh announce, and after at most 2n+1 post-baseline
-// failures some process's H-pair has advanced by ≥ 2, which returns a
-// helped value. Pin the 2n+2 attempt bound under a writer-greedy
-// adversarial schedule that maximizes boundary movement between the
-// reader's probes.
+// The retry loop is bounded through the helping array: every failed
+// verification witnesses a fresh announce, and after at most 2n+1
+// post-baseline failures some process's H-pair has advanced by ≥ 2,
+// which returns a helped value. Pin the 2n+2 attempt bound under a
+// writer-greedy adversarial schedule that maximizes boundary movement
+// between the reader's probes.
 class ReadFastRetryBound : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReadFastRetryBound, AttemptsBoundedByHelping) {

@@ -183,7 +183,7 @@ TEST(SnapshotRetirement, ConcurrentScannersKeepViewsSafe) {
 }
 
 TEST(SnapshotRetirement, ContinuouslyOverlappingScansHardCapRegression) {
-  // The ROADMAP item 1 upgrade, pinned as a regression test. The old
+  // The hard retirement cap, pinned as a regression test. The old
   // scheme freed only at *observed* scan quiescence, so back-to-back
   // scanners made the cap soft (the backlog could grow with the update
   // count). With per-reader epochs (base/epoch.hpp) the bound is HARD

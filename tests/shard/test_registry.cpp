@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/backend.hpp"
@@ -34,14 +35,24 @@ std::vector<std::uint64_t> walked_rows(const Registry& registry,
   return rows;
 }
 
+/// The flat rows `tick` stamps after `since`, ascending.
+std::vector<std::uint64_t> stamped_rows(const TickRecord& tick,
+                                        std::uint64_t since) {
+  std::vector<std::uint64_t> rows;
+  tick.for_each_changed(nullptr, since, [&](std::size_t, std::size_t row) {
+    rows.push_back(row);
+  });
+  return rows;
+}
+
 /// One sequenced sweep as pass `seq` (pid 0), checked against the walk:
-/// the rows the sweep lists as changed are exactly the rows the
+/// the rows the sweep stamps with its own pass are exactly the rows the
 /// changed-since walk reports for that pass.
 TickRecord sweep(const Registry& registry, std::uint64_t seq) {
   TickRecord tick;
   registry.collect_tick(0, seq, tick);
   EXPECT_EQ(tick.pass_seq, seq);
-  EXPECT_EQ(tick.changed,
+  EXPECT_EQ(stamped_rows(tick, seq - 1),
             walked_rows(registry, seq - 1, tick.registry_version))
       << "pass " << seq;
   return tick;
@@ -215,7 +226,7 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   std::uint64_t version = tick.registry_version;
   EXPECT_EQ(version, registry.version());
   // Pass 1 baselines: every entry is new, so everything changed at 1.
-  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{1, 1}));
   EXPECT_EQ(tick.values, (std::vector<std::uint64_t>{1, 0}));
   std::size_t visited = 0;
   auto upto = registry.for_each_changed_since(
@@ -230,7 +241,7 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   // Pass 2 with an untouched fleet: the delta since pass 1 is EMPTY.
   tick = sweep(registry, 2);
   version = tick.registry_version;
-  EXPECT_TRUE(tick.changed.empty());
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{1, 1}));
   visited = 0;
   upto = registry.for_each_changed_since(
       1, version,
@@ -245,7 +256,7 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   // collected value and the changing pass's sequence.
   a.increment(0);
   tick = sweep(registry, 3);
-  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{3, 1}));
   upto = registry.for_each_changed_since(
       2, version,
       [&](std::size_t index, const std::string& name, std::uint64_t value,
@@ -282,80 +293,88 @@ TEST(Registry, ForEachChangedSinceYieldsEmptyDeltaOnUnchangedFleet) {
   EXPECT_FALSE(upto.has_value());
   EXPECT_EQ(visited, 0u);
 
-  // The pass right after the create lists the new row as changed, under
-  // the new version, with a name table rebuilt to hold it.
+  // The pass right after the create stamps the new row, under the new
+  // version, with a name table rebuilt to hold it.
   const std::shared_ptr<const std::vector<Sample>> old_names = tick.names;
   tick = sweep(registry, 4);
   EXPECT_EQ(tick.registry_version, registry.version());
-  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{2}));  // "c"
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{3, 1, 4}));  // "c"
   ASSERT_EQ(tick.names->size(), 3u);
   EXPECT_EQ((*tick.names)[2].name, "c");
   EXPECT_EQ(old_names->size(), 2u);  // the old record's table is intact
   // Quiet again: the next pass shares the name table and changes nothing.
   const TickRecord quiet = sweep(registry, 5);
   EXPECT_EQ(quiet.names, tick.names);
-  EXPECT_TRUE(quiet.changed.empty());
+  EXPECT_EQ(quiet.changed_seq, tick.changed_seq);
 }
 
-TEST(Registry, FilteredChangedSinceWalkReportsSubsetPositions) {
-  // The service layer's per-subscription delta walk: restricted to a
-  // selection of flat-table rows, reporting positions WITHIN the
-  // selection (the index space of a filtered wire name table).
+TEST(Registry, TickRecordNamesChangedRowsAtSubsetPositions) {
+  // The service layer's per-group delta rows, read from one pass's
+  // record: restricted to a selection of flat-table rows, the rows
+  // stamped after a basis come at their positions WITHIN the selection
+  // (the index space of a filtered wire name table).
   Registry registry(2);
   AnyCounter& a = registry.create("a", {ErrorModel::kExact, 0, 1});
   registry.create("b", {ErrorModel::kExact, 0, 1});
   AnyCounter& c = registry.create("c", {ErrorModel::kExact, 0, 1});
-  registry.create("d", {ErrorModel::kExact, 0, 1});
+  AnyCounter& d = registry.create("d", {ErrorModel::kExact, 0, 1});
 
   (void)sweep(registry, 1);
   a.increment(0);
   c.increment(0);
-  const std::uint64_t version = sweep(registry, 2).registry_version;
+  const TickRecord tick = sweep(registry, 2);
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{2, 1, 2, 1}));
 
   // Selection {a, c, d} = flat rows {0, 2, 3}; since pass 1 only a and
   // c moved, so subset positions 0 ("a") and 1 ("c") are visited — "d"
   // (position 2) is not, and "b" is invisible to this subscription.
+  using Visit = std::pair<std::size_t, std::size_t>;  // (position, row)
   const std::vector<std::uint64_t> selection = {0, 2, 3};
-  std::vector<std::size_t> subset_positions;
-  std::vector<std::string> names;
-  const auto record = [&](std::size_t subset_index, const std::string& name,
-                          std::uint64_t value, std::uint64_t changed_seq,
-                          const std::vector<std::uint64_t>*,
-                          const std::vector<std::string>*) {
-    subset_positions.push_back(subset_index);
-    names.push_back(name);
-    EXPECT_EQ(value, 1u);
-    EXPECT_EQ(changed_seq, 2u);
+  std::vector<Visit> visits;
+  const auto record = [&](std::size_t position, std::size_t row) {
+    visits.emplace_back(position, row);
   };
-  auto upto = registry.for_each_changed_since(1, version, record, &selection);
-  ASSERT_TRUE(upto.has_value());
-  EXPECT_EQ(*upto, 2u);
-  ASSERT_EQ(subset_positions.size(), 2u);
-  EXPECT_EQ(subset_positions[0], 0u);
-  EXPECT_EQ(subset_positions[1], 1u);
-  EXPECT_EQ(names[0], "a");
-  EXPECT_EQ(names[1], "c");
+  tick.for_each_changed(&selection, 1, record);
+  EXPECT_EQ(visits, (std::vector<Visit>{{0, 0}, {1, 2}}));
 
-  // Without a selection the same walk reports flat positions.
-  subset_positions.clear();
-  names.clear();
-  upto = registry.for_each_changed_since(1, version, record);
-  ASSERT_EQ(subset_positions.size(), 2u);
-  EXPECT_EQ(subset_positions[1], 2u);  // "c" is flat row 2
-  EXPECT_EQ(names[1], "c");
+  // Without a selection the same rows come at their flat positions.
+  visits.clear();
+  tick.for_each_changed(nullptr, 1, record);
+  EXPECT_EQ(visits, (std::vector<Visit>{{0, 0}, {2, 2}}));
 
-  const auto never = [](std::size_t, const std::string&, std::uint64_t,
-                        std::uint64_t, const std::vector<std::uint64_t>*,
-                        const std::vector<std::string>*) { FAIL(); };
-  // Version guard: a stale expected_version refuses the walk.
-  EXPECT_FALSE(registry.for_each_changed_since(0, version + 1, never,
-                                               &selection)
-                   .has_value());
-  // An out-of-range selection index (built against some other table)
-  // refuses too, rather than visiting a misaligned subset.
-  const std::vector<std::uint64_t> bogus = {0, 99};
-  EXPECT_FALSE(
-      registry.for_each_changed_since(0, version, never, &bogus).has_value());
+  // Since pass 0 the whole selection moved; since pass 2 nothing did.
+  visits.clear();
+  tick.for_each_changed(&selection, 0, record);
+  EXPECT_EQ(visits, (std::vector<Visit>{{0, 0}, {1, 2}, {2, 3}}));
+  visits.clear();
+  tick.for_each_changed(&selection, 2, record);
+  EXPECT_TRUE(visits.empty());
+
+  // The record is the pass's, not the registry's: a later pass that
+  // stamps "d" leaves it as it was.
+  d.increment(0);
+  (void)sweep(registry, 3);
+  tick.for_each_changed(&selection, 2, record);
+  EXPECT_TRUE(visits.empty());
+}
+
+TEST(Registry, RestartedSequencerStartsAFreshChangeStream) {
+  // A restarted server's new aggregator numbers its passes from 1
+  // again. Its first pass drops the old stream's stamps, so a row that
+  // does not move reads as unchanged in the new stream, not as changed
+  // in every delta until the new numbering caught up.
+  Registry registry(2);
+  AnyCounter& a = registry.create("a", {ErrorModel::kExact, 0, 1});
+  registry.create("b", {ErrorModel::kExact, 0, 1});
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    a.increment(0);
+    (void)sweep(registry, seq);
+  }
+  TickRecord tick = sweep(registry, 1);  // the new stream: nothing moved
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{0, 0}));
+  a.increment(0);
+  tick = sweep(registry, 2);
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{2, 0}));
 }
 
 // Minimal in-test instruments for the vector-entry registry contracts
@@ -649,7 +668,7 @@ TEST(Aggregator, SequencedCollectFeedsChangedSinceTracking) {
   EXPECT_EQ(visited, 1u);
   EXPECT_EQ(upto.value_or(0), third.pass_seq);
   EXPECT_EQ(third.values[0], 1u);
-  EXPECT_EQ(third.changed, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(third.changed_seq, (std::vector<std::uint64_t>{third.pass_seq}));
 
   // A plain aggregator on the same registry reads through the
   // shared-lock pass and leaves the tracking columns alone — its

@@ -172,7 +172,7 @@ TEST(HistogramRegistry, CreateCollectAndChangeTracking) {
   hist->record(0, 5);
   hist->flush(0);
   registry.collect_tick(1, 2, tick);
-  EXPECT_EQ(tick.changed, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(tick.changed_seq, (std::vector<std::uint64_t>{2, 1}));
   ASSERT_EQ(tick.vectors.size(), 1u);
   EXPECT_EQ(tick.vectors[0].counts[0], 11u);
   EXPECT_EQ(tick.values[0], 1001u);  // the derived count sum

@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 
 #include "base/backend.hpp"
 #include "obs/self_metrics.hpp"
+#include "obs/trace_ring.hpp"
 #include "shard/registry.hpp"
 #include "stats/histogram.hpp"
 #include "svc/client.hpp"
@@ -45,6 +47,21 @@ bool await_value(TelemetryClient& client, const std::string& name,
     }
   }
   return false;
+}
+
+/// A blocking loopback connection to `port` (-1 on failure).
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 TEST(SnapshotServer, StartStopIdempotentAndPortAssigned) {
@@ -710,22 +727,8 @@ TEST(SnapshotServer, MalformedControlRecordsCloseTheOffender) {
   ASSERT_TRUE(wellbehaved.connect(server.port()));
   ASSERT_TRUE(wellbehaved.poll_frame(kFrameTimeout));
 
-  auto raw_connect = [&] {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  };
-
   // A control record claiming an absurd payload length.
-  int liar = raw_connect();
+  int liar = raw_connect(server.port());
   ASSERT_GE(liar, 0);
   std::string huge;
   huge.push_back(static_cast<char>(kControlByte));
@@ -740,7 +743,7 @@ TEST(SnapshotServer, MalformedControlRecordsCloseTheOffender) {
   EXPECT_EQ(server.stats().clients_closed, 1u);
 
   // A correctly-framed control record with a garbage payload.
-  int garbler = raw_connect();
+  int garbler = raw_connect(server.port());
   ASSERT_GE(garbler, 0);
   std::string garbage;
   garbage.push_back(static_cast<char>(kControlByte));
@@ -773,14 +776,8 @@ TEST(SnapshotServer, GarbageInboundBytesCloseTheOffender) {
   ASSERT_TRUE(wellbehaved.connect(server.port()));
   ASSERT_TRUE(wellbehaved.poll_frame(kFrameTimeout));
   // A raw connection speaking the wrong protocol (an HTTP probe, say).
-  int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  int raw = raw_connect(server.port());
   ASSERT_GE(raw, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
   ASSERT_GT(::send(raw, garbage, sizeof(garbage) - 1, 0), 0);
   // The server closes the garbage speaker; the compliant ones live on.
@@ -881,7 +878,6 @@ TEST(SnapshotServer, IdleSubsetHeartbeatsCarryClockAndStalenessSplit) {
   quiet.increment(0);
   ServerOptions options;
   options.period = 5ms;
-  options.group_heartbeat_ticks = 2;
   SnapshotServer server(registry, 3, options);
   ASSERT_TRUE(server.start());
 
@@ -1224,15 +1220,8 @@ TEST(SnapshotServer, EvictionDisabledKeepsStalledPeerOpen) {
   SnapshotServer server(registry, 1, options);
   ASSERT_TRUE(server.start());
 
-  const int stalled = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int stalled = raw_connect(server.port());
   ASSERT_GE(stalled, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(stalled, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
 
   // Stall for far longer than the other test's deadline.
   for (int i = 0; i < 100; ++i) {
@@ -1581,6 +1570,125 @@ TEST(SnapshotServer, RestartedServerRepointsTheSysRowsAtItsOwnCounts) {
               stats.frames_collected);
   }
   EXPECT_EQ(registry.size(), 24u);  // the rows were re-pointed, not added
+}
+
+// --- the metricsz exchange ---------------------------------------------
+
+bool send_all(int fd, const std::string& bytes) {
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads `fd`'s data stream until a METRICSZ frame arrives, skipping the
+/// FULL/DELTA frames the server streams around it, as tools/obs_dump
+/// does. `buf` carries bytes past the page over to the next call. The
+/// page's text and header sequence land in `text` and `seq`; false on
+/// EOF, timeout or a malformed page.
+bool read_metricsz(int fd, std::string& buf, std::string& text,
+                   std::uint64_t& seq) {
+  const auto deadline = std::chrono::steady_clock::now() + kFrameTimeout;
+  char chunk[16 * 1024];
+  while (true) {
+    while (buf.size() >= kFramePrefixBytes) {
+      const std::uint32_t len = read_u32le(buf.data());
+      if (buf.size() < kFramePrefixBytes + len) break;
+      const std::string payload = buf.substr(kFramePrefixBytes, len);
+      buf.erase(0, kFramePrefixBytes + len);
+      if (payload.size() < 4 ||
+          static_cast<unsigned char>(payload[3]) !=
+              static_cast<unsigned char>(FrameKind::kMetricsz)) {
+        continue;
+      }
+      const char* cursor = payload.data() + 4;
+      return read_uvarint(&cursor, payload.data() + payload.size(), seq) &&
+             decode_metricsz(payload, text);
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left <= 0ms) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) continue;
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buf.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(SnapshotServer, MetricszRequestsAreAnsweredWithRenderedPages) {
+  // The kind-7/kind-8 exchange over raw sockets: a METRICSZ_REQUEST is
+  // answered on the data channel, between data frames, with the
+  // `__sys/` rows and the trace ring's tail rendered as text — once per
+  // request, and for a client in a filter group too.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("fleet/c", {ErrorModel::kExact, 0, 1});
+  obs::TraceRing ring(256);
+  ServerOptions options;
+  options.period = 5ms;
+  options.self_metrics = true;
+  options.trace = &ring;
+  options.ack_deadline_ticks = 0;  // the raw sockets never ack
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+  TelemetryClient clients[2];
+  for (TelemetryClient& client : clients) {
+    ASSERT_TRUE(client.connect(server.port()));
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  // A page rendered from a tick collected after this one counts both
+  // accepts.
+  const std::uint64_t accepted_by = server.stats().frames_collected;
+  for (int i = 0; i < 400 && server.stats().frames_collected <= accepted_by;
+       ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_GT(server.stats().frames_collected, accepted_by);
+
+  std::string request;
+  encode_metricsz_request_record(request);
+  const int fd = raw_connect(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, request));
+  std::string buf;
+  std::string page;
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(read_metricsz(fd, buf, page, seq));
+  EXPECT_GT(seq, accepted_by);
+  const std::string row = "\napprox_sys_server_clients_accepted ";
+  const std::size_t at = page.find(row);
+  ASSERT_NE(at, std::string::npos) << page;
+  EXPECT_GE(std::stoull(page.substr(at + row.size())), 2u) << page;
+  EXPECT_NE(page.find("] client_connect a="), std::string::npos) << page;
+
+  // A second request on the same socket gets a second page.
+  ASSERT_TRUE(send_all(fd, request));
+  std::string again;
+  std::uint64_t again_seq = 0;
+  ASSERT_TRUE(read_metricsz(fd, buf, again, again_seq));
+  EXPECT_GE(again_seq, seq);
+  EXPECT_NE(again.find(row), std::string::npos) << again;
+  ::close(fd);
+
+  // A socket in a filter group is answered too.
+  const int sys = raw_connect(server.port());
+  ASSERT_GE(sys, 0);
+  SubscriptionFilter filter;
+  filter.prefixes = {"__sys/"};
+  std::string subscribe;
+  ASSERT_TRUE(encode_subscribe_record(filter, subscribe));
+  ASSERT_TRUE(send_all(sys, subscribe + request));
+  std::string sys_buf;
+  std::string sys_page;
+  std::uint64_t sys_seq = 0;
+  ASSERT_TRUE(read_metricsz(sys, sys_buf, sys_page, sys_seq));
+  EXPECT_NE(sys_page.find(row), std::string::npos) << sys_page;
+  ::close(sys);
+  server.stop();
 }
 
 TEST(SnapshotServer, TopTalkersKeepTheirFirstPeersPastCapacity) {

@@ -767,12 +767,13 @@ TEST(WireIntegration, DeltaOnTopOfFullEqualsSnapshotAll) {
 }
 
 TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
-  // The server encodes every delta straight from its pass's tick record:
-  // a group delta from the tick's changed rows (all of them for
-  // pass-all, the ones in the group's selection otherwise), a catch-up
-  // from the rows a changed-since walk names. Each must equal, byte for
-  // byte, encode_delta_frame of the DeltaEntry list a changed-since walk
-  // builds from the same pass, and move a view to exactly that pass.
+  // The server reads every delta straight from its pass's tick record:
+  // the rows of a selection (null: pass-all) the record stamps after the
+  // delta's basis — a group delta from the group's basis, a catch-up
+  // from a lagging client's. Each must equal, byte for byte,
+  // encode_delta_frame of the DeltaEntry list a changed-since walk run
+  // at the same pass builds (restricted to the selection), and move a
+  // view to exactly that pass.
   shard::RegistryT<base::DirectBackend> registry(2);
   shard::AnyCounter& exact = registry.create("app/exact", {ErrorModel::kExact});
   shard::AnyCounter& mult =
@@ -797,62 +798,32 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
     }
     return rows;
   };
-  // The group delta's pairs: the tick's changed rows in the selection,
-  // at their positions within it (null selection: pass-all).
-  const auto group_rows = [](const shard::TickRecord& tick,
-                             const std::vector<std::uint64_t>* selection) {
-    std::vector<DeltaRow> rows;
-    for (const std::uint64_t row : tick.changed) {
-      if (selection == nullptr) {
-        rows.push_back({row, row});
-        continue;
-      }
-      const auto it =
-          std::lower_bound(selection->begin(), selection->end(), row);
-      if (it != selection->end() && *it == row) {
-        rows.push_back(
-            {static_cast<std::uint64_t>(it - selection->begin()), row});
-      }
-    }
-    return rows;
-  };
-  // The catch-up's pairs: the walk names the rows, nothing more.
-  const auto walk_rows = [&](std::uint64_t since, std::uint64_t version,
-                             const std::vector<std::uint64_t>* selection) {
-    std::vector<DeltaRow> rows;
-    EXPECT_TRUE(registry
-                    .for_each_changed_since(
-                        since, version,
-                        [&](std::size_t index, const std::string&,
-                            std::uint64_t, std::uint64_t,
-                            const std::vector<std::uint64_t>*,
-                            const std::vector<std::string>*) {
-                          rows.push_back({index, selection != nullptr
-                                                     ? (*selection)[index]
-                                                     : index});
-                        },
-                        selection)
-                    .has_value());
-    return rows;
-  };
   // The reference: the DeltaEntry list a changed-since walk builds,
-  // values and all.
+  // values and all, keeping the selection's rows at their positions in
+  // it.
   const auto walk_entries = [&](std::uint64_t since, std::uint64_t version,
                                 const std::vector<std::uint64_t>* selection) {
     std::vector<DeltaEntry> entries;
     EXPECT_TRUE(registry
                     .for_each_changed_since(
                         since, version,
-                        [&](std::size_t index, const std::string&,
+                        [&](std::size_t row, const std::string&,
                             std::uint64_t value, std::uint64_t,
                             const std::vector<std::uint64_t>* counts,
                             const std::vector<std::string>* labels) {
+                          std::size_t position = row;
+                          if (selection != nullptr) {
+                            const auto it = std::lower_bound(
+                                selection->begin(), selection->end(), row);
+                            if (it == selection->end() || *it != row) return;
+                            position = static_cast<std::size_t>(
+                                it - selection->begin());
+                          }
                           entries.emplace_back(
-                              index, value,
+                              position, value,
                               counts ? *counts : std::vector<std::uint64_t>{},
                               labels ? *labels : std::vector<std::string>{});
-                        },
-                        selection)
+                        })
                     .has_value());
     return entries;
   };
@@ -871,15 +842,16 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
     }
   };
   // Encodes one delta both ways, checks the bytes match, and applies it.
+  // The walk reads the registry's newest columns, so `tick` must be the
+  // newest pass.
   const auto check = [&](const shard::TickRecord& tick, std::uint64_t since,
                          std::uint64_t wire_version,
                          const std::vector<std::uint64_t>* selection,
-                         const std::vector<DeltaRow>& rows,
                          MaterializedView& view) {
     std::string from_tick;
     std::string from_walk;
-    encode_delta_frame(tick.pass_seq, wire_version, 99, since, tick, rows,
-                       from_tick);
+    encode_delta_frame(tick.pass_seq, wire_version, 99, since, tick,
+                       selection, from_tick);
     encode_delta_frame(tick.pass_seq, wire_version, 99, since,
                        walk_entries(since, tick.registry_version, selection),
                        from_walk);
@@ -887,8 +859,8 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
     EXPECT_LE(from_tick.capacity(), from_tick.size() + 32);  // no slack
     // A buffer with room is written in place, not reallocated.
     const char* const reused = from_walk.data();
-    encode_delta_frame(tick.pass_seq, wire_version, 99, since, tick, rows,
-                       from_walk);
+    encode_delta_frame(tick.pass_seq, wire_version, 99, since, tick,
+                       selection, from_walk);
     EXPECT_EQ(from_walk.data(), reused);
     EXPECT_EQ(from_walk, from_tick);
     MaterializedView twin = view;
@@ -906,6 +878,16 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
     std::string wire;
     encode_full_frame(frame, 0, wire);
     return wire;
+  };
+  // Whether a delta from `since` read from `tick` names flat row `row`.
+  const auto names_row = [](const shard::TickRecord& tick, std::uint64_t since,
+                            const std::vector<std::uint64_t>* selection,
+                            std::uint64_t row) {
+    bool named = false;
+    tick.for_each_changed(selection, since, [&](std::size_t, std::size_t r) {
+      named |= r == row;
+    });
+    return named;
   };
 
   for (int i = 0; i < 5; ++i) exact.increment(0);
@@ -932,11 +914,11 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
   top->update(0, "peer-b", 90);
   shard::TickRecord second;
   aggregator.collect_tick(second);
-  ASSERT_EQ(second.changed.size(), 5u);
-  check(second, first.pass_seq, second.registry_version, nullptr,
-        group_rows(second, nullptr), all_view);
-  check(second, first.pass_seq, app_wire_version, &app,
-        group_rows(second, &app), app_view);
+  ASSERT_EQ(std::count(second.changed_seq.begin(), second.changed_seq.end(),
+                       second.pass_seq),
+            5);
+  check(second, first.pass_seq, second.registry_version, nullptr, all_view);
+  check(second, first.pass_seq, app_wire_version, &app, app_view);
   MaterializedView lagging = app_view;  // a member that will fall behind
 
   // Two more passes; the catch-up from `second` covers both, including a
@@ -948,11 +930,9 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
   exact.increment(0);
   shard::TickRecord fourth;
   aggregator.collect_tick(fourth);
-  check(fourth, second.pass_seq, app_wire_version, &app,
-        walk_rows(second.pass_seq, fourth.registry_version, &app), lagging);
+  check(fourth, second.pass_seq, app_wire_version, &app, lagging);
   MaterializedView all_lagging = all_view;
   check(fourth, second.pass_seq, fourth.registry_version, nullptr,
-        walk_rows(second.pass_seq, fourth.registry_version, nullptr),
         all_lagging);
 
   // A row created between two passes, sorted ahead of the filter's rows:
@@ -967,35 +947,26 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
   shard::TickRecord fifth;
   aggregator.collect_tick(fifth);
   ASSERT_NE(fifth.registry_version, fourth.registry_version);
-  EXPECT_EQ(fifth.changed.front(), 0u);  // "aaa/new" is flat row 0
+  EXPECT_EQ(fifth.changed_seq.front(), fifth.pass_seq);  // "aaa/new" is row 0
   const std::vector<std::uint64_t> shifted = app_selection(fifth);
   ASSERT_EQ(shifted.size(), app.size());
-  check(fifth, fourth.pass_seq, app_wire_version, &shifted,
-        group_rows(fifth, &shifted), lagging);
+  check(fifth, fourth.pass_seq, app_wire_version, &shifted, lagging);
   std::string all_from_tick;
   std::string all_from_walk;
   encode_delta_frame(fifth.pass_seq, fifth.registry_version, 0,
-                     fourth.pass_seq, fifth, group_rows(fifth, nullptr),
-                     all_from_tick);
+                     fourth.pass_seq, fifth, nullptr, all_from_tick);
   encode_delta_frame(fifth.pass_seq, fifth.registry_version, 0,
                      fourth.pass_seq,
                      walk_entries(fourth.pass_seq, fifth.registry_version,
                                   nullptr),
                      all_from_walk);
   EXPECT_EQ(all_from_tick, all_from_walk);
-  check(fifth, second.pass_seq, app_wire_version, &shifted,
-        walk_rows(second.pass_seq, fifth.registry_version, &shifted),
-        app_view);
+  check(fifth, second.pass_seq, app_wire_version, &shifted, app_view);
 
-  // The walk can run a pass ahead of the tick a catch-up is built from:
-  // it reads the registry's newest change columns, which the next sweep
-  // may stamp before a worker loads its group's next tick. The catch-up
-  // from tick P then also names rows that moved only at P + 1, carrying
-  // their readings at P. A top-k still empty at P that gets its first
-  // row before P + 1 reads as an empty directory at P, which no delta
-  // record can carry and none needs to: slots never clear, so it was
-  // empty at every earlier pass too. The catch-up must apply and move
-  // the view to exactly P.
+  // A top-k still empty at pass P is unstamped in P's record, so a
+  // catch-up read from P does not name it — and cannot, however late it
+  // is encoded: the record holds P's stamps, never a later pass's. Once
+  // its first row lands at P + 1, the catch-up read from P + 1 names it.
   shard::AnyTopK* idle =
       stats::create_topk<base::DirectBackend>(registry, "app/idle", 4);
   ASSERT_NE(idle, nullptr);
@@ -1009,33 +980,39 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
             ApplyResult::kApplied);
   ASSERT_EQ(whole_view.apply(payload_of(full_of(sixth, nullptr))),
             ApplyResult::kApplied);
+  std::uint64_t idle_row = 0;
+  while ((*sixth.names)[idle_row].name != "app/idle") ++idle_row;
   exact.increment(0);
   shard::TickRecord seventh;  // P: "app/idle" is still empty
   aggregator.collect_tick(seventh);
+  EXPECT_EQ(seventh.changed_seq[idle_row], 0u);
+  const std::vector<std::uint64_t>* selections[] = {&grown, nullptr};
+  MaterializedView* views[] = {&grown_view, &whole_view};
+  std::string from_p[2];
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_FALSE(names_row(seventh, sixth.pass_seq, selections[s], idle_row));
+    MaterializedView at_p = *views[s];
+    check(seventh, sixth.pass_seq, sixth.registry_version, selections[s],
+          at_p);
+    encode_delta_frame(seventh.pass_seq, sixth.registry_version, 99,
+                       sixth.pass_seq, seventh, selections[s], from_p[s]);
+  }
   idle->update(0, "peer-z", 7);
   lat->record(0, 3);
   lat->flush(0);
   other.increment(0);
-  shard::TickRecord eighth;  // P + 1: stamps "app/idle" changed
+  shard::TickRecord eighth;  // P + 1: stamps "app/idle"
   aggregator.collect_tick(eighth);
   ASSERT_EQ(eighth.registry_version, seventh.registry_version);
-  std::uint64_t idle_row = 0;
-  while ((*sixth.names)[idle_row].name != "app/idle") ++idle_row;
-  ASSERT_TRUE(std::find(eighth.changed.begin(), eighth.changed.end(),
-                        idle_row) != eighth.changed.end());
-  const std::vector<std::uint64_t>* selections[] = {&grown, nullptr};
-  for (const std::vector<std::uint64_t>* selection : selections) {
-    MaterializedView& view = selection != nullptr ? grown_view : whole_view;
-    const std::vector<DeltaRow> rows =
-        walk_rows(sixth.pass_seq, seventh.registry_version, selection);
-    ASSERT_TRUE(std::any_of(rows.begin(), rows.end(), [&](const DeltaRow& r) {
-      return r.row == idle_row;
-    }));
-    std::string catch_up;
+  EXPECT_EQ(eighth.changed_seq[idle_row], eighth.pass_seq);
+  for (int s = 0; s < 2; ++s) {
+    std::string late;
     encode_delta_frame(seventh.pass_seq, sixth.registry_version, 99,
-                       sixth.pass_seq, seventh, rows, catch_up);
-    ASSERT_EQ(view.apply(payload_of(catch_up)), ApplyResult::kApplied);
-    expect_view_at(view, seventh, selection);
+                       sixth.pass_seq, seventh, selections[s], late);
+    EXPECT_EQ(late, from_p[s]);
+    EXPECT_TRUE(names_row(eighth, sixth.pass_seq, selections[s], idle_row));
+    check(eighth, sixth.pass_seq, sixth.registry_version, selections[s],
+          *views[s]);
   }
 }
 
