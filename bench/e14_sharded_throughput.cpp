@@ -87,7 +87,7 @@ const bench::Experiment kExperiment{
            [](unsigned shards) {
              return std::make_unique<
                  sim::ShardedSnapshotCounterAdapterT<DirectBackend>>(
-                 kProvisionedProcs, shards);
+                 kProvisionedProcs, 0, shards);
            }},
           {"fetch&add", 1'000'000,
            [] {
@@ -97,7 +97,7 @@ const bench::Experiment kExperiment{
            [](unsigned shards) {
              return std::make_unique<
                  sim::ShardedFetchAddCounterAdapterT<DirectBackend>>(
-                 kMaxThreads, shards);
+                 kMaxThreads, 0, shards);
            }},
           {"kmult-fix", 500'000,
            [&] {

@@ -221,12 +221,12 @@ const bench::Experiment kExperiment{
            [] {
              return std::make_unique<
                  sim::ShardedFetchAddCounterAdapterT<DirectBackend>>(
-                 kMaxThreads, kFleetShards);
+                 kMaxThreads, 0, kFleetShards);
            },
            [] {
              return std::make_unique<
                  sim::ShardedFetchAddCounterAdapterT<RelaxedDirectBackend>>(
-                 kMaxThreads, kFleetShards);
+                 kMaxThreads, 0, kFleetShards);
            }},
           {"snapshot(n=8)", 24'000,
            [] {

@@ -176,8 +176,7 @@ double amortized_steps_mixed(sim::ICounter& counter, unsigned n,
   if (!counter.instrumented()) {
     throw std::invalid_argument(
         "amortized_steps_mixed: step measurements need an "
-        "InstrumentedBackend instance, got " +
-        counter.name());
+        "InstrumentedBackend instance");
   }
   base::StepRecorder recorder;
   sim::Rng rng(seed);

@@ -56,7 +56,6 @@
 //
 //   struct Backend {
 //     static constexpr bool kInstrumented;
-//     static constexpr const char* kLabel;   // bench/report tag
 //     struct ObjectHandle {          // default-constructible
 //       ObjectId id() const;         // kInvalidObjectId when uninstrumented
 //     };
@@ -92,7 +91,6 @@ enum class OrderRole : std::uint8_t {
 /// the E16 memory-order experiment compares against.
 struct DirectBackend {
   static constexpr bool kInstrumented = false;
-  static constexpr const char* kLabel = "direct";
 
   /// Empty handle; objects carry no identity. Declared as a member via
   /// [[no_unique_address]] so it occupies no storage.
@@ -120,7 +118,6 @@ struct DirectBackend {
 /// audit" comments); the TSan relaxed suites race-check the mapping.
 struct RelaxedDirectBackend {
   static constexpr bool kInstrumented = false;
-  static constexpr const char* kLabel = "relaxed";
 
   using ObjectHandle = DirectBackend::ObjectHandle;
 
@@ -151,7 +148,6 @@ struct RelaxedDirectBackend {
 /// base objects had before the policy split.
 struct InstrumentedBackend {
   static constexpr bool kInstrumented = true;
-  static constexpr const char* kLabel = "instr";
 
   class ObjectHandle {
    public:

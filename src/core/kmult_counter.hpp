@@ -127,19 +127,17 @@
 
 namespace approx::core {
 
-/// Algorithm 1's switch layout as published: one single (switch_0),
+/// Algorithm 1's switch layout as published: s = 1 single (switch_0),
 /// whose win is not announced in H.
 struct PaperSchedule {
   static constexpr std::uint64_t singles(std::uint64_t /*k*/) { return 1; }
   static constexpr bool kSingleWinWritesHelp = false;
-  static constexpr const char* kLabel = "kmult";
 };
 
-/// The bootstrap fix: k+1 singles, each win announced in H.
+/// The bootstrap fix: s = k + 1 singles, each win announced in H.
 struct CorrectedSchedule {
   static constexpr std::uint64_t singles(std::uint64_t k) { return k + 1; }
   static constexpr bool kSingleWinWritesHelp = true;
-  static constexpr const char* kLabel = "kmult-fix";
 };
 
 /// Wait-free linearizable k-multiplicative-accurate unbounded counter

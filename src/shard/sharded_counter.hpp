@@ -35,7 +35,8 @@
 // always visit every shard.
 //
 // Shard sizing. Underlying counters whose read() takes no pid (the
-// collect/snapshot/fetch&add/k-additive family) are *compact-sharded*:
+// collect/snapshot/AACH/fetch&add/k-additive family) are
+// *compact-sharded*:
 // shard s is constructed only over the ~n/S pids homed on it, so
 // per-shard costs that scale with the process count drop by S (collect
 // reads) or S² (snapshot updates, whose embedded scans are quadratic) —
@@ -75,6 +76,7 @@
 #include "base/kmath.hpp"
 #include "core/kadditive_counter.hpp"
 #include "core/kmult_counter.hpp"
+#include "exact/aach_counter.hpp"
 #include "exact/collect_counter.hpp"
 #include "exact/fetch_add_counter.hpp"
 #include "exact/snapshot_counter.hpp"
@@ -120,8 +122,8 @@ struct ShardTraits<core::KAdditiveCounterT<Backend>> {
   }
 };
 
-template <typename Backend>
-struct ShardTraits<exact::FetchAddCounterT<Backend>> {
+/// Exact counters: every shard read is exact, so is their sum.
+struct ExactShardTraits {
   static constexpr ErrorModel kModel = ErrorModel::kExact;
   static constexpr std::uint64_t composed_bound(std::uint64_t /*k*/,
                                                 unsigned /*shards*/) noexcept {
@@ -130,22 +132,13 @@ struct ShardTraits<exact::FetchAddCounterT<Backend>> {
 };
 
 template <typename Backend>
-struct ShardTraits<exact::CollectCounterT<Backend>> {
-  static constexpr ErrorModel kModel = ErrorModel::kExact;
-  static constexpr std::uint64_t composed_bound(std::uint64_t /*k*/,
-                                                unsigned /*shards*/) noexcept {
-    return 0;
-  }
-};
-
+struct ShardTraits<exact::FetchAddCounterT<Backend>> : ExactShardTraits {};
 template <typename Backend>
-struct ShardTraits<exact::SnapshotCounterT<Backend>> {
-  static constexpr ErrorModel kModel = ErrorModel::kExact;
-  static constexpr std::uint64_t composed_bound(std::uint64_t /*k*/,
-                                                unsigned /*shards*/) noexcept {
-    return 0;
-  }
-};
+struct ShardTraits<exact::CollectCounterT<Backend>> : ExactShardTraits {};
+template <typename Backend>
+struct ShardTraits<exact::SnapshotCounterT<Backend>> : ExactShardTraits {};
+template <typename Backend>
+struct ShardTraits<exact::AachCounterT<Backend>> : ExactShardTraits {};
 
 /// Wait-free counter striping increments over S shards of `CounterTmpl`.
 /// Wait-freedom, linearizability and the (composed) accuracy band are

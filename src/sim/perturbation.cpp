@@ -36,8 +36,7 @@ std::vector<PerturbationPoint> perturb_max_register(IMaxRegister& reg,
   // build mode, not just debug).
   if (!reg.instrumented()) {
     throw std::invalid_argument(
-        "perturb_max_register needs an InstrumentedBackend instance, got " +
-        reg.name());
+        "perturb_max_register needs an InstrumentedBackend instance");
   }
   std::vector<PerturbationPoint> series;
   // Round 0: the unperturbed read.
@@ -62,8 +61,7 @@ std::vector<PerturbationPoint> perturb_counter(ICounter& counter,
                                                std::uint64_t max_total) {
   if (!counter.instrumented()) {
     throw std::invalid_argument(
-        "perturb_counter needs an InstrumentedBackend instance, got " +
-        counter.name());
+        "perturb_counter needs an InstrumentedBackend instance");
   }
   std::vector<PerturbationPoint> series;
   const unsigned reader = num_processes - 1;

@@ -51,6 +51,7 @@
 
 #include "base/backend.hpp"
 #include "exact/unbounded_max_register.hpp"
+#include "shard/registry.hpp"
 #include "stats/help_queue.hpp"
 
 namespace approx::stats {

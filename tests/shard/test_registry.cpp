@@ -761,7 +761,19 @@ TEST(Aggregator, BackgroundModeCollectsWhileWorkersIncrement) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Run until the workers are incrementing and the background thread
+  // has published two frames since; the deadline only keeps a stall
+  // from hanging the suite (the assertions below then fail).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto wait_until = [&](auto done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_until([&] { return exact.load(std::memory_order_relaxed) > 0; });
+  const std::uint64_t base = aggregator.frames_collected();
+  wait_until([&] { return aggregator.frames_collected() >= base + 2; });
   stop.store(true, std::memory_order_release);
   for (auto& worker : workers) worker.join();
   aggregator.stop();

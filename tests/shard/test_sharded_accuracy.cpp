@@ -113,7 +113,7 @@ TEST_P(ShardedAccuracySweep, AdditiveCompositionHolds) {
 TEST_P(ShardedAccuracySweep, ExactShardingStaysLinearizable) {
   const std::uint64_t seed = GetParam();
   for (const unsigned shards : {2u, 4u}) {
-    sim::ShardedSnapshotCounterAdapter counter(kN, shards);
+    sim::ShardedSnapshotCounterAdapter counter(kN, 0, shards);
     const auto history = run_adversarial(counter, seed, 20);
     const auto result = sim::check_counter_history(history, 1);
     ASSERT_TRUE(result.ok) << "seed " << seed << " S=" << shards << ": "
@@ -197,7 +197,7 @@ TEST_P(RelaxedShardedAccuracySweep, ExactShardingStaysLinearizable) {
   const std::uint64_t seed = GetParam();
   for (const unsigned shards : {2u, 4u}) {
     sim::ShardedSnapshotCounterAdapterT<base::RelaxedDirectBackend> counter(
-        kN, shards);
+        kN, 0, shards);
     const auto history = run_threads_history(counter, seed, 100);
     const auto result = sim::check_counter_history(history, 1);
     ASSERT_TRUE(result.ok) << "seed " << seed << " S=" << shards << ": "

@@ -22,7 +22,6 @@
 #include "base/kmath.hpp"
 #include "shard/aggregator.hpp"
 #include "shard/registry.hpp"
-#include "sim/adapters.hpp"
 #include "sim/stepper.hpp"
 #include "sim/workload.hpp"
 #include "stats/histogram.hpp"
@@ -95,7 +94,7 @@ TEST_P(HistogramAccuracySweep, AdversarialSchedulesKeepBucketsInBand) {
   spec.bounds = {8, 64, 512, 4096};
   spec.k = 8;
   spec.shards = 2;
-  sim::HistogramAdapter hist(kN, spec);
+  Histogram hist(kN, spec);
   const std::uint64_t bound = hist.per_bucket_bound();
   ASSERT_EQ(bound, 16u);  // S·k composed
   GroundTruth truth(hist.bounds().size() + 1);

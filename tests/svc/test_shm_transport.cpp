@@ -192,8 +192,17 @@ TEST(ShmTransport, ParkedRingReaderOverrunsAndResyncsOverTcp) {
   ASSERT_TRUE(client.request_shm());
   ASSERT_TRUE(await_shm(client, 1));
 
-  // Park well past slot_count ticks; the ring laps the reader.
-  std::this_thread::sleep_for(100ms);
+  // Park until the ring has published more than slot_count frames past
+  // the reader, so it laps the reader. One more than that: the count is
+  // bumped after the ring write, so the reader may already hold a frame
+  // the count does not show yet.
+  const std::uint64_t parked_at = server.stats().shm_frames_published;
+  const auto deadline = std::chrono::steady_clock::now() + kFrameTimeout;
+  while (server.stats().shm_frames_published <=
+             parked_at + options.shm_slots + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   c.increment(0);
   EXPECT_TRUE(await_counter(client, "c", 1));
   EXPECT_GE(client.shm_overruns(), 1u);
