@@ -16,11 +16,12 @@
 //     is wait-free (one CAS probe per slot, overflow fallback below)
 //     and costs two seq_cst accesses per critical section.
 //
-//   * a writer that unlinks an object from all shared locations stamps
-//     it with `stamp()` (a seq_cst-fenced read of E) and defers the
-//     free — either through the domain's own retire()/reclaim() list,
-//     or through its own intrusive list keyed by the stamp (the
-//     snapshot does the latter: its records already carry a link).
+//   * a writer that unlinks an object from all shared locations hands
+//     it to retire(), which stamps it with `stamp()` (a seq_cst-fenced
+//     read of E) and defers the free. Every retiree derives from
+//     Retired, whose link and stamp make the retired list intrusive:
+//     a retire allocates nothing, and reclaim() frees through the
+//     virtual destructor.
 //
 //   * reclaim_horizon() computes the oldest epoch any current reader
 //     may still be pinned at. An object stamped e is freeable once
@@ -65,11 +66,11 @@
 // snapshot's old capture scheme, and these are reclamation machinery,
 // not model primitives (never charged as steps). The only role-mapped
 // sites are the domain's retired-LIST operations, which are a textbook
-// publication pattern: push releases a fully-built node (kRmwAcqRel on
-// the head CAS would be stronger than needed — the reclaimer re-reads
-// the chain only after a seq_cst exchange capture), and the
-// diagnostic counters are kLoadRelaxed/kRmwRelaxed per-location
-// tallies.
+// publication pattern: push releases the stamped, linked object
+// (kRmwAcqRel on the head CAS would be stronger than needed — the
+// reclaimer re-reads the chain only after a seq_cst exchange capture),
+// and the diagnostic counters are kLoadRelaxed/kRmwRelaxed
+// per-location tallies.
 #pragma once
 
 #include <atomic>
@@ -83,6 +84,29 @@
 #include "base/backend.hpp"
 
 namespace approx::base {
+
+template <typename Backend>
+class EpochDomainT;
+
+/// Base of every object retired through an EpochDomainT: it carries the
+/// domain's list link and retirement stamp, so retiring allocates
+/// nothing. A copy takes neither: a reader may copy a published object
+/// under its guard while the writer's retire() writes the source's
+/// link, and the copy is on no list.
+class Retired {
+ public:
+  Retired() = default;
+  Retired(const Retired& /*other*/) noexcept {}
+  Retired& operator=(const Retired& /*other*/) noexcept { return *this; }
+  virtual ~Retired() = default;
+
+ private:
+  template <typename Backend>
+  friend class EpochDomainT;
+
+  mutable const Retired* retired_next_ = nullptr;
+  mutable std::uint64_t retired_epoch_ = 0;
+};
 
 /// Epoch-based reclamation domain. Readers take Guards; writers stamp
 /// retired objects and free them once the horizon passes. All methods
@@ -103,7 +127,7 @@ class EpochDomainT {
   EpochDomainT(const EpochDomainT&) = delete;
   EpochDomainT& operator=(const EpochDomainT&) = delete;
 
-  /// Frees everything still on the generic retired list. The caller
+  /// Frees everything still on the retired list. The caller
   /// guarantees no reader is active and no retire() is concurrent —
   /// the owning object's destructor, after its threads joined.
   ~EpochDomainT() { drain_unsafe(); }
@@ -213,30 +237,27 @@ class EpochDomainT {
 
   /// Defers `delete object` until the horizon passes its stamp. The
   /// object must already be unreachable from every shared location.
-  /// Allocates one list node — meant for rare, coarse objects (RCU
-  /// tables); hot paths with intrusive links should stamp and keep
-  /// their own list (see exact/snapshot.hpp).
-  template <typename T>
-  void retire(T* object) {
-    auto* node = new RetiredNode;
-    node->object = const_cast<void*>(static_cast<const void*>(object));
-    node->deleter = [](void* pointer) {
-      delete static_cast<T*>(const_cast<std::remove_const_t<T>*>(
-          static_cast<T*>(pointer)));
-    };
-    node->epoch = stamp();
+  /// Stamps and links the object itself: no allocation.
+  void retire(const Retired* object) {
+    object->retired_epoch_ = stamp();
+    // Count BEFORE publishing: a reclaim that captured the object
+    // between the push and a later increment would subtract what the
+    // counter never saw and wrap it to ~2^64. Counting first only ever
+    // over-counts transiently.
     retired_count_.fetch_add(1, Backend::order(OrderRole::kRmwRelaxed));
-    // Release-publish the fully built node; the reclaimer's seq_cst
-    // capture exchange synchronizes with it before walking the chain.
-    RetiredNode* head = retired_.load(Backend::order(OrderRole::kLoadRelaxed));
+    // Release-publish the stamped, linked object; the reclaimer's
+    // seq_cst capture exchange synchronizes with it before walking the
+    // chain.
+    const Retired* head =
+        retired_.load(Backend::order(OrderRole::kLoadRelaxed));
     do {
-      node->next = head;
+      object->retired_next_ = head;
     } while (!retired_.compare_exchange_weak(
-        head, node, Backend::order(OrderRole::kStoreRelease),
+        head, object, Backend::order(OrderRole::kStoreRelease),
         Backend::order(OrderRole::kLoadRelaxed)));
   }
 
-  /// One reclamation pass over the generic retired list: advance the
+  /// One reclamation pass over the retired list: advance the
   /// epoch if possible, free everything the horizon has passed, push
   /// the rest back. Self-serializing; returns the number of objects
   /// freed (0 when another reclaimer holds the gate).
@@ -250,31 +271,29 @@ class EpochDomainT {
     // a lagging reader stops the walk at its pin, as always.
     for (unsigned i = 0; i < kGracePeriods && try_advance(); ++i) {
     }
-    RetiredNode* batch = retired_.exchange(nullptr, std::memory_order_seq_cst);
+    const Retired* batch =
+        retired_.exchange(nullptr, std::memory_order_seq_cst);
     const std::uint64_t horizon = reclaim_horizon();
-    RetiredNode* keep_head = nullptr;
-    RetiredNode* keep_tail = nullptr;
+    const Retired* keep_head = nullptr;
+    const Retired* keep_tail = nullptr;
     std::size_t freed = 0;
-    std::size_t kept = 0;
     while (batch != nullptr) {
-      RetiredNode* next = batch->next;
-      if (batch->epoch + kGracePeriods <= horizon) {
-        batch->deleter(batch->object);
+      const Retired* next = batch->retired_next_;
+      if (batch->retired_epoch_ + kGracePeriods <= horizon) {
         delete batch;
         ++freed;
       } else {
-        batch->next = keep_head;
+        batch->retired_next_ = keep_head;
         keep_head = batch;
         if (keep_tail == nullptr) keep_tail = batch;
-        ++kept;
       }
       batch = next;
     }
     if (keep_head != nullptr) {
-      RetiredNode* head =
+      const Retired* head =
           retired_.load(Backend::order(OrderRole::kLoadRelaxed));
       do {
-        keep_tail->next = head;
+        keep_tail->retired_next_ = head;
       } while (!retired_.compare_exchange_weak(
           head, keep_head, Backend::order(OrderRole::kStoreRelease),
           Backend::order(OrderRole::kLoadRelaxed)));
@@ -288,15 +307,14 @@ class EpochDomainT {
     return freed;
   }
 
-  /// Frees the entire generic retired list regardless of the horizon.
-  /// ONLY safe when the caller guarantees no reader is active and no
+  /// Frees the entire retired list regardless of the horizon. ONLY
+  /// safe when the caller guarantees no reader is active and no
   /// retire() is concurrent (destructor / post-join teardown).
   void drain_unsafe() {
-    RetiredNode* node = retired_.exchange(nullptr, std::memory_order_seq_cst);
+    const Retired* node = retired_.exchange(nullptr, std::memory_order_seq_cst);
     std::size_t freed = 0;
     while (node != nullptr) {
-      RetiredNode* next = node->next;
-      node->deleter(node->object);
+      const Retired* next = node->retired_next_;
       delete node;
       ++freed;
       node = next;
@@ -312,12 +330,13 @@ class EpochDomainT {
     return static_cast<unsigned>(slots_.size());
   }
 
-  /// Generic-list length (diagnostic; racy under concurrency).
+  /// Retired-list length (diagnostic; racy under concurrency, exact
+  /// at quiescence).
   [[nodiscard]] std::size_t retired_count() const noexcept {
     return retired_count_.load(Backend::order(OrderRole::kLoadRelaxed));
   }
 
-  /// Objects freed through the generic list so far (diagnostic).
+  /// Objects freed so far (diagnostic).
   [[nodiscard]] std::uint64_t reclaimed_count() const noexcept {
     return reclaimed_count_.load(Backend::order(OrderRole::kLoadRelaxed));
   }
@@ -337,17 +356,14 @@ class EpochDomainT {
     std::atomic<std::uint64_t> pinned{kFree};
   };
 
-  struct RetiredNode {
-    void* object = nullptr;
-    void (*deleter)(void*) = nullptr;
-    std::uint64_t epoch = 0;
-    RetiredNode* next = nullptr;
-  };
-
   std::vector<Slot> slots_;
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<std::uint64_t> overflow_active_{0};
-  std::atomic<RetiredNode*> retired_{nullptr};
+  // The writers' side on a cache line of its own: every retire writes
+  // the list head and count, and every Guard reads epoch_. Sharing one
+  // line slows each reader's pin, which made the snapshot's hard cap
+  // break several times more often under load.
+  alignas(64) std::atomic<const Retired*> retired_{nullptr};
   std::atomic<bool> reclaim_busy_{false};
   std::atomic<std::size_t> retired_count_{0};
   std::atomic<std::uint64_t> reclaimed_count_{0};

@@ -76,12 +76,6 @@ class KMultMaxRegisterT {
   [[nodiscard]] std::uint64_t m() const noexcept { return m_; }
   [[nodiscard]] std::uint64_t k() const noexcept { return k_; }
 
-  /// Depth of the underlying exact index register =
-  /// ⌈log₂(⌊log_k(m−1)⌋ + 2)⌉; both operations perform O(depth) steps.
-  [[nodiscard]] unsigned index_register_depth() const noexcept {
-    return index_.depth();
-  }
-
  private:
   std::uint64_t m_;
   std::uint64_t k_;

@@ -55,11 +55,6 @@ class KMultUnboundedMaxRegisterT {
 
   [[nodiscard]] std::uint64_t k() const noexcept { return k_; }
 
-  /// Depth of the exact exponent register (both operations are O(depth)).
-  [[nodiscard]] unsigned index_register_depth() const noexcept {
-    return index_.depth();
-  }
-
  private:
   std::uint64_t k_;
   exact::BoundedMaxRegisterT<Backend> index_;

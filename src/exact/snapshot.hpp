@@ -16,25 +16,28 @@
 //
 // Record publication uses pointer-swing to an immutable heap record, the
 // standard realization of a large atomic register. Superseded records are
-// retired to a lock-free list.
+// retired through the snapshot's epoch domain.
 //
-// RECLAMATION (PR 1 introduced a soft cap; PR 10 hardened it). Retired
-// records reclaim through per-reader epochs (base/epoch.hpp):
+// RECLAMATION. Retired records reclaim through per-reader epochs
+// (base/epoch.hpp); a Record is a base::Retired, so the domain's
+// intrusive list holds it and its retire allocates nothing:
 //
 //   * every scan holds an epoch Guard for its whole duration (collect
 //     loads through result assembly) — it pins the global epoch it
 //     started in;
 //   * update() unlinks the superseded record from its slot *before*
-//     retiring it, then stamps it with the domain's fenced epoch read;
-//   * once the retired list exceeds `retire_cap`, an updater advances
-//     the epoch if every pinned reader has caught up, captures the list
-//     (atomic exchange), and frees exactly the records whose stamp the
-//     reclaim horizon has passed by the grace margin — a reader that
-//     could still hold such a pointer would be pinning an older epoch
-//     and would have held the horizon back. The remainder is pushed
-//     back and the probe re-armed after cap/4 further retirements.
+//     retiring it; retire() stamps it with the domain's fenced epoch
+//     read;
+//   * the snapshot keeps only the trigger: once the domain's retired
+//     count reaches the armed threshold, an updater runs one reclaim()
+//     pass, which frees exactly the records whose stamp the horizon has
+//     passed by the grace margin — a reader that could still hold such
+//     a pointer would be pinning an older epoch and would have held the
+//     horizon back. A pass that frees something re-arms the threshold
+//     at `retire_cap`; one that frees nothing re-arms it cap/4 + 1
+//     retirements above the current backlog.
 //
-// The cap is now a HARD bound under per-reader progress: reclamation
+// The cap is a HARD bound under per-reader progress: reclamation
 // never needs a moment with zero scans in flight, only that each
 // individual scan eventually finishes (which wait-freedom guarantees).
 // Continuously overlapping scans therefore keep the list within a small
@@ -42,9 +45,8 @@
 // the records retired while the horizon crosses the grace margin,
 // O(retire_cap) — where the old in-flight-counter scheme could be
 // starved indefinitely. retired_records_unrecorded() exposes the length
-// for tests. The epoch domain and capture machinery are memory
-// management, not model primitives: like helped_scans_ they are never
-// charged as steps.
+// for tests. The epoch domain is memory management, not a model
+// primitive: like helped_scans_ it is never charged as steps.
 //
 // Memory-order audit (RelaxedDirectBackend). The record-pointer slots
 // are the snapshot's only model primitives, and they are a textbook
@@ -55,17 +57,18 @@
 // borrows the embedded view from) synchronizes with its writer and sees
 // the record's contents. The writer's read of its *own* slot (to chain
 // seq) requests kLoadRelaxed: the slot is single-writer, so per-location
-// coherence already returns its last store. The retirement/reclamation
-// machinery keeps explicit seq_cst inside the epoch domain (pin /
-// advance / horizon are a total-order argument; see base/epoch.hpp,
-// whose stamp() fence also orders the release-order slot swing before
-// the stamp in that total order); the retired-list push and the
-// counters here stay release/relaxed exactly as before.
+// coherence already returns its last store. Retirement and reclamation
+// are the epoch domain's (see base/epoch.hpp): pin / advance / horizon
+// stay seq_cst (a total-order argument), its stamp() fence orders the
+// release-order slot swing before the stamp in that total order, and
+// its list push and counters carry their own roles. The trigger
+// threshold here is a relaxed per-location tally.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -116,12 +119,12 @@ class SnapshotT {
   /// concurrency, exact at quiescence). Stays within a small constant
   /// factor of retire_cap whenever every scan eventually finishes.
   [[nodiscard]] std::size_t retired_records_unrecorded() const noexcept {
-    return retired_count_.load(std::memory_order_relaxed);
+    return epochs_.retired_count();
   }
 
-  /// Total records freed by the epoch-style reclaimer (diagnostic).
+  /// Total records freed by the epoch domain (diagnostic).
   [[nodiscard]] std::uint64_t reclaimed_records_unrecorded() const noexcept {
-    return reclaimed_count_.load(std::memory_order_relaxed);
+    return epochs_.reclaimed_count();
   }
 
   [[nodiscard]] std::size_t retire_cap() const noexcept {
@@ -129,12 +132,10 @@ class SnapshotT {
   }
 
  private:
-  struct Record {
+  struct Record : base::Retired {
     std::uint64_t value = 0;
-    std::uint64_t seq = 0;                 // per-writer update count
-    std::vector<std::uint64_t> view;       // embedded scan (empty for seq 0)
-    Record* retired_next = nullptr;        // retirement list linkage
-    std::uint64_t retire_epoch = 0;        // domain stamp at retirement
+    std::uint64_t seq = 0;            // per-writer update count
+    std::vector<std::uint64_t> view;  // embedded scan (empty for seq 0)
   };
 
   struct Slot {
@@ -145,23 +146,17 @@ class SnapshotT {
   // One collect: reads every slot once (n read steps).
   [[nodiscard]] std::vector<const Record*> collect() const;
 
-  void retire(Record* record) const;
-
-  // Epoch-style reclamation of the retired list (see header comment).
-  void maybe_reclaim() const;
-
   std::vector<Slot> slots_;
   std::unique_ptr<Record[]> initial_;       // seq-0 records, one per slot
   std::size_t retire_cap_;
-  // Reader pins for scans; sized past the process count so extra helper
-  // threads never hit the overflow fallback in practice.
+  // Reader pins for scans and the retired-record list; sized past the
+  // process count so extra helper threads never hit the overflow
+  // fallback in practice. Its destructor frees the records still
+  // retired.
   mutable base::EpochDomainT<Backend> epochs_;
-  mutable std::atomic<Record*> retired_{nullptr};
-  mutable std::atomic<std::size_t> retired_count_{0};
-  mutable std::atomic<bool> reclaim_busy_{false};
-  mutable std::atomic<std::size_t> next_reclaim_at_{0};
-  mutable std::atomic<std::uint64_t> reclaimed_count_{0};   // diagnostic
-  mutable std::atomic<std::uint64_t> helped_scans_{0};      // diagnostic
+  // The reclaim trigger: the retired count that starts the next pass.
+  std::atomic<std::size_t> next_reclaim_at_{0};
+  mutable std::atomic<std::uint64_t> helped_scans_{0};  // diagnostic
 };
 
 /// The model-faithful default instantiation (pre-policy class name).
@@ -186,109 +181,10 @@ SnapshotT<Backend>::SnapshotT(unsigned num_processes, std::size_t retire_cap)
 
 template <typename Backend>
 SnapshotT<Backend>::~SnapshotT() {
-  Record* node = retired_.load(std::memory_order_relaxed);
-  while (node != nullptr) {
-    Record* next = node->retired_next;
-    delete node;
-    node = next;
-  }
   for (auto& slot : slots_) {
     Record* rec = slot.record.load(std::memory_order_relaxed);
     if (rec != nullptr && rec->seq != 0) delete rec;  // seq 0 lives in initial_
   }
-}
-
-template <typename Backend>
-void SnapshotT<Backend>::retire(Record* record) const {
-  if (record == nullptr || record->seq == 0) return;  // initial records
-  // The record left its slot in update() before we got here; the
-  // fenced stamp therefore follows the unlink in the domain's total
-  // order, which is what makes the horizon test below sound.
-  record->retire_epoch = epochs_.stamp();
-  // Count BEFORE publishing: a capture that races between the push and
-  // a post-push increment would subtract a record the counter never
-  // saw, wrapping retired_count_ to ~2^64 and disarming reclamation
-  // forever. Counting first only ever over-counts transiently (the +1
-  // matches a record that is about to be pushed), which at worst
-  // triggers one early reclaim probe.
-  retired_count_.fetch_add(1, std::memory_order_relaxed);
-  Record* head = retired_.load(std::memory_order_relaxed);
-  do {
-    record->retired_next = head;
-  } while (!retired_.compare_exchange_weak(head, record,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed));
-}
-
-template <typename Backend>
-void SnapshotT<Backend>::maybe_reclaim() const {
-  if (retired_count_.load(std::memory_order_relaxed) <
-      next_reclaim_at_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  // One reclaimer at a time; losers simply skip (they will retire more
-  // records and retry at the threshold).
-  if (reclaim_busy_.exchange(true, std::memory_order_acquire)) return;
-  // Move the epoch along whenever every pinned scan has caught up —
-  // this is the step that keeps the horizon advancing under
-  // continuously overlapping (but individually finite) scans. Up to
-  // kGracePeriods advances per probe: a quiescent (or fully caught-up)
-  // moment then frees even just-stamped records in ONE probe, which is
-  // what keeps the sequential-updater cap exact; a lagging scan stops
-  // the walk at its pin.
-  for (unsigned i = 0;
-       i < base::EpochDomainT<Backend>::kGracePeriods && epochs_.try_advance();
-       ++i) {
-  }
-  Record* batch = retired_.exchange(nullptr, std::memory_order_seq_cst);
-  if (batch == nullptr) {
-    reclaim_busy_.store(false, std::memory_order_release);
-    return;
-  }
-  // Free exactly the records whose stamp the horizon has passed by the
-  // grace margin: any scan still able to reach such a record would pin
-  // an older epoch and hold the horizon back (see base/epoch.hpp).
-  const std::uint64_t horizon = epochs_.reclaim_horizon();
-  Record* keep_head = nullptr;
-  Record* keep_tail = nullptr;
-  std::size_t freed = 0;
-  std::size_t kept = 0;
-  while (batch != nullptr) {
-    Record* next = batch->retired_next;
-    if (batch->retire_epoch + base::EpochDomainT<Backend>::kGracePeriods <=
-        horizon) {
-      delete batch;
-      ++freed;
-    } else {
-      batch->retired_next = keep_head;
-      keep_head = batch;
-      if (keep_tail == nullptr) keep_tail = batch;
-      ++kept;
-    }
-    batch = next;
-  }
-  if (keep_head != nullptr) {
-    Record* head = retired_.load(std::memory_order_relaxed);
-    do {
-      keep_tail->retired_next = head;
-    } while (!retired_.compare_exchange_weak(head, keep_head,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed));
-  }
-  if (freed > 0) {
-    retired_count_.fetch_sub(freed, std::memory_order_relaxed);
-    reclaimed_count_.fetch_add(freed, std::memory_order_relaxed);
-    next_reclaim_at_.store(retire_cap_, std::memory_order_relaxed);
-  } else {
-    // Nothing aged past the horizon yet: re-arm a little above the
-    // current length so each probe window advances the epoch once and
-    // the backlog stays O(retire_cap) rather than probing every update.
-    next_reclaim_at_.store(
-        retired_count_.load(std::memory_order_relaxed) +
-            retire_cap_ / 4 + 1,
-        std::memory_order_relaxed);
-  }
-  reclaim_busy_.store(false, std::memory_order_release);
 }
 
 template <typename Backend>
@@ -353,8 +249,27 @@ void SnapshotT<Backend>::update(unsigned pid, std::uint64_t value) {
   Backend::on_step(slot.id, base::PrimitiveKind::kWrite);
   // Release-publish the fully built record (see the audit in the header).
   slot.record.store(record, Backend::order(base::OrderRole::kStoreRelease));
-  retire(previous);
-  maybe_reclaim();
+  // The swing above unlinked `previous`, so retire()'s fenced stamp
+  // follows the unlink in the domain's total order. Seq-0 records live
+  // in initial_ and are never retired.
+  if (previous->seq != 0) epochs_.retire(previous);
+  // The trigger. An updater claims a reached threshold (disarming it)
+  // before its pass, so a concurrent updater can neither start a second
+  // pass nor re-arm from a count read before this pass's frees.
+  std::size_t threshold = next_reclaim_at_.load(std::memory_order_relaxed);
+  if (epochs_.retired_count() < threshold ||
+      !next_reclaim_at_.compare_exchange_strong(
+          threshold, std::numeric_limits<std::size_t>::max(),
+          std::memory_order_relaxed)) {
+    return;
+  }
+  // A pass that freed nothing re-arms a little above the backlog, so
+  // each probe window advances the epoch once and the backlog stays
+  // O(retire_cap) rather than probing every update.
+  const std::size_t freed = epochs_.reclaim();
+  next_reclaim_at_.store(
+      freed > 0 ? retire_cap_ : epochs_.retired_count() + retire_cap_ / 4 + 1,
+      std::memory_order_relaxed);
 }
 
 extern template class SnapshotT<base::DirectBackend>;

@@ -80,7 +80,6 @@ void ResilientClient::establish_session() {
   session_live_ = true;
   session_has_frame_ = false;
   last_activity_ns_ = now();
-  client_.set_ring_idle_deadline(options_.ring_idle_deadline);
   // Replay the stream shape: the server knows nothing of the previous
   // socket. A selective filter re-SUBSCRIBEs (the re-basing filtered
   // full follows within a tick); the pass-all stream RESYNCs so the
@@ -140,7 +139,7 @@ bool ResilientClient::poll_frame(std::chrono::milliseconds timeout) {
         options_.sleep_fn(delay);
       }
       ++stats_.connect_attempts;
-      if (client_.connect(options_.port, options_.host, options_.rcvbuf)) {
+      if (client_.connect(options_.port, options_.host)) {
         establish_session();
       } else {
         ++stats_.connect_failures;

@@ -53,15 +53,11 @@ namespace approx::svc {
 struct ResilientClientOptions {
   std::uint16_t port = 0;
   std::string host = "127.0.0.1";
-  int rcvbuf = 0;  // forwarded to TelemetryClient::connect
   /// Replayed (as SUBSCRIBE) at the start of every session; a pass-all
   /// filter replays as a RESYNC instead (fresh full within one tick).
   SubscriptionFilter filter;
   /// Re-negotiate the shm ring (SHM_REQUEST) each session.
   bool use_shm = false;
-  /// Forwarded to TelemetryClient::set_ring_idle_deadline — the
-  /// dead-writer probe of the shm→TCP rung.
-  std::chrono::milliseconds ring_idle_deadline{2000};
   /// Backoff schedule: the first re-dial after a disconnect is
   /// immediate; the k-th failed attempt then waits
   /// jitter([initial · multiplier^(k-1)] capped at backoff_cap), with

@@ -341,9 +341,10 @@ class ServerCore {
   /// collector builds each pass and swings into FilterGroup::tick by
   /// RCU pointer swap, retiring the superseded one through the epoch
   /// domain. Workers copy it under an epoch guard (the shared_ptr
-  /// payloads extend every buffer past the guard) and then serve
+  /// payloads extend every buffer past the guard; the copy leaves the
+  /// Retired link the collector may be writing alone) and then serve
   /// entirely lock-free.
-  struct GroupTick {
+  struct GroupTick : base::Retired {
     std::uint64_t pass_seq = 0;     // collector pass that built it
     std::uint64_t collect_ns = 0;   // that pass's collect stamp
     /// The registry version the group's wire stream is labeled with
@@ -436,7 +437,7 @@ class ServerCore {
   /// in (the shared_ptr values keep groups alive across table
   /// turnover). Readers pin it with an epoch guard; superseded tables
   /// retire through the epoch domain.
-  struct GroupTable {
+  struct GroupTable : base::Retired {
     std::unordered_map<std::string, std::shared_ptr<FilterGroup>> by_key;
   };
 

@@ -4,8 +4,9 @@
 // handshake (a pinned reader blocks reclamation, release frees),
 // nested guards on one thread, writer progress while readers
 // continuously overlap (the hard-vs-soft distinction), the overflow
-// fallback's soft degradation, and a concurrent RCU pointer-swap
-// stress that TSan/ASan check over both memory-order backends.
+// fallback's soft degradation, the destructor freeing what was never
+// reclaimed, and a concurrent RCU pointer-swap stress that TSan/ASan
+// check over both memory-order backends.
 #include "base/epoch.hpp"
 
 #include <gtest/gtest.h>
@@ -24,9 +25,9 @@ namespace {
 
 /// Retire-tracked payload: bumps the counter on destruction so tests
 /// can observe exactly when the domain freed it.
-struct Tracked {
+struct Tracked : Retired {
   explicit Tracked(std::atomic<int>& counter) : freed(&counter) {}
-  ~Tracked() { freed->fetch_add(1, std::memory_order_relaxed); }
+  ~Tracked() override { freed->fetch_add(1, std::memory_order_relaxed); }
   std::atomic<int>* freed;
   std::uint64_t value = 0;
 };
@@ -162,6 +163,21 @@ TEST(EpochDomain, WriterProgressUnderContinuouslyOverlappingReaders) {
   EXPECT_EQ(freed.load(), kRetires);
 }
 
+TEST(EpochDomain, DestructorFreesUnreclaimedRetirees) {
+  // The snapshot never drains its domain itself: records still retired
+  // when it dies are freed by the domain's destructor, through the
+  // virtual destructor of each retiree.
+  constexpr int kRetirees = 5;
+  std::atomic<int> freed{0};
+  {
+    EpochDomain domain(4);
+    for (int i = 0; i < kRetirees; ++i) domain.retire(new Tracked(freed));
+    EXPECT_EQ(domain.retired_count(), std::size_t{kRetirees});
+    EXPECT_EQ(freed.load(), 0);
+  }
+  EXPECT_EQ(freed.load(), kRetirees);
+}
+
 TEST(EpochDomain, EpochAdvancesOnlyWhenActiveReadersCaughtUp) {
   EpochDomain domain(4);
   const std::uint64_t start = domain.current_epoch();
@@ -174,12 +190,14 @@ TEST(EpochDomain, EpochAdvancesOnlyWhenActiveReadersCaughtUp) {
 
 /// The RCU pattern end to end, the way the server uses it: a writer
 /// republishes an immutable object by pointer swap and retires the old
-/// one; readers pin, load, dereference, unpin. ASan proves no freed
-/// object is ever dereferenced; TSan proves the handshake's ordering.
+/// one; readers pin, load, copy the whole object (as the server's
+/// load_tick does), unpin. ASan proves no freed object is ever
+/// dereferenced; TSan proves the handshake's ordering, and that a copy
+/// never reads the Retired link the writer's retire() is writing.
 /// Templated over the backend so the relaxed mapping is exercised too.
 template <typename Backend>
 void rcu_swap_stress() {
-  struct Payload {
+  struct Payload : Retired {
     explicit Payload(std::uint64_t v) : a(v), b(~v) {}
     std::uint64_t a;
     std::uint64_t b;
@@ -193,10 +211,10 @@ void rcu_swap_stress() {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         const typename EpochDomainT<Backend>::Guard guard(domain);
-        const Payload* payload = published.load(std::memory_order_acquire);
+        const Payload copy = *published.load(std::memory_order_acquire);
         // The invariant a == ~b holds in every published version; a
         // dereference after free (or a torn publication) breaks it.
-        ASSERT_EQ(payload->a, ~payload->b);
+        ASSERT_EQ(copy.a, ~copy.b);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -23,9 +23,14 @@ generations. Hence:
     --update to arm the guard there.
 
 Usage:
-  check_bench_baseline.py <bench-json-dir> [--baselines=bench/baselines]
+  check_bench_baseline.py <bench-json-dir> [--baselines=<dir>]
       [--tolerance=0.40] [--arch=auto] [--update]
       [--dry-run-from-artifact]
+
+--baselines defaults to bench/baselines of the repository this script
+lives in, whatever the working directory. A baselines root that does
+not exist is a usage error (exit 2), never a skip: only an arch with no
+subdirectory under an existing root skips.
 
 --update (re)writes the baselines for this arch from the given JSON
 directory instead of checking — run it on the target machine at the
@@ -58,6 +63,10 @@ import os
 import platform
 import re
 import sys
+
+DEFAULT_BASELINES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "bench", "baselines")
 
 RATE_COLUMN = re.compile(r"(mops|ops/s|frames/s|/sec)", re.I)
 # Columns that look rate-like but are ratios, byte rates (smaller is an
@@ -256,7 +265,7 @@ def check(json_dir, baseline_dir, arch, tolerance):
 
 def main(argv):
     json_dir = None
-    baseline_dir = "bench/baselines"
+    baseline_dir = DEFAULT_BASELINES
     tolerance = 0.40
     arch = platform.machine()
     do_update = False
@@ -281,6 +290,9 @@ def main(argv):
             json_dir = arg
     if json_dir is None or not os.path.isdir(json_dir):
         print(__doc__)
+        return 2
+    if not os.path.isdir(baseline_dir):
+        print(f"baseline-check: baselines root {baseline_dir} does not exist")
         return 2
     if do_dry_run:
         return dry_run(json_dir, baseline_dir, arch)
