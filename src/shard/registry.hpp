@@ -436,11 +436,11 @@ class RegistryT {
       tick.values[row] = value;
       if (fresh_stream) entry.changed_seq = 0;
       if (reading == nullptr ? value != entry.last_value
-                             : reading->counts != entry.last_counts ||
-                                   reading->labels != entry.last_labels) {
+                             : reading->counts != entry.cold->last_counts ||
+                                   reading->labels != entry.cold->last_labels) {
         if (reading != nullptr) {
-          entry.last_counts = reading->counts;
-          entry.last_labels = reading->labels;
+          entry.cold->last_counts = reading->counts;
+          entry.cold->last_labels = reading->labels;
         }
         entry.last_value = value;
         entry.changed_seq = pass_seq;
@@ -478,7 +478,7 @@ class RegistryT {
     for (std::size_t i = 0; i < flat_.size(); ++i) {
       const Entry& entry = flat_[i];
       if (entry.changed_seq > seq) {
-        fn(i, entry.name, entry.last_value, entry.changed_seq,
+        fn(i, entry.cold->name, entry.last_value, entry.changed_seq,
            entry.changed_counts(), entry.changed_labels());
       }
     }
@@ -505,28 +505,37 @@ class RegistryT {
   [[nodiscard]] unsigned num_processes() const noexcept { return n_; }
 
  private:
-  /// One row of the flat snapshot table: the instrument it owns plus
-  /// the per-entry constants a collect pass needs, cached at create time
-  /// (instruments are never destroyed or reconfigured before the
-  /// registry; moving a row on a sorted insert keeps every handle).
-  struct Entry {
+  /// A row's constants, cached at create time, and the last collected
+  /// reading of a vector row: what a collect pass reads only on a
+  /// create or for a changed vector row.
+  struct Cold {
     std::string name;
+    ErrorModel model = ErrorModel::kExact;
+    std::uint64_t error_bound = 0;
+    std::vector<std::uint64_t> last_counts;  // histogram/topk rows
+    std::vector<std::string> last_labels;    // topk only
+  };
+
+  /// One row of the flat snapshot table: the instrument it owns plus
+  /// what every collect pass touches, inline; everything else behind
+  /// `cold`. A sorted insert moves every later row, and this keeps each
+  /// move to a few words (instruments are never destroyed or
+  /// reconfigured before the registry; a move keeps every handle).
+  struct Entry {
     std::variant<std::unique_ptr<AnyCounter>, std::unique_ptr<AnyHistogram>,
                  std::unique_ptr<AnyTopK>>
         instrument;
-    ErrorModel model = ErrorModel::kExact;
-    std::uint64_t error_bound = 0;
-    // Change-tracking columns, written only by sequenced collects under
-    // the exclusive lock (mutable: those collects are const like every
-    // snapshot pass). last_value starts at an impossible counter value
-    // so a new entry's first sequenced pass always registers a change
-    // (a histogram's empty last_counts plays the same role: a real
-    // snapshot always has ≥ 2 buckets; an empty top-k has nothing to
-    // delta until its first row lands, which then differs).
+    // Change-tracking columns (with cold->last_counts/last_labels),
+    // written only by sequenced collects under the exclusive lock
+    // (mutable: those collects are const like every snapshot pass).
+    // last_value starts at an impossible counter value so a new entry's
+    // first sequenced pass always registers a change (a histogram's
+    // empty last_counts plays the same role: a real snapshot always has
+    // ≥ 2 buckets; an empty top-k has nothing to delta until its first
+    // row lands, which then differs).
     mutable std::uint64_t last_value = kNeverCollected;
     mutable std::uint64_t changed_seq = 0;
-    mutable std::vector<std::uint64_t> last_counts;  // histogram/topk rows
-    mutable std::vector<std::string> last_labels;    // topk only
+    std::unique_ptr<Cold> cold;
 
     /// The row's instrument if it is an `Instrument`, else nullptr.
     template <typename Instrument>
@@ -539,11 +548,11 @@ class RegistryT {
     /// double as top-k row values.
     [[nodiscard]] const std::vector<std::uint64_t>* changed_counts()
         const noexcept {
-      return as<AnyCounter>() == nullptr ? &last_counts : nullptr;
+      return as<AnyCounter>() == nullptr ? &cold->last_counts : nullptr;
     }
     [[nodiscard]] const std::vector<std::string>* changed_labels()
         const noexcept {
-      return as<AnyTopK>() != nullptr ? &last_labels : nullptr;
+      return as<AnyTopK>() != nullptr ? &cold->last_labels : nullptr;
     }
   };
 
@@ -573,9 +582,9 @@ class RegistryT {
   /// A row's constant fields (name, model, bound, histogram edges), with
   /// the per-pass fields cleared.
   static void describe(const Entry& entry, Sample& out) {
-    out.name = entry.name;
-    out.model = entry.model;
-    out.error_bound = entry.error_bound;
+    out.name = entry.cold->name;
+    out.model = entry.cold->model;
+    out.error_bound = entry.cold->error_bound;
     if (const AnyHistogram* hist = entry.template as<AnyHistogram>()) {
       out.bucket_bounds = hist->bucket_bounds();
     } else {
@@ -590,7 +599,7 @@ class RegistryT {
     return static_cast<std::size_t>(
         std::lower_bound(flat_.begin(), flat_.end(), name,
                          [](const Entry& entry, const std::string& key) {
-                           return entry.name < key;
+                           return entry.cold->name < key;
                          }) -
         flat_.begin());
   }
@@ -600,7 +609,7 @@ class RegistryT {
   template <typename Instrument>
   [[nodiscard]] Instrument* find_locked(const std::string& name) const {
     const std::size_t pos = position_locked(name);
-    if (pos == flat_.size() || flat_[pos].name != name) return nullptr;
+    if (pos == flat_.size() || flat_[pos].cold->name != name) return nullptr;
     return flat_[pos].template as<Instrument>();
   }
 
@@ -612,22 +621,24 @@ class RegistryT {
   template <typename Instrument, typename Factory>
   Instrument* insert_locked(const std::string& name, Factory&& make) {
     const std::size_t pos = position_locked(name);
-    if (pos < flat_.size() && flat_[pos].name == name) {
+    if (pos < flat_.size() && flat_[pos].cold->name == name) {
       return flat_[pos].template as<Instrument>();
     }
     std::unique_ptr<Instrument> made = make();
     Instrument* const handle = made.get();
     if (handle == nullptr) return nullptr;  // the factory declined
     Entry entry;
-    entry.name = name;
+    entry.cold = std::make_unique<Cold>();
+    Cold& cold = *entry.cold;
+    cold.name = name;
     if constexpr (std::is_same_v<Instrument, AnyCounter>) {
-      entry.model = handle->error_model();
-      entry.error_bound = handle->error_bound();
+      cold.model = handle->error_model();
+      cold.error_bound = handle->error_bound();
     } else if constexpr (std::is_same_v<Instrument, AnyHistogram>) {
-      entry.model = ErrorModel::kHistogram;
-      entry.error_bound = handle->per_bucket_bound();
+      cold.model = ErrorModel::kHistogram;
+      cold.error_bound = handle->per_bucket_bound();
     } else {
-      entry.model = ErrorModel::kTopK;  // max-register rows are exact
+      cold.model = ErrorModel::kTopK;  // max-register rows are exact
     }
     entry.instrument = std::move(made);
     flat_.insert(flat_.begin() + static_cast<std::ptrdiff_t>(pos),
