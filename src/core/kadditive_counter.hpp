@@ -22,6 +22,12 @@
 // *read* cost is inherently Θ(n) here — which is exactly the contrast the
 // ablation is meant to exhibit.
 //
+// Publish report. increment() and flush() return true iff they wrote
+// the process's slot — the only writes a read observes, once per
+// flush_every increments — so a false return leaves every read
+// unchanged (the sharded registry's collect reads only rows that
+// reported a write; shard/registry.hpp).
+//
 // Memory-order audit (RelaxedDirectBackend). Identical shape to the
 // collect counter (see exact/collect_counter.hpp): single-writer
 // monotone components, so the default register roles (release flush
@@ -57,15 +63,16 @@ class KAdditiveCounterT {
   KAdditiveCounterT(const KAdditiveCounterT&) = delete;
   KAdditiveCounterT& operator=(const KAdditiveCounterT&) = delete;
 
-  /// Adds one to the count. At most one thread per pid.
-  void increment(unsigned pid) {
+  /// Adds one to the count. At most one thread per pid. Returns true
+  /// iff it wrote the slot (see the header's publish report).
+  bool increment(unsigned pid) {
     assert(pid < n_);
     Slot& slot = slots_[pid];
-    if (++slot.pending >= flush_every_) {
-      slot.shadow += slot.pending;
-      slot.pending = 0;
-      slot.reg.write(slot.shadow);
-    }
+    if (++slot.pending < flush_every_) return false;
+    slot.shadow += slot.pending;
+    slot.pending = 0;
+    slot.reg.write(slot.shadow);
+    return true;
   }
 
   /// Returns x with v − k ≤ x ≤ v. n read steps.
@@ -76,15 +83,16 @@ class KAdditiveCounterT {
   }
 
   /// Forces `pid`'s pending batch out (e.g. at thread shutdown, so that a
-  /// final read is exact). Not part of the hot path.
-  void flush(unsigned pid) {
+  /// final read is exact). Not part of the hot path. Returns true iff it
+  /// wrote the slot (a batch was pending).
+  bool flush(unsigned pid) {
     assert(pid < n_);
     Slot& slot = slots_[pid];
-    if (slot.pending > 0) {
-      slot.shadow += slot.pending;
-      slot.pending = 0;
-      slot.reg.write(slot.shadow);
-    }
+    if (slot.pending == 0) return false;
+    slot.shadow += slot.pending;
+    slot.pending = 0;
+    slot.reg.write(slot.shadow);
+    return true;
   }
 
   [[nodiscard]] unsigned num_processes() const noexcept { return n_; }

@@ -76,6 +76,14 @@
 // paper. Reads additionally scan the k+1 singles densely (once per
 // process, amortized O(1)). The wait-free helping mechanism is unchanged.
 //
+// Publish report. increment() returns true iff it won a switch. A read
+// returns the value of a switch it saw set (or of a helping witness's
+// switch), so an increment that wins none cannot change what any read
+// returns — the switch count, and with it the number of true returns,
+// grows logarithmically in the count. The sharded registry marks a row
+// on a true return and its sequenced collect reads only marked rows
+// (shard/registry.hpp). The report is local computation: no step.
+//
 // The Backend policy (base/backend.hpp) selects the zero-overhead direct
 // build or the instrumented model build; `KMultCounter` and
 // `KMultCounterCorrected` alias the instrumented instantiations.
@@ -158,7 +166,11 @@ class SwitchCounterT {
   SwitchCounterT& operator=(const SwitchCounterT&) = delete;
 
   /// CounterIncrement (paper lines 10–29). At most one thread per pid.
-  void increment(unsigned pid);
+  /// Returns true iff this increment won a switch (lines 16/26, singles
+  /// included): only a won switch can change what a read returns, so a
+  /// false return promises every read is unchanged by it (see the
+  /// header's publish report).
+  bool increment(unsigned pid);
 
   /// CounterRead (paper lines 35–58): returns x with v/k ≤ x ≤ v·k for
   /// the exact count v at the linearization point (for k ≥ √n).
@@ -337,11 +349,11 @@ std::uint64_t SwitchCounterT<Backend, Schedule>::memoized_value(
 }
 
 template <typename Backend, typename Schedule>
-void SwitchCounterT<Backend, Schedule>::increment(unsigned pid) {
+bool SwitchCounterT<Backend, Schedule>::increment(unsigned pid) {
   assert(pid < n_);
   Local& me = locals_[pid];
   me.lcounter += 1;                                           // line 11
-  if (me.lcounter != me.limit) return;                        // line 12
+  if (me.lcounter != me.limit) return false;                  // line 12
   // limit = k^q: announce the batch on one switch of region q — the
   // singles for q = 0, interval q after them; either way its last switch
   // is s + qk − 1 — resuming at the persistent cursor (lines 13–15).
@@ -356,7 +368,7 @@ void SwitchCounterT<Backend, Schedule>::increment(unsigned pid) {
       me.lcounter = 0;                                        // lines 19, 27
       me.cursor = l + 1;                                      // line 22
       if (l == last) me.limit = base::sat_mul(k_, me.limit);  // lines 20–21
-      return;                                                 // line 23
+      return true;                                            // line 23
     }
   }
   // Every switch of the region is set: enough increments are visible
@@ -364,6 +376,7 @@ void SwitchCounterT<Backend, Schedule>::increment(unsigned pid) {
   // batch kept past the singles is dominated by the k·s they announce).
   me.cursor = last + 1;                                       // line 24
   me.limit = base::sat_mul(k_, me.limit);                     // line 28
+  return false;
 }
 
 template <typename Backend, typename Schedule>

@@ -19,7 +19,7 @@
 //     aggregator drives: the registry keeps one name-sorted flat table
 //     of (name, instrument, model, bound) rows — each row owns its
 //     instrument, and the table changes only by sorted inserts on
-//     create — and a collect pass walks that table once, writing each
+//     create — and this pass walks that table once, writing each
 //     counter's fresh value into the caller's existing Sample storage.
 //     Names, models and bounds are constant per counter, so they are
 //     copied only when the registry's version changed since the
@@ -41,7 +41,28 @@
 //     (a subscription filter's matches, the index space of a filtered
 //     wire name table). for_each_changed_since walks the same columns
 //     live, for callers without a record. Both collect forms share one
-//     per-row reader.
+//     per-row reader. The sweep reads only the rows that may have
+//     moved (see Marks); every other row copies its tracking columns.
+//
+// Marks: the sequenced collect's cost follows publishes, not rows. A
+// relaxed counter changes what its read returns only when it publishes
+// — an Algorithm 1 increment that wins a switch, a k-additive slot
+// write — and each reports that (see the counters' "publish report").
+// The erased k-mult and k-additive rows and the stats layer's histogram
+// rows then set their bit in a packed bitmap of 64-bit words (one release
+// RMW, see RowMark), indexed by creation order; a new row starts marked.
+// collect_tick first exchanges every nonzero word (acquire), then reads
+// the rows whose bits it took, plus the rows that cannot mark: exact
+// rows (every increment publishes, so they stay on the sweep), top-k
+// rows and the `__sys/` views of the server's own instruments. A publish
+// that lands after the exchange stays marked for the next pass. A
+// fresh stream (see collect_tick) reads every row.
+//
+// A k-mult read that returns through the helping witness (paper lines
+// 50–55) may return less than its scan would have, and more on its next
+// scan. It needs no mark of its own: the witness is an announce
+// completed inside the read, so after the pass's exchange, and that
+// announce marked the row for the next pass.
 //
 // Counter kinds are erased behind `AnyCounter` so one fleet can mix
 // multiplicative, additive and exact striping; the virtual hop is
@@ -79,7 +100,9 @@
 #include <variant>
 #include <vector>
 
+#include "base/backend.hpp"
 #include "base/kmath.hpp"
+#include "base/segmented_array.hpp"
 #include "shard/sharded_counter.hpp"
 
 namespace approx::shard {
@@ -186,6 +209,27 @@ struct TickRecord {
   }
 };
 
+/// A row's bit in its registry's mark bitmap (see RegistryT). A row
+/// whose instrument reports its publishes sets it after each operation
+/// that may have changed what the row's read returns; the sequenced
+/// collect reads only the rows whose bits it took. Unbound (null word)
+/// until the registry binds it at create.
+struct RowMark {
+  std::atomic<std::uint64_t>* word = nullptr;
+  std::uint64_t bit = 0;
+
+  /// One release RMW on a raw atomic, never an instrumented step: the
+  /// mark is bookkeeping beside the paper's algorithms, like the epoch
+  /// machinery. It pairs with the collect's acquire exchange, so a pass
+  /// that takes the bit reads the row after the publish.
+  template <typename Backend>
+  void set() const noexcept {
+    if (word != nullptr) {
+      word->fetch_or(bit, Backend::order(base::OrderRole::kRmwAcqRel));
+    }
+  }
+};
+
 /// Type-erased vector-valued instrument (histogram) held by the
 /// registry. Implemented by src/stats (see stats/histogram.hpp); the
 /// registry only needs enough surface to collect and describe it.
@@ -199,6 +243,10 @@ class AnyHistogram {
   [[nodiscard]] virtual const std::vector<std::uint64_t>& bucket_bounds()
       const = 0;
   [[nodiscard]] virtual std::uint64_t per_bucket_bound() const = 0;
+  /// Hands the row its mark, once, at create. Returns false for an
+  /// instrument that never marks (a view of another instrument): the
+  /// collect then reads its row every pass.
+  virtual bool bind_mark(RowMark /*mark*/) { return false; }
 };
 
 /// Type-erased labeled top-k directory held by the registry (see
@@ -233,6 +281,8 @@ class AnyCounter {
   [[nodiscard]] virtual std::uint64_t error_bound() const = 0;
   [[nodiscard]] virtual unsigned num_shards() const = 0;
   [[nodiscard]] virtual bool accuracy_guaranteed() const = 0;
+  /// As AnyHistogram::bind_mark.
+  virtual bool bind_mark(RowMark /*mark*/) { return false; }
 };
 
 namespace detail {
@@ -243,9 +293,16 @@ class ErasedSharded final : public AnyCounter {
   ErasedSharded(unsigned n, std::uint64_t k, unsigned shards,
                 ShardPolicy policy)
       : counter_(n, k, shards, policy) {}
-  void increment(unsigned pid) override { counter_.increment(pid); }
+  void increment(unsigned pid) override {
+    const bool published = counter_.increment(pid);
+    if constexpr (kMarks) {
+      if (published) mark_.set<Backend>();
+    }
+  }
   std::uint64_t read(unsigned pid) override { return counter_.read(pid); }
-  void flush(unsigned pid) override { counter_.flush(pid); }
+  void flush(unsigned pid) override {
+    if (counter_.flush(pid)) mark_.set<Backend>();
+  }
   [[nodiscard]] ErrorModel error_model() const override {
     return counter_.error_model();
   }
@@ -258,9 +315,23 @@ class ErasedSharded final : public AnyCounter {
   [[nodiscard]] bool accuracy_guaranteed() const override {
     return counter_.accuracy_guaranteed();
   }
+  bool bind_mark(RowMark mark) override {
+    if constexpr (kMarks) mark_ = mark;
+    return kMarks;
+  }
+  [[nodiscard]] ShardedCounterT<CounterTmpl, Backend>& impl() noexcept {
+    return counter_;
+  }
 
  private:
+  // Every exact increment publishes, so an exact row would mark on each
+  // one; it stays on the collect's per-pass sweep instead.
+  static constexpr bool kMarks =
+      ShardedCounterT<CounterTmpl, Backend>::error_model() !=
+      ErrorModel::kExact;
+
   ShardedCounterT<CounterTmpl, Backend> counter_;
+  RowMark mark_;
 };
 
 }  // namespace detail
@@ -388,13 +459,17 @@ class RegistryT {
     return version_;
   }
 
-  /// The sequenced collect (see header): one sweep reading every row as
-  /// process `pid` into `tick`, which it overwrites. A row whose reading
-  /// differs from the previous sequenced pass — a row created since that
-  /// pass does, unless it is a still-empty top-k (see Entry) — is
-  /// stamped with `pass_seq`, and tick.changed_seq copies every row's
-  /// stamp. Takes the exclusive lock (it writes the tracking columns);
-  /// the plain shared-lock passes are unaffected.
+  /// The sequenced collect (see header): one sweep over every row as
+  /// process `pid` into `tick`, which it overwrites. It reads a row only
+  /// when the row may have moved since its last read: its mark was set
+  /// (see "Marks" in the header), it cannot mark, or the pass starts a
+  /// fresh stream; every other row copies its last value, stamp and
+  /// vector reading. A row whose reading differs from the previous
+  /// sequenced pass — a row created since that pass does, unless it is a
+  /// still-empty top-k (see Entry) — is stamped with `pass_seq`, and
+  /// tick.changed_seq copies every row's stamp. Takes the exclusive lock
+  /// (it writes the tracking columns); the plain shared-lock passes are
+  /// unaffected.
   ///
   /// Single-sequencer contract: the tracking columns form ONE change
   /// stream, so exactly one party (in practice the serving AggregatorT,
@@ -403,9 +478,10 @@ class RegistryT {
   /// at or below the previous pass's starts a fresh stream (a restarted
   /// server's new aggregator numbers from 1 again): every stamp of the
   /// old stream is dropped, or it would read as a change in every delta
-  /// until the new numbering caught up. Concurrent sequenced collects
-  /// from independent sequence domains are memory-safe (exclusive lock)
-  /// but interleave their seqs into one meaningless stream.
+  /// until the new numbering caught up, and every row is read. Concurrent
+  /// sequenced collects from independent sequence domains are memory-safe
+  /// (exclusive lock) but interleave their seqs into one meaningless
+  /// stream.
   void collect_tick(unsigned pid, std::uint64_t pass_seq,
                     TickRecord& tick) const {
     std::unique_lock lock(mutex_);
@@ -423,6 +499,7 @@ class RegistryT {
     tick.vectors.clear();
     tick.changed_seq.resize(flat_.size());
     const bool fresh_stream = pass_seq <= last_pass_seq_;
+    take_marks();  // before any read: a later publish stays marked
     for (std::size_t row = 0; row < flat_.size(); ++row) {
       const Entry& entry = flat_[row];
       TickRecord::Reading* reading = nullptr;
@@ -430,11 +507,18 @@ class RegistryT {
         reading = &tick.vectors.emplace_back();
         reading->row = row;
       }
+      if (fresh_stream) entry.changed_seq = 0;
+      if (!fresh_stream && !taken(entry.mark)) {
+        // Nothing published since its last read: that read still holds.
+        tick.values[row] = entry.last_value;
+        if (reading != nullptr) reading->counts = entry.cold->last_counts;
+        tick.changed_seq[row] = entry.changed_seq;
+        continue;
+      }
       const std::uint64_t value =
           read_row(entry, pid, reading ? &reading->counts : nullptr,
                    reading ? &reading->labels : nullptr);
       tick.values[row] = value;
-      if (fresh_stream) entry.changed_seq = 0;
       if (reading == nullptr ? value != entry.last_value
                              : reading->counts != entry.cold->last_counts ||
                                    reading->labels != entry.cold->last_labels) {
@@ -536,6 +620,9 @@ class RegistryT {
     mutable std::uint64_t last_value = kNeverCollected;
     mutable std::uint64_t changed_seq = 0;
     std::unique_ptr<Cold> cold;
+    /// The row's bit in marks_ (its index among the marking rows, in
+    /// creation order), or kNoMark for a row that cannot mark.
+    std::uint32_t mark = kNoMark;
 
     /// The row's instrument if it is an `Instrument`, else nullptr.
     template <typename Instrument>
@@ -640,6 +727,17 @@ class RegistryT {
     } else {
       cold.model = ErrorModel::kTopK;  // max-register rows are exact
     }
+    if constexpr (!std::is_same_v<Instrument, AnyTopK>) {
+      const std::uint32_t id = marking_rows_;
+      std::atomic<std::uint64_t>& word = marks_.at(id / 64);
+      const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+      if (handle->bind_mark({&word, bit})) {
+        // Born marked: the first pass after the create reads the row.
+        word.fetch_or(bit, std::memory_order_relaxed);  // under mutex_
+        entry.mark = id;
+        ++marking_rows_;
+      }
+    }
     entry.instrument = std::move(made);
     flat_.insert(flat_.begin() + static_cast<std::ptrdiff_t>(pos),
                  std::move(entry));
@@ -666,8 +764,29 @@ class RegistryT {
     }
   }
 
+  /// Takes every mark set since the previous pass into taken_: one
+  /// acquire exchange per nonzero word (see RowMark::set). Caller holds
+  /// the exclusive lock.
+  void take_marks() const {
+    taken_.resize((marking_rows_ + 63) / 64);
+    for (std::size_t w = 0; w < taken_.size(); ++w) {
+      std::atomic<std::uint64_t>& word = marks_.at(w);
+      taken_[w] =
+          word.load(Backend::order(base::OrderRole::kLoadRelaxed)) == 0
+              ? 0
+              : word.exchange(0, Backend::order(base::OrderRole::kRmwAcqRel));
+    }
+  }
+
+  /// Whether this pass must read a row with mark `mark`: it cannot mark,
+  /// or take_marks() took its bit.
+  [[nodiscard]] bool taken(std::uint32_t mark) const noexcept {
+    return mark == kNoMark || ((taken_[mark / 64] >> (mark % 64)) & 1) != 0;
+  }
+
   /// Counters count up from 0; ~0 marks "no sequenced pass yet".
   static constexpr std::uint64_t kNeverCollected = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoMark = ~std::uint32_t{0};
 
   /// Process-unique version seed per registry instance (see version()).
   /// Never 0, so a zero cached_version always misses.
@@ -684,6 +803,12 @@ class RegistryT {
   /// The name table of version_ that sequenced collects hand out: built
   /// by the first one after a create (exclusive lock), null until then.
   mutable std::shared_ptr<const std::vector<Sample>> names_;
+  /// The mark bitmap: bit i%64 of word i/64 is the i-th marking row's
+  /// (creation order, so a sorted insert moves no bit). Words never move
+  /// — instruments hold pointers into it — and rows share them, packed.
+  mutable base::SegmentedArray<std::atomic<std::uint64_t>, 64> marks_;
+  std::uint32_t marking_rows_ = 0;
+  mutable std::vector<std::uint64_t> taken_;  // the last take_marks()
 };
 
 /// The model-faithful default instantiation (matches the repo-wide

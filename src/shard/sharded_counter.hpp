@@ -61,6 +61,12 @@
 // arrays, at the cost of the pinned mode's tighter accuracy
 // precondition — see accuracy_guaranteed()).
 //
+// Publish report. increment() and flush() pass up their shard's report
+// (core/kmult_counter.hpp, core/kadditive_counter.hpp): true iff the
+// operation may have changed what read() returns. Exact shards publish
+// on every increment. The registry marks a row on a true return, and
+// its sequenced collect reads only marked rows (shard/registry.hpp).
+//
 // Each shard lives in its own cache-line-aligned heap allocation, so
 // shard headers never false-share; per-pid routing state is line-padded
 // likewise.
@@ -195,8 +201,9 @@ class ShardedCounterT {
   ShardedCounterT(const ShardedCounterT&) = delete;
   ShardedCounterT& operator=(const ShardedCounterT&) = delete;
 
-  /// Adds one to the count. At most one thread per pid.
-  void increment(unsigned pid) {
+  /// Adds one to the count. At most one thread per pid. Returns the
+  /// shard's publish report (see the header).
+  bool increment(unsigned pid) {
     assert(pid < n_);
     PerProcess& me = per_process_[pid];
     if constexpr (requires(shard_type& c) { c.increment(0u); }) {
@@ -205,13 +212,14 @@ class ShardedCounterT {
         // helping traffic, and any pid may hit any shard (global pid).
         const unsigned s = static_cast<unsigned>(
             (home_shard(pid) + me.rr_cursor++) % num_shards_);
-        shards_[s]->shard.increment(pid);
-      } else {
-        // Slot-owning increments (single-writer slots): the remap table
-        // routes both policies onto the compact home cell — rotation has
-        // no contention to balance here (see the header).
-        shards_[me.route_shard]->shard.increment(me.route_local);
+        return reported([&] { return shards_[s]->shard.increment(pid); });
       }
+      // Slot-owning increments (single-writer slots): the remap table
+      // routes both policies onto the compact home cell — rotation has
+      // no contention to balance here (see the header).
+      return reported([&] {
+        return shards_[me.route_shard]->shard.increment(me.route_local);
+      });
     } else {
       // Shared-cell shards (fetch&add): rotation spreads RMW contention.
       unsigned s = me.route_shard;
@@ -219,6 +227,7 @@ class ShardedCounterT {
         s = static_cast<unsigned>((s + me.rr_cursor++) % num_shards_);
       }
       shards_[s]->shard.increment();
+      return true;
     }
   }
 
@@ -241,14 +250,17 @@ class ShardedCounterT {
 
   /// Flushes `pid`'s pending local batches (underlying counters that
   /// batch, e.g. the k-additive one), making a subsequent quiescent read
-  /// exact. No-op for non-batching shards.
-  void flush(unsigned pid) {
+  /// exact. No-op for non-batching shards. Returns the shard's publish
+  /// report (false for non-batching shards).
+  bool flush(unsigned pid) {
     assert(pid < n_);
     if constexpr (requires(shard_type& c) { c.flush(0u); }) {
       // Batching counters are slot-owning, so the remap table confines
       // every batch to the pid's home cell — under both policies.
       const PerProcess& me = per_process_[pid];
-      shards_[me.route_shard]->shard.flush(me.route_local);
+      return shards_[me.route_shard]->shard.flush(me.route_local);
+    } else {
+      return false;
     }
   }
 
@@ -321,6 +333,18 @@ class ShardedCounterT {
     template <typename... Args>
     explicit Box(Args&&... args) : shard(std::forward<Args>(args)...) {}
   };
+
+  /// A shard increment's publish report; shard kinds whose increment
+  /// returns nothing (the exact family) publish on every call.
+  template <typename Op>
+  static bool reported(Op&& op) {
+    if constexpr (std::is_void_v<decltype(op())>) {
+      op();
+      return true;
+    } else {
+      return op();
+    }
+  }
 
   static unsigned clamp_shards(unsigned requested, unsigned n) noexcept {
     if (requested < 1) return 1;

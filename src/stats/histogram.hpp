@@ -20,6 +20,10 @@
 //     exactly ShardTraits<KAdditiveCounterT>::composed_bound.
 //   * flush(pid) forces pid's pending batches out of every bucket, so
 //     a quiescent read after all pids flushed is exact.
+//   * record and flush pass up their buckets' publish report (true iff
+//     a bucket wrote its slot; shard/sharded_counter.hpp). The registry
+//     row marks itself on it, so the sequenced collect reads a quiet
+//     histogram no more than a quiet k-mult row (shard/registry.hpp).
 //
 // Bucketing: bucket i covers (bounds[i−1], bounds[i]] for the
 // ascending finite upper edges `bounds`; values above the last edge
@@ -93,8 +97,9 @@ class HistogramT {
   HistogramT& operator=(const HistogramT&) = delete;
 
   /// Records one observation. Wait-free; at most one thread per pid.
-  void record(unsigned pid, std::uint64_t value) {
-    buckets_[bucket_index(value)]->increment(pid);
+  /// Returns its bucket's publish report.
+  bool record(unsigned pid, std::uint64_t value) {
+    return buckets_[bucket_index(value)]->increment(pid);
   }
 
   /// The bucket `value` lands in: first bucket whose upper edge is
@@ -126,9 +131,12 @@ class HistogramT {
   }
 
   /// Forces `pid`'s pending batches out of every bucket: after every
-  /// recording pid flushed, a quiescent snapshot is exact.
-  void flush(unsigned pid) {
-    for (auto& bucket : buckets_) bucket->flush(pid);
+  /// recording pid flushed, a quiescent snapshot is exact. Returns true
+  /// iff some bucket wrote.
+  bool flush(unsigned pid) {
+    bool published = false;
+    for (auto& bucket : buckets_) published |= bucket->flush(pid);
+    return published;
   }
 
   /// Composed one-sided additive slack per bucket: S·k (each bucket may
@@ -188,13 +196,19 @@ class ErasedHistogram final : public shard::AnyHistogram {
   ErasedHistogram(unsigned num_processes, const HistogramSpec& spec)
       : histogram_(num_processes, spec) {}
   void record(unsigned pid, std::uint64_t value) override {
-    histogram_.record(pid, value);
+    if (histogram_.record(pid, value)) mark_.set<Backend>();
   }
   void snapshot_into(unsigned pid,
                      std::vector<std::uint64_t>& counts) override {
     histogram_.snapshot_into(pid, counts);
   }
-  void flush(unsigned pid) override { histogram_.flush(pid); }
+  void flush(unsigned pid) override {
+    if (histogram_.flush(pid)) mark_.set<Backend>();
+  }
+  bool bind_mark(shard::RowMark mark) override {
+    mark_ = mark;
+    return true;
+  }
   [[nodiscard]] const std::vector<std::uint64_t>& bucket_bounds()
       const override {
     return histogram_.bounds();
@@ -206,6 +220,7 @@ class ErasedHistogram final : public shard::AnyHistogram {
 
  private:
   HistogramT<Backend> histogram_;
+  shard::RowMark mark_;
 };
 
 }  // namespace detail

@@ -66,6 +66,28 @@ TEST(KAdditiveCounter, FlushMakesPendingVisible) {
   EXPECT_EQ(counter.read(), 10u);
 }
 
+TEST(KAdditiveCounter, ReportsExactlyItsSlotWrites) {
+  // The publish report: true iff the call wrote the slot, once per
+  // flush_threshold() increments, or a flush with a batch pending; a
+  // read moves only on a true return.
+  KAdditiveCounter counter(4, 10);  // flush threshold 3
+  std::uint64_t writes = 0;
+  for (int i = 1; i <= 10; ++i) {
+    const std::uint64_t before = counter.read();
+    const bool wrote = counter.increment(1);
+    EXPECT_EQ(wrote, i % 3 == 0) << i;
+    if (wrote) ++writes;
+    if (!wrote) {
+      EXPECT_EQ(counter.read(), before) << i;
+    }
+  }
+  EXPECT_EQ(writes, 10u / counter.flush_threshold());
+  EXPECT_TRUE(counter.flush(1));  // one increment was pending
+  EXPECT_EQ(counter.read(), 10u);
+  EXPECT_FALSE(counter.flush(1));
+  EXPECT_FALSE(counter.flush(2));  // an idle pid writes nothing
+}
+
 TEST(KAdditiveCounter, FlushThresholdFormula) {
   EXPECT_EQ(KAdditiveCounter(4, 100).flush_threshold(), 26u);  // 100/4+1
   EXPECT_EQ(KAdditiveCounter(4, 3).flush_threshold(), 1u);     // k < n ⇒ exact

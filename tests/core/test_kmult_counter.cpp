@@ -96,6 +96,31 @@ TEST(KMultCounterSeq, SingleProcessLongRun) {
   }
 }
 
+TEST(KMultCounterSeq, IncrementReportsExactlyItsSwitchWins) {
+  // The publish report: in a single-pid run every announce wins, so the
+  // true returns count the set switches; and a read moves only on a
+  // true return — a false one changes nothing any reader can see.
+  for (const std::uint64_t k : {2u, 3u}) {
+    KMultCounter paper(4, k);
+    KMultCounterCorrected corrected(4, k);
+    std::uint64_t paper_wins = 0;
+    std::uint64_t corrected_wins = 0;
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint64_t before = corrected.read(3);
+      if (paper.increment(0)) ++paper_wins;
+      const bool won = corrected.increment(0);
+      if (won) ++corrected_wins;
+      ASSERT_EQ(paper_wins, paper.first_unset_switch_unrecorded()) << i;
+      ASSERT_EQ(corrected_wins, corrected.first_unset_switch_unrecorded())
+          << i;
+      if (!won) {
+        ASSERT_EQ(corrected.read(3), before) << i;
+      }
+    }
+    EXPECT_GT(corrected_wins, 0u);
+  }
+}
+
 // Parameterized sweep over (n, k, total increments): after quiescence,
 // every read from every process is within the band. Covers the paper's
 // k ≥ √n regime.

@@ -181,6 +181,37 @@ TEST(ShardedCounter, AdditiveShardingStaysInComposedBandAndFlushes) {
   }
 }
 
+TEST(ShardedCounter, PassesItsShardsPublishReportUp) {
+  // k-mult: pid 1's increments all land on its home shard, so the true
+  // returns count that shard's won switches.
+  ShardedKMult mult(4, 2, 2);
+  std::uint64_t wins = 0;
+  for (int i = 0; i < 2000; ++i) wins += mult.increment(1) ? 1 : 0;
+  EXPECT_EQ(wins,
+            mult.shard(mult.home_shard(1)).first_unset_switch_unrecorded());
+  EXPECT_FALSE(mult.flush(1));  // nothing batches in a k-mult shard
+
+  // k-additive: one slot write per flush threshold, then the flush.
+  ShardedKAdd add(4, 16, 2);
+  const std::uint64_t threshold =
+      add.shard(add.home_shard(1)).flush_threshold();
+  std::uint64_t writes = 0;
+  for (std::uint64_t i = 0; i < 10 * threshold + 1; ++i) {
+    writes += add.increment(1) ? 1 : 0;
+  }
+  EXPECT_EQ(writes, 10u);
+  EXPECT_TRUE(add.flush(1));
+  EXPECT_FALSE(add.flush(1));
+
+  // Exact shards publish on every increment.
+  ShardedFetchAdd exact(4, 0, 2);
+  ShardedCollect collect(4, 0, 2);
+  for (unsigned pid = 0; pid < 4; ++pid) {
+    EXPECT_TRUE(exact.increment(pid));
+    EXPECT_TRUE(collect.increment(pid));
+  }
+}
+
 TEST(ShardedCounter, AccuracyPreconditionRelaxesWithPinnedSharding) {
   // 16 processes: a single instance needs k ≥ ⌈√16⌉ = 4, but 4 pinned
   // shards serve buckets of 4, needing only k ≥ 2. Round-robin keeps

@@ -43,6 +43,22 @@ TEST(Histogram, BucketIndexEdgeSemantics) {
   EXPECT_EQ(hist.bucket_index(std::numeric_limits<std::uint64_t>::max()), 4u);
 }
 
+TEST(Histogram, RecordAndFlushPassTheirBucketsReportUp) {
+  // latency_spec(): S = 1, k = 16 over 4 pids, so each bucket writes
+  // pid 0's slot once per 16/4 + 1 = 5 records landing in it.
+  HistogramT<base::DirectBackend> hist(kN, latency_spec());
+  std::uint64_t writes = 0;
+  for (int i = 0; i < 12; ++i) writes += hist.record(0, 5) ? 1 : 0;    // b0
+  for (int i = 0; i < 7; ++i) writes += hist.record(0, 5000) ? 1 : 0;  // b4
+  EXPECT_EQ(writes, 12u / 5 + 7u / 5);
+  EXPECT_TRUE(hist.flush(0));  // both buckets had a batch pending
+  EXPECT_FALSE(hist.flush(0));
+  EXPECT_FALSE(hist.flush(1));
+  std::vector<std::uint64_t> counts;
+  hist.snapshot_into(0, counts);
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{12, 0, 0, 0, 7}));
+}
+
 TEST(Histogram, SpecSanitizedSortedDedupedClamped) {
   HistogramSpec spec;
   spec.bounds = {500, 10, 10, 1000, 100, 500};

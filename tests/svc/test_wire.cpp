@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "base/backend.hpp"
+#include "base/step_recorder.hpp"
 #include "shard/aggregator.hpp"
 #include "shard/registry.hpp"
 #include "sim/workload.hpp"
@@ -1014,6 +1016,161 @@ TEST(WireIntegration, TickEncodedDeltasEqualWalkDeltasByteForByte) {
     check(eighth, sixth.pass_seq, sixth.registry_version, selections[s],
           *views[s]);
   }
+}
+
+TEST(WireIntegration, MarkedCollectEqualsAFullSweepByteForByte) {
+  // The sequenced collect reads a relaxed row only when the row marked a
+  // publish since its last read. Replay one op sequence into two
+  // registries: `marked` is collected by collect_tick; `swept` reads
+  // every row every pass (snapshot_all_into), with the stamps kept here
+  // by collect_tick's rule. Every pass — across creates that shift the
+  // rows and a restarted stream — must agree on values, stamps and
+  // readings, and so encode to identical full and delta bytes.
+  using Registry = shard::RegistryT<base::InstrumentedBackend>;
+  using Backend = base::InstrumentedBackend;
+  constexpr unsigned kPids = 4;
+  constexpr unsigned kCollector = 3;  // pids 0–2 drive the ops
+  struct Rows {
+    std::vector<shard::AnyCounter*> counters;
+    std::vector<shard::AnyHistogram*> hists;
+    std::vector<shard::AnyTopK*> tops;
+  };
+  Registry marked(kPids);
+  Registry swept(kPids);
+  Rows rows[2];
+  stats::HistogramSpec spec;
+  spec.bounds = {10, 100};
+  spec.k = 4;  // each bucket writes a pid's slot every other record
+  const auto create = [&](const std::string& prefix) {
+    Registry* registries[2] = {&marked, &swept};
+    for (int side = 0; side < 2; ++side) {
+      Registry& registry = *registries[side];
+      rows[side].counters.push_back(&registry.create(
+          prefix + "mult", {ErrorModel::kMultiplicative, 2, 2}));
+      rows[side].counters.push_back(&registry.create(
+          prefix + "add", {ErrorModel::kAdditive, 8, 2}));
+      rows[side].counters.push_back(
+          &registry.create(prefix + "exact", {ErrorModel::kExact, 0, 2}));
+      rows[side].hists.push_back(
+          stats::create_histogram<Backend>(registry, prefix + "lat", spec));
+      rows[side].tops.push_back(
+          stats::create_topk<Backend>(registry, prefix + "top", 4));
+    }
+  };
+  create("m/");
+
+  // The full sweep's stamps, by name (creates shift rows).
+  struct Seen {
+    std::uint64_t value = 0;
+    std::vector<std::uint64_t> counts;
+    std::vector<std::string> labels;
+  };
+  std::map<std::string, Seen> seen;
+  std::map<std::string, std::uint64_t> stamps;
+  std::uint64_t last_seq = 0;
+  const auto sweep = [&](std::uint64_t seq, const shard::TickRecord& tick) {
+    std::vector<Sample> now;
+    (void)swept.snapshot_all_into(kCollector, now, 0);
+    if (seq <= last_seq) {
+      for (auto& [name, stamp] : stamps) stamp = 0;
+    }
+    last_seq = seq;
+    shard::TickRecord ref;
+    ref.pass_seq = seq;
+    ref.registry_version = tick.registry_version;
+    ref.names = tick.names;
+    for (std::size_t row = 0; row < now.size(); ++row) {
+      const Sample& sample = now[row];
+      EXPECT_EQ(sample.name, (*tick.names)[row].name) << row;
+      const bool scalar = sample.model != ErrorModel::kHistogram &&
+                          sample.model != ErrorModel::kTopK;
+      const auto it = seen.find(sample.name);
+      // A new row changes unless it is a still-empty top-k.
+      const bool changed =
+          it == seen.end()
+              ? !sample.bucket_counts.empty() || scalar
+              : (scalar ? sample.value != it->second.value
+                        : sample.bucket_counts != it->second.counts ||
+                              sample.top_labels != it->second.labels);
+      if (changed) {
+        seen[sample.name] = {sample.value, sample.bucket_counts,
+                             sample.top_labels};
+        stamps[sample.name] = seq;
+      }
+      ref.values.push_back(sample.value);
+      ref.changed_seq.push_back(stamps[sample.name]);
+      if (!scalar) {
+        ref.vectors.push_back(
+            {row, sample.bucket_counts, sample.top_labels});
+      }
+    }
+    return ref;
+  };
+  const auto full_bytes = [](const shard::TickRecord& tick) {
+    TelemetryFrame frame;
+    frame.sequence = tick.pass_seq;
+    frame.registry_version = tick.registry_version;
+    tick.rows_into(nullptr, frame.samples);
+    std::string wire;
+    encode_full_frame(frame, 0, wire);
+    return wire;
+  };
+  const auto delta_bytes = [](const shard::TickRecord& tick,
+                              std::uint64_t since) {
+    std::string wire;
+    encode_delta_frame(tick.pass_seq, tick.registry_version, 0, since, tick,
+                       nullptr, wire);
+    return wire;
+  };
+
+  sim::Rng rng(2026);
+  std::uint64_t seq = 0;
+  std::uint64_t marked_steps = 0;  // the instrumented reads of each side
+  std::uint64_t swept_steps = 0;
+  for (int pass = 1; pass <= 40; ++pass) {
+    if (pass == 15) create("a/");  // sorts first: every old row shifts
+    if (pass == 25) create("z/");
+    if (pass == 30) seq = 0;       // a restarted sequencer
+    const int ops = pass % 5 == 0 ? 0 : static_cast<int>(rng.below(80));
+    for (int op = 0; op < ops; ++op) {
+      const auto pid = static_cast<unsigned>(rng.below(3));
+      const std::uint64_t pick = rng.below(1000);
+      const std::size_t which = rng.below(rows[0].counters.size());
+      const std::uint64_t value = rng.below(200);
+      for (Rows& side : rows) {
+        if (pick < 700) {
+          side.counters[which]->increment(pid);
+        } else if (pick < 900) {
+          side.hists[which / 3]->record(pid, value);
+        } else if (pick < 960) {
+          side.counters[which]->flush(pid);
+          side.hists[which / 3]->flush(pid);
+        } else {
+          (void)side.tops[which / 3]->update(
+              pid, "peer-" + std::to_string(value % 7), value);
+        }
+      }
+    }
+    const std::uint64_t since = seq;
+    ++seq;
+    shard::TickRecord tick;
+    shard::TickRecord ref;
+    marked_steps += base::steps_of(
+        [&] { marked.collect_tick(kCollector, seq, tick); });
+    swept_steps += base::steps_of([&] { ref = sweep(seq, tick); });
+    ASSERT_EQ(tick.values, ref.values) << "pass " << pass;
+    ASSERT_EQ(tick.changed_seq, ref.changed_seq) << "pass " << pass;
+    ASSERT_EQ(tick.vectors.size(), ref.vectors.size()) << "pass " << pass;
+    for (std::size_t v = 0; v < tick.vectors.size(); ++v) {
+      EXPECT_EQ(tick.vectors[v].row, ref.vectors[v].row) << pass;
+      EXPECT_EQ(tick.vectors[v].counts, ref.vectors[v].counts) << pass;
+      EXPECT_EQ(tick.vectors[v].labels, ref.vectors[v].labels) << pass;
+    }
+    EXPECT_EQ(full_bytes(tick), full_bytes(ref)) << "pass " << pass;
+    EXPECT_EQ(delta_bytes(tick, since), delta_bytes(ref, since))
+        << "pass " << pass;
+  }
+  EXPECT_LT(marked_steps, swept_steps) << "the marked collect read every row";
 }
 
 }  // namespace
