@@ -15,10 +15,16 @@
 //      read-heavy throughput experiment for Algorithm 2
 //      (core/kmult_max_register.hpp).
 //   3. snapshot retirement at n = 16 — the bounded retirement list
-//      (exact/snapshot.hpp) in action: the retired count stays near the
-//      cap instead of growing with the update count, which is what lets
-//      this section run at higher n at all.
+//      (exact/snapshot.hpp) in action: the retired count stays within a
+//      small multiple of the cap instead of growing with the update
+//      count, which is what lets this section run at higher n at all.
+//      The count is sampled from
+//      the main thread while the workers run and reported as its peak:
+//      one sample at the end caught wherever the last reclaim pass left
+//      it (93–3854 over 20 runs at --scale=0.05).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -69,9 +75,10 @@ const bench::Experiment kExperiment{
     "~1.0-1.8x of E10's increment mix), diluted for the snapshot "
     "counter (allocation cost is paid in both builds) and ~1.0x for "
     "kmult — whose amortized reads are so cheap there is nothing to "
-    "instrument, itself the paper's point; snapshot retired records "
-    "stay under the cap while reclaimed records grow with the update "
-    "count",
+    "instrument, itself the paper's point; the sampled peak of snapshot "
+    "retired records stays within a small multiple of the cap (a "
+    "preempted scan pins the horizon while the others keep retiring) "
+    "instead of growing with the update count",
     [](const bench::Options& options, bench::Report& report) {
       using base::DirectBackend;
       const std::uint64_t kmult_k =
@@ -207,11 +214,12 @@ const bench::Experiment kExperiment{
       }
 
       // Retirement evidence: drive a DirectBackend snapshot counter hard
-      // and report the reclamation stats the bounded list produces.
+      // and report the peak of its retired list, sampled while it runs.
       {
         exact::SnapshotCounterT<DirectBackend> counter(kSnapshotProcs);
         const std::uint64_t total_ops = bench::scaled_ops(options, 200'000);
         std::atomic<std::uint64_t> updates{0};
+        std::atomic<unsigned> running{kMaxThreads};
         std::vector<std::thread> threads;
         for (unsigned pid = 0; pid < kMaxThreads; ++pid) {
           threads.emplace_back([&, pid] {
@@ -227,16 +235,21 @@ const bench::Experiment kExperiment{
               }
             }
             updates.fetch_add(mine, std::memory_order_relaxed);
+            running.fetch_sub(1, std::memory_order_release);
           });
+        }
+        std::uint64_t peak_retired = 0;
+        while (running.load(std::memory_order_acquire) > 0) {
+          peak_retired = std::max<std::uint64_t>(
+              peak_retired, counter.retired_records_unrecorded());
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
         for (auto& thread : threads) thread.join();
         auto& retire_table = report.section(
-            {"updates", "retired (cap 1024)", "reclaimed"},
+            {"updates", "peak retired while running (cap 1024)"},
             "snapshot retirement list, n = 16");
         retire_table.add_row(
-            {bench::num(updates.load()),
-             bench::num(std::uint64_t{counter.retired_records_unrecorded()}),
-             bench::num(counter.reclaimed_records_unrecorded())});
+            {bench::num(updates.load()), bench::num(peak_retired)});
       }
     }};
 
