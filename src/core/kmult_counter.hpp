@@ -82,7 +82,11 @@
 // returns — the switch count, and with it the number of true returns,
 // grows logarithmically in the count. The sharded registry marks a row
 // on a true return and its sequenced collect reads only marked rows
-// (shard/registry.hpp). The report is local computation: no step.
+// (shard/registry.hpp). The report is local computation: no step. One
+// read is the exception: a read that returned through the helping
+// witness may return more on its next scan with no new win, so the
+// registry marks its row again, counting those returns through
+// reads_via_helping().
 //
 // The Backend policy (base/backend.hpp) selects the zero-overhead direct
 // build or the instrumented model build; `KMultCounter` and
@@ -213,8 +217,8 @@ class SwitchCounterT {
 
   /// Number of CounterRead instances by `pid` that returned through the
   /// helping mechanism (lines 50–55) rather than by finding an unset
-  /// switch. Diagnostic for the E13 helping ablation; not part of the
-  /// algorithm.
+  /// switch. Not part of the algorithm: the E13 helping ablation reads
+  /// it, and the sharded registry marks a row after a helped read by it.
   [[nodiscard]] std::uint64_t reads_via_helping(unsigned pid) const {
     return locals_[pid].helping_returns;
   }
@@ -235,7 +239,7 @@ class SwitchCounterT {
     std::uint64_t limit = 1;      // announce threshold k^q in region q
     std::uint64_t sn = 0;         // announces written to H by this process
     std::uint64_t cursor = 0;     // l0_i, as the next switch index to try
-    std::uint64_t helping_returns = 0;    // diagnostic
+    std::uint64_t helping_returns = 0;    // reads_via_helping()
     std::uint64_t last_fast_attempts = 0;  // diagnostic
     std::vector<std::uint64_t> help;  // baseline seq numbers (helping scan)
   };

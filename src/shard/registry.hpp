@@ -60,9 +60,9 @@
 //
 // A k-mult read that returns through the helping witness (paper lines
 // 50–55) may return less than its scan would have, and more on its next
-// scan. It needs no mark of its own: the witness is an announce
-// completed inside the read, so after the pass's exchange, and that
-// announce marked the row for the next pass.
+// scan with no new win, so the read marks its row again. The witness's
+// own announce marks the row only once its increment returns; the
+// re-mark keeps the next pass from waiting on that process.
 //
 // Counter kinds are erased behind `AnyCounter` so one fleet can mix
 // multiplicative, additive and exact striping; the virtual hop is
@@ -299,7 +299,19 @@ class ErasedSharded final : public AnyCounter {
       if (published) mark_.set<Backend>();
     }
   }
-  std::uint64_t read(unsigned pid) override { return counter_.read(pid); }
+  std::uint64_t read(unsigned pid) override {
+    if constexpr (requires { counter_.reads_via_helping(pid); }) {
+      // A read that returned through the helping witness may return more
+      // on its next scan with no new win: keep the row marked for it
+      // (see "Marks" in the header).
+      const std::uint64_t helped = counter_.reads_via_helping(pid);
+      const std::uint64_t value = counter_.read(pid);
+      if (counter_.reads_via_helping(pid) != helped) mark_.set<Backend>();
+      return value;
+    } else {
+      return counter_.read(pid);
+    }
+  }
   void flush(unsigned pid) override {
     if (counter_.flush(pid)) mark_.set<Backend>();
   }

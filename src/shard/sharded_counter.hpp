@@ -314,6 +314,18 @@ class ShardedCounterT {
     return (n_ - s - 1) / num_shards_ + 1;
   }
 
+  /// Reads by `pid` that returned through a shard's helping witness,
+  /// summed over the shards (k-multiplicative shards only).
+  [[nodiscard]] std::uint64_t reads_via_helping(unsigned pid) const
+    requires requires(const shard_type& c) { c.reads_via_helping(0u); }
+  {
+    std::uint64_t helped = 0;
+    for (unsigned s = 0; s < num_shards_; ++s) {
+      helped += shards_[s]->shard.reads_via_helping(pid);
+    }
+    return helped;
+  }
+
   /// Direct shard access for tests and diagnostics.
   [[nodiscard]] shard_type& shard(unsigned s) noexcept {
     assert(s < num_shards_);

@@ -112,38 +112,53 @@ TEST(CollectMarks, AReadThatReturnsThroughHelpingLeavesItsRowToTheNextPass) {
   // scans them one by one while the incrementer keeps announcing; the
   // read can return early through the helping witness (paper lines
   // 50–55), below the switches it has yet to scan. The next pass must
-  // read the row again. It does with no extra mark: the witness is an
-  // announce completed inside the read, after the pass's exchange, and
-  // that announce marked the row.
+  // read the row again. The witness's announce marks the row once its
+  // increment returns; with `witness_marks` off the racing announces go
+  // straight to the shard, as if each stalled between its win and its
+  // mark, so only the helped read's own mark can send the next pass to
+  // the row.
   constexpr unsigned kIncrementer = 0;
   constexpr unsigned kCollector = 1;
   constexpr unsigned kReference = 2;
-  int helped = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Registry registry(3);
-    AnyCounter& row =
-        registry.create("kmult", {ErrorModel::kMultiplicative, 2, 1});
-    for (int i = 0; i < 4000; ++i) row.increment(kIncrementer);
-    TickRecord first;
-    std::vector<std::function<void()>> programs;
-    programs.emplace_back([&] {
-      for (int i = 0; i < 60000; ++i) row.increment(kIncrementer);
-    });
-    programs.emplace_back(
-        [&] { registry.collect_tick(kCollector, 1, first); });
-    sim::StepScheduler::run(std::move(programs), seed);
-    const core::KMultCounterCorrected& counter = shard_of(row);
-    if (counter.reads_via_helping(kCollector) == 0) continue;
-    ++helped;
-    TickRecord second;
-    registry.collect_tick(kCollector, 2, second);
-    EXPECT_LE(first.values[0], second.values[0]) << "seed " << seed;
-    EXPECT_EQ(second.values[0], floor_of(counter)) << "seed " << seed;
-    EXPECT_EQ(second.values[0], row.read(kReference)) << "seed " << seed;
-    EXPECT_EQ(counter.reads_via_helping(kCollector), 1u) << "seed " << seed;
+  for (const bool witness_marks : {true, false}) {
+    int helped = 0;
+    int moved = 0;  // helped reads that returned below the final count
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Registry registry(3);
+      AnyCounter& row =
+          registry.create("kmult", {ErrorModel::kMultiplicative, 2, 1});
+      core::KMultCounterCorrected& counter = shard_of(row);
+      for (int i = 0; i < 4000; ++i) row.increment(kIncrementer);
+      TickRecord first;
+      std::vector<std::function<void()>> programs;
+      programs.emplace_back([&] {
+        for (int i = 0; i < 60000; ++i) {
+          if (witness_marks) {
+            row.increment(kIncrementer);
+          } else {
+            counter.increment(kIncrementer);
+          }
+        }
+      });
+      programs.emplace_back(
+          [&] { registry.collect_tick(kCollector, 1, first); });
+      sim::StepScheduler::run(std::move(programs), seed);
+      if (counter.reads_via_helping(kCollector) == 0) continue;
+      ++helped;
+      TickRecord second;
+      registry.collect_tick(kCollector, 2, second);
+      const std::uint64_t full = row.read(kReference);
+      if (first.values[0] < full) ++moved;
+      EXPECT_EQ(second.values[0], full)
+          << "seed " << seed << " witness_marks " << witness_marks;
+      EXPECT_EQ(second.values[0], floor_of(counter)) << "seed " << seed;
+      EXPECT_EQ(counter.reads_via_helping(kCollector), 1u) << "seed " << seed;
+    }
+    EXPECT_GE(moved, 1) << "no schedule drove the collector's read through "
+                           "helping below the final count — the scenario "
+                           "needs retuning (witness_marks "
+                        << witness_marks << ", " << helped << " helped)";
   }
-  EXPECT_GE(helped, 1) << "no schedule drove the collector's read through "
-                          "helping — the scenario needs retuning";
 }
 
 }  // namespace
